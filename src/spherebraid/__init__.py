@@ -23,7 +23,6 @@ from .words import (
     alpha_prime,
     band_generator,
     block_pass,
-    concat,
     delta_comm,
     eta_elt,
     eta_tilde_elt,
@@ -31,7 +30,6 @@ from .words import (
     full_twist,
     half_twist,
     identity,
-    invert,
     lambda_elt,
     nu_elt,
     omega1,

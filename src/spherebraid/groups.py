@@ -11,11 +11,11 @@ immutable once built and safe to share.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "CosetBudgetError",
@@ -23,7 +23,6 @@ __all__ = [
     "GroupPresentation",
     "FiniteGroupTable",
     "SubgroupHandle",
-    "default_coset_budget",
     "todd_coxeter",
     "make_group",
     "sphere_three_strand_table",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 SUBGROUP_ORDER_BUDGET = 200
+COSET_BUDGET = 100_000
 
 
 class CosetBudgetError(RuntimeError):
@@ -53,11 +53,6 @@ class CosetBudgetError(RuntimeError):
 
 class SubgroupBudgetError(RuntimeError):
     """Group order exceeds the brute-force subgroup/automorphism budget."""
-
-
-def default_coset_budget() -> int:
-    env = os.environ.get("SPHEREBRAID_COSET_BUDGET")
-    return int(env) if env else 100_000
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,10 @@ def _finish_table(
     )
 
 
-def _greedy_generators_from(order: int, mult: list[list[int]], identity: int) -> tuple[int, ...]:
+def _greedy_generators_from(
+    order: int, mult: Sequence[Sequence[int]], identity: int
+) -> tuple[int, ...]:
+    """Each element not yet generated, in index order, until all are."""
     gens: list[int] = []
     reached = {identity}
     for e in range(order):
@@ -244,7 +242,7 @@ def todd_coxeter(pres: GroupPresentation, limit: int | None = None) -> FiniteGro
     coincidences are processed through a union-find.  Deterministic.  Raises
     :class:`CosetBudgetError` when more than ``limit`` cosets get defined.
     """
-    limit = limit if limit is not None else default_coset_budget()
+    limit = limit if limit is not None else COSET_BUDGET
     ng = pres.ngens
     ncols = 2 * ng
 
@@ -680,19 +678,6 @@ def _invariant_vector(G: FiniteGroupTable):
     )
 
 
-def _greedy_gens(G: FiniteGroupTable) -> tuple[int, ...]:
-    gens: list[int] = []
-    have = frozenset([G.identity])
-    for e in range(G.order):
-        if e in have:
-            continue
-        gens.append(e)
-        have = G.closure(gens)
-        if len(have) == G.order:
-            break
-    return tuple(gens)
-
-
 def _extend_map(G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]):
     """Grow gen-images into a full homomorphism table, or None on conflict."""
     phi: dict[int, int] = {G.identity: H.identity}
@@ -713,32 +698,20 @@ def _extend_map(G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], i
     return phi
 
 
-def _iso_map(G: FiniteGroupTable, H: FiniteGroupTable):
+def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[dict[int, int]]:
+    """Every isomorphism G -> H, trying each order-preserving choice of
+    images for greedy generators of G in lexicographic order."""
     if G.order != H.order:
-        return None
-    gens = _greedy_gens(G)
-    cand_pools = [
+        return
+    gens = _greedy_generators_from(G.order, G.mult, G.identity)
+    pools = [
         [h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
         for g in gens
     ]
-    if any(not pool for pool in cand_pools):
-        return None
-
-    def rec(k: int, images: list[int]):
-        if k == len(gens):
-            phi = _extend_map(G, H, gens, images)
-            if phi is not None and len(set(phi.values())) == G.order:
-                return phi
-            return None
-        for h in cand_pools[k]:
-            images.append(h)
-            got = rec(k + 1, images)
-            if got is not None:
-                return got
-            images.pop()
-        return None
-
-    return rec(0, [])
+    for images in product(*pools):
+        phi = _extend_map(G, H, gens, images)
+        if phi is not None and len(set(phi.values())) == G.order:
+            yield phi
 
 
 @lru_cache(maxsize=None)
@@ -747,7 +720,7 @@ def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
         return False
     if _invariant_vector(G) != _invariant_vector(H):
         return False
-    return _iso_map(G, H) is not None
+    return next(_isomorphisms(G, H), None) is not None
 
 
 def _abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
@@ -830,26 +803,7 @@ def normal_subgroup_witnesses(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...
 def _aut_maps(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
     if G.order > SUBGROUP_ORDER_BUDGET:
         raise SubgroupBudgetError(f"order {G.order} exceeds automorphism budget")
-    gens = _greedy_gens(G)
-    pools = [
-        [h for h in range(G.order) if G.element_orders[h] == G.element_orders[g]]
-        for g in gens
-    ]
-    maps: list[tuple[int, ...]] = []
-
-    def rec(k: int, images: list[int]) -> None:
-        if k == len(gens):
-            phi = _extend_map(G, G, gens, images)
-            if phi is not None and len(set(phi.values())) == G.order:
-                maps.append(tuple(phi[x] for x in range(G.order)))
-            return
-        for h in pools[k]:
-            images.append(h)
-            rec(k + 1, images)
-            images.pop()
-
-    rec(0, [])
-    return tuple(sorted(maps))
+    return tuple(sorted(tuple(phi[x] for x in range(G.order)) for phi in _isomorphisms(G, G)))
 
 
 def aut_from_gen_images(G: FiniteGroupTable, images: Sequence[int]) -> tuple[int, ...]:

@@ -15,22 +15,34 @@ three strands and reading the exponent sum mod 4 (n even).  The three-strand
 group is finite of order 12 and is handled by its multiplication table,
 which doubles as an independent check on the main pipeline.
 
+Centrality is decided in stages, each sound: the word is cyclically reduced
+(centrality is invariant under conjugation), then screened by its
+permutation, by its pairwise linking numbers, and by the trace screen, which
+runs the same recurrence on a fixed image of the free group in SL2(F_p): an
+inner automorphism preserves the traces of x_j and x_j x_k, so a mismatch
+proves the word is not central.  Survivors get the exact innerness check on
+the free-group images.
+
 Free words are plain tuples of signed generator indices; only the
 automorphism type gets a dataclass wrapper.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteGroupTable, sphere_three_strand_table
 from .words import (
     BraidWord,
     StrandMismatchError,
+    _reduce,
     abelianize,
     exponent_sum,
     forget_strands,
+    full_twist,
     identity,
     permutation,
 )
@@ -65,19 +77,9 @@ class OracleBudgetError(RuntimeError):
     """The free-group images outgrew the budget; no verdict was reached."""
 
 
-def _freduce(letters: Iterable[int]) -> FreeWord:
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def free_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
     """Free-reduce a sequence of signed basis indices."""
-    w = _freduce(letters)
+    w = _reduce(letters)
     if rank is not None:
         for x in w:
             if x == 0 or abs(x) > rank:
@@ -87,17 +89,6 @@ def free_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
 
 def _finv(w: Sequence[int]) -> FreeWord:
     return tuple(-x for x in reversed(w))
-
-
-def _fcat(*parts: Sequence[int]) -> FreeWord:
-    out: list[int] = []
-    for part in parts:
-        for x in part:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,7 @@ class FreeAutomorphism:
         parts: list[Sequence[int]] = []
         for x in w:
             parts.append(self.images[x - 1] if x > 0 else _finv(self.images[-x - 1]))
-        return _fcat(*parts)
+        return _reduce(*parts)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other: (self.compose(other)).apply == self.apply(other.apply(.))."""
@@ -133,6 +124,32 @@ class FreeAutomorphism:
         return FreeAutomorphism(tuple((j,) for j in range(1, rank + 1)))
 
 
+def _artin_steps(
+    letters: Sequence[int], imgs: list, cat: Callable, inv: Callable
+) -> Iterator[None]:
+    """Apply the braid letters, left to right, to the basis images in place.
+
+    ``cat`` multiplies and ``inv`` inverts in the target group, so the one
+    recurrence serves free words and matrices alike.  Yields after each letter.
+    """
+    last = len(imgs)
+    for x in letters:
+        i = abs(x)
+        if i < last:
+            a, b = imgs[i - 1], imgs[i]
+            if x > 0:
+                imgs[i - 1], imgs[i] = cat(a, b, inv(a)), a
+            else:
+                imgs[i - 1], imgs[i] = b, cat(inv(b), a, b)
+        elif x > 0:
+            # x_{n-1} x_n x_{n-1}^-1 = x_{n-2}^-1 ... x_1^-1 x_{n-1}^-1 after
+            # eliminating x_n; the inverse letter sends x_{n-1} to x_n itself.
+            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 2, -1, -1)], inv(imgs[i - 1]))
+        else:
+            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 1, -1, -1)])
+        yield
+
+
 def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     """The action of a braid word on the punctured-sphere free group.
 
@@ -141,40 +158,24 @@ def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     missing generator are rewritten eagerly after each letter.  Raises
     :class:`OracleBudgetError` when the total image length passes ``budget``.
     """
-    n = w.n
-    imgs: list[FreeWord] = [(j,) for j in range(1, n)]
-    last = n - 1
-    total = last
-    for x in w.letters:
-        i = abs(x)
-        if i < last:
-            a, b = imgs[i - 1], imgs[i]
-            if x > 0:
-                imgs[i - 1] = _fcat(a, b, _finv(a))
-                imgs[i] = a
-            else:
-                imgs[i - 1] = b
-                imgs[i] = _fcat(_finv(b), a, b)
-            total += len(imgs[i - 1]) + len(imgs[i]) - len(a) - len(b)
-        else:
-            # x_{n-1} x_n x_{n-1}^-1 = x_{n-2}^-1 ... x_1^-1 x_{n-1}^-1 after
-            # eliminating x_n; the inverse letter sends x_{n-1} to x_n itself.
-            old = len(imgs[last - 1])
-            if x > 0:
-                parts = [_finv(imgs[j]) for j in range(last - 2, -1, -1)]
-                parts.append(_finv(imgs[last - 1]))
-                imgs[last - 1] = _fcat(*parts)
-            else:
-                parts = [_finv(imgs[j]) for j in range(last - 1, -1, -1)]
-                imgs[last - 1] = _fcat(*parts)
-            total += len(imgs[last - 1]) - old
-        if total > budget:
+    imgs: list[FreeWord] = [(j,) for j in range(1, w.n)]
+    for _ in _artin_steps(w.letters, imgs, _reduce, _finv):
+        if sum(map(len, imgs)) > budget:
             raise OracleBudgetError(
                 f"free-group images passed {budget} letters after "
                 f"{len(w.letters)}-letter input; the word is far from any "
                 "short normal form and no verdict was reached"
             )
     return FreeAutomorphism(tuple(imgs))
+
+
+def _strip_ends(w: Sequence[int]) -> int:
+    """The number k of letters that cancel between the ends: w = u c u^-1, len(u) = k."""
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] == -w[hi - 1]:
+        lo += 1
+        hi -= 1
+    return lo
 
 
 def is_inner(a: FreeAutomorphism) -> FreeWord | None:
@@ -187,14 +188,11 @@ def is_inner(a: FreeAutomorphism) -> FreeWord | None:
     means the identity conjugator, so test the result against ``None``.
     """
     w1 = a.images[0]
-    lo, hi = 0, len(w1)
-    while hi - lo >= 2 and w1[lo] == -w1[hi - 1]:
-        lo += 1
-        hi -= 1
-    if w1[lo:hi] != (1,):
+    lo = _strip_ends(w1)
+    if w1[lo : len(w1) - lo] != (1,):
         return None
     u = w1[:lo]
-    v = _fcat(_finv(u), a.images[1] if a.rank >= 2 else (), u)
+    v = _reduce(_finv(u), a.images[1] if a.rank >= 2 else (), u)
     t, rem = divmod(len(v) - 1, 2)
     if rem != 0 or v[t] != 2:
         return None
@@ -205,9 +203,9 @@ def is_inner(a: FreeAutomorphism) -> FreeWord | None:
         k = -t
     else:
         return None
-    g = _fcat(u, (1,) * k if k >= 0 else (-1,) * (-k))
+    g = _reduce(u, (1,) * k if k >= 0 else (-1,) * (-k))
     for j in range(1, a.rank + 1):
-        if a.images[j - 1] != _fcat(g, (j,), _finv(g)):
+        if a.images[j - 1] != _reduce(g, (j,), _finv(g)):
             return None
     return g
 
@@ -261,7 +259,6 @@ def _linking_could_be_central(w: BraidWord) -> bool:
         if a > b:
             a, b = b, a
         d[a][b] += 1 if x > 0 else -1
-        i = abs(x)
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     if any(d[j][k] % 2 for j in range(1, n + 1) for k in range(j + 1, n + 1)):
         return False
@@ -281,37 +278,90 @@ def _linking_could_be_central(w: BraidWord) -> bool:
     return False
 
 
+# The trace screen maps the free group to SL2(F_p), p = 2^31 - 1, sending x_j
+# to a matrix drawn from a generator seeded by n alone.
+SL2_PRIME = 2**31 - 1
+SL2_SEED = 20031
+
+Matrix = tuple[int, int, int, int]
+
+
+def _mat_mul(*ms: Matrix) -> Matrix:
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in ms:
+        a, b, c, d = (
+            (a * e + b * g) % SL2_PRIME,
+            (a * f + b * h) % SL2_PRIME,
+            (c * e + d * g) % SL2_PRIME,
+            (c * f + d * h) % SL2_PRIME,
+        )
+    return a, b, c, d
+
+
+def _mat_inv(m: Matrix) -> Matrix:
+    a, b, c, d = m
+    return d, -b % SL2_PRIME, -c % SL2_PRIME, a
+
+
+def _traces(ms: Sequence[Matrix]) -> tuple[int, ...]:
+    """tr(x_j) for every j, then tr(x_j x_k) for every j < k."""
+    out = [(a + d) % SL2_PRIME for a, _, _, d in ms]
+    for j, (a, b, c, d) in enumerate(ms):
+        for e, f, g, h in ms[j + 1 :]:
+            out.append((a * e + b * g + c * f + d * h) % SL2_PRIME)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _sl2_basis(n: int) -> tuple[tuple[Matrix, ...], tuple[int, ...]]:
+    """The images of x_1 ... x_{n-1} in SL2(F_p), and their traces."""
+    rng = random.Random(SL2_SEED * 1000 + n)
+    basis = []
+    for _ in range(n - 1):
+        a, b, c = rng.randrange(1, SL2_PRIME), rng.randrange(SL2_PRIME), rng.randrange(SL2_PRIME)
+        basis.append((a, b, c, (1 + b * c) * pow(a, -1, SL2_PRIME) % SL2_PRIME))
+    return tuple(basis), _traces(basis)
+
+
+def _traces_could_be_central(w: BraidWord) -> bool:
+    """Screen on the SL2 image of the free-group action.
+
+    An inner automorphism conjugates every image matrix by the same matrix,
+    so it keeps tr(x_j) and tr(x_j x_k); a changed trace proves the word's
+    automorphism is not inner.  The images stay four residues each.
+    """
+    basis, traces = _sl2_basis(w.n)
+    imgs = list(basis)
+    for _ in _artin_steps(w.letters, imgs, _mat_mul, _mat_inv):
+        pass
+    return _traces(imgs) == traces
+
+
 def central_value(w: BraidWord) -> int | None:
     """0 if the word is trivial, 2 if it is the full twist, None otherwise.
 
     The center is exactly {identity, full twist}; membership is decided by
-    innerness of the free-group action (after cheap permutation and linking
-    screens), after which the abelianization (odd n) or the exponent sum mod
-    4 of the projection onto three strands (even n) separates the two.
+    innerness of the free-group action (after cheap permutation, linking and
+    trace screens), after which the abelianization (odd n) or the exponent
+    sum mod 4 of the projection onto three strands (even n) separates the
+    two.  All of it is invariant under conjugation, so the word is cyclically
+    reduced first.
     """
     n = w.n
     if n == 3:
         e = _b3_element(w)
         if e == sphere_three_strand_table().identity:
             return 0
-        from .words import full_twist
-
         return 2 if e == _b3_element(full_twist(3)) else None
+    k = _strip_ends(w.letters)
+    if k:
+        w = BraidWord(n, w.letters[k : len(w.letters) - k])
     if not permutation(w).is_identity():
         return None
     if not _linking_could_be_central(w):
         return None
-    # For long pure words, refute through four-strand projections first: a
-    # central element projects centrally, and the projections are cheap to
-    # decide, while the free-group images of an infinite-order word can grow
-    # exponentially.  (This is a screen, not a decision: braids trivial on
-    # every proper sub-braid exist, so survivors still get the exact check.)
-    if n >= 5 and len(w.letters) > 48:
-        from itertools import combinations
-
-        for keep in combinations(range(1, n + 1), 4):
-            if central_value(forget_strands(w, keep)) is None:
-                return None
+    if not _traces_could_be_central(w):
+        return None
     if is_inner(artin_action(w)) is None:
         return None
     if n % 2 == 1:

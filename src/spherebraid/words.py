@@ -35,8 +35,6 @@ __all__ = [
     "identity",
     "sigma",
     "parse_braid",
-    "concat",
-    "invert",
     "permutation",
     "abelianize",
     "exponent_sum",
@@ -78,13 +76,15 @@ class StrandMismatchError(WordError):
     """Two words from braid groups with different strand counts were mixed."""
 
 
-def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
+def _reduce(*parts: Iterable[int]) -> tuple[int, ...]:
+    """Free-reduce the concatenation of the parts (signed letters)."""
     out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
+    for part in parts:
+        for x in part:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
     return tuple(out)
 
 
@@ -115,19 +115,14 @@ class BraidWord:
             return NotImplemented
         if self.n != other.n:
             raise StrandMismatchError(f"cannot multiply words on {self.n} and {other.n} strands")
-        return BraidWord(self.n, _reduce(self.letters + other.letters))
+        return BraidWord(self.n, _reduce(self.letters, other.letters))
 
     def inv(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "BraidWord":
-        if e == 0:
-            return BraidWord(self.n)
-        base = self if e > 0 else self.inv()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
+        base = self if e >= 0 else self.inv()
+        return BraidWord(self.n, _reduce(base.letters * abs(e)))
 
     def conj(self, g: "BraidWord") -> "BraidWord":
         """g * self * g^-1."""
@@ -156,14 +151,6 @@ def identity(n: int) -> BraidWord:
 def sigma(n: int, k: int) -> BraidWord:
     """The generator sigma_k (k < 0 for the inverse)."""
     return BraidWord(n, (k,))
-
-
-def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
-    return w1 * w2
-
-
-def invert(w: BraidWord) -> BraidWord:
-    return w.inv()
 
 
 @dataclass(frozen=True)

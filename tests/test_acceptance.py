@@ -3,7 +3,8 @@ Acceptance gate: each test below runs one numbered acceptance criterion at
 its stated tolerance (everything here is exact) and prints one summary line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to watch the lines appear;
-the printed wall time must stay inside each criterion's stated budget.
+each line also shows the criterion's wall time, for information only (no
+time limit is asserted).
 """
 
 import random

@@ -305,6 +305,18 @@ class TestWitness:
         labels = [label for label, _ in w.transcript]
         assert any("twisted gluing" in lab for lab in labels)
 
+    def test_sweep_beyond_twelve_strands(self):
+        verified = 0
+        for n in range(13, 17):
+            for rec in enumerate_all(n):
+                try:
+                    w = witness(rec)
+                except WitnessUnavailable:
+                    continue
+                assert w.ok, f"witness failure at n={n}: {rec.shape}"
+                verified += 1
+        assert verified == 116
+
 
 class TestStatusBoundaries:
     """The exception lists at their boundary strand counts."""

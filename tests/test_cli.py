@@ -172,6 +172,10 @@ class TestErrorHandling:
         assert code == 2 and "error:" in err
 
     def test_budget_error_clean_exit(self, capsys):
-        code = main(["order", "--n", "4", "--word", " ".join(["1", "-2"] * 18)])
+        # p FT p^-1 q FT q^-1 with p = (1 -2)^18 and q = (2 -1)^18 = p^-1:
+        # trivial, but no screen decides it and its free-group images
+        # overflow the budget.
+        p, q = " ".join(["1 -2"] * 18), " ".join(["2 -1"] * 18)
+        code = main(["order", "--n", "4", "--word", f"{p} FT {q} {q} FT {p}"])
         err = capsys.readouterr().err
-        assert code == 2 and "budget" in err or "letters" in err
+        assert code == 2 and ("budget" in err or "letters" in err)

@@ -100,12 +100,6 @@ class TestCosetEnumeration:
         with pytest.raises(SubgroupBudgetError):
             subgroups(make_group("cyclic", 201))
 
-    def test_coset_budget_env(self, monkeypatch):
-        monkeypatch.setenv("SPHEREBRAID_COSET_BUDGET", "7")
-        from spherebraid.groups import default_coset_budget
-
-        assert default_coset_budget() == 7
-
 
 class TestStructure:
     def test_names(self):

@@ -8,6 +8,7 @@ from spherebraid import words as W
 from spherebraid.groups import make_group, sphere_three_strand_table
 from spherebraid.oracle import (
     FreeAutomorphism,
+    _traces_could_be_central,
     OracleBudgetError,
     Order,
     artin_action,
@@ -253,16 +254,62 @@ class TestVerifyFiniteSubgroup:
 
 class TestBudget:
     def test_pseudo_anosov_power_aborts_cleanly(self):
-        # Images grow exponentially for these; the oracle must refuse with a
-        # clear error instead of exhausting memory.
+        # p FT p^-1 q FT q^-1 is trivial, but cyclic reduction cannot strip
+        # it and its free-group images grow exponentially; the oracle must
+        # refuse with a clear error instead of exhausting memory.
+        p, q, ft = word(4, [1, -2] * 18), word(4, [2, -1] * 18), full_twist(4)
+        w = p * ft * p.inv() * q * ft * q.inv()
+        assert len(w) == 166
         with pytest.raises(OracleBudgetError):
-            order_of(word(4, [1, -2] * 18))
+            order_of(w)
 
     def test_budget_parameter(self):
         from spherebraid.oracle import artin_action
 
         with pytest.raises(OracleBudgetError):
             artin_action(word(4, [1, -2] * 9), budget=1000)
+
+
+def sphere_relators(n):
+    """Braid, far-commutation and sphere relators, and the square of the full twist."""
+    rels = [word(n, [i, i + 1, i, -(i + 1), -i, -(i + 1)]) for i in range(1, n - 1)]
+    rels += [word(n, [i, j, -i, -j]) for i in range(1, n) for j in range(i + 2, n)]
+    rels += [surface_relation(n), full_twist(n) ** 2]
+    return rels
+
+
+class TestScreenSoundness:
+    """The trace screen never refutes a word that is central in the group."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_inserted_relator_conjugates_are_never_refuted(self, n):
+        rng = random.Random(40 + n)
+        rels = sphere_relators(n)
+        for _ in range(25):
+            u = random_word(rng, n, 12)
+            g = random_word(rng, n, 8)
+            r = rng.choice(rels) ** rng.choice([1, -1])
+            cut = rng.randint(0, len(u))
+            head, tail = word(n, u.letters[:cut]), word(n, u.letters[cut:])
+            v = head * g * r * g.inv() * tail
+            assert _traces_could_be_central(v * u.inv())
+            assert equals(u, v)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_full_twist_conjugates_are_central(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(10):
+            g = random_word(rng, n, 15)
+            w = g * full_twist(n) * g.inv()
+            assert _traces_could_be_central(w)
+            assert central_value(w) == 2
+
+    @pytest.mark.parametrize("k", (14, 18))
+    def test_pseudo_anosov_powers(self, k):
+        # Both used to overflow the free-group budget.
+        p = word(4, [1, -2] * k)
+        assert order_of(p) == Order(None)
+        assert central_value(p * full_twist(4) * p.inv()) == 2
 
 
 class TestCatalogIdentities:
