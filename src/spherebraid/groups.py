@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -175,9 +175,7 @@ def _finish_table(
     identity = next(
         e for e in range(order) if all(mult[e][b] == b == mult[b][e] for b in range(order))
     )
-    inverse = [0] * order
-    for a in range(order):
-        inverse[a] = next(b for b in range(order) if mult[a][b] == identity)
+    inverse = [mult[a].index(identity) for a in range(order)]
     orders = [0] * order
     for a in range(order):
         k, x = 1, a
@@ -699,19 +697,37 @@ def _extend_map(G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], i
 
 
 def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[dict[int, int]]:
-    """Every isomorphism G -> H, trying each order-preserving choice of
-    images for greedy generators of G in lexicographic order."""
+    """Every isomorphism G -> H, in lexicographic order of the images of
+    greedy generators g_1..g_k of G.
+
+    Images are chosen depth first.  An isomorphism preserves the order of
+    every element and of every product, so h_i is kept only when it has the
+    order of g_i and ord(g_j g_i) = ord(h_j h_i) for every earlier j (g_i g_j
+    is conjugate to g_j g_i, so its order adds nothing).  Each complete
+    choice is then extended and checked to be a bijective homomorphism,
+    which is the proof.
+    """
     if G.order != H.order:
         return
     gens = _greedy_generators_from(G.order, G.mult, G.identity)
-    pools = [
-        [h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
-        for g in gens
-    ]
-    for images in product(*pools):
-        phi = _extend_map(G, H, gens, images)
-        if phi is not None and len(set(phi.values())) == G.order:
-            yield phi
+    go, ho = G.element_orders, H.element_orders
+    pools = [[h for h in range(H.order) if ho[h] == go[g]] for g in gens]
+    images: list[int] = []
+
+    def choose(i: int) -> Iterator[dict[int, int]]:
+        if i == len(gens):
+            phi = _extend_map(G, H, gens, images)
+            if phi is not None and len(set(phi.values())) == G.order:
+                yield phi
+            return
+        g = gens[i]
+        for h in pools[i]:
+            if all(go[G.mult[gj][g]] == ho[H.mult[hj][h]] for gj, hj in zip(gens, images)):
+                images.append(h)
+                yield from choose(i + 1)
+                images.pop()
+
+    yield from choose(0)
 
 
 @lru_cache(maxsize=None)
@@ -828,32 +844,34 @@ def _invert_map(f: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def automorphisms(G: FiniteGroupTable) -> FiniteGroupTable:
-    """The automorphism group; element labels carry the underlying maps."""
+    """The automorphism group; element labels carry the underlying maps.
+
+    An automorphism is fixed by the images of the distinguished generators
+    (for the trivial group, of the identity), so maps are composed and
+    looked up on those images only.
+    """
     maps = _aut_maps(G)
-    index = {m: i for i, m in enumerate(maps)}
-    mult = [[index[_compose_maps(maps[i], maps[j])] for j in range(len(maps))]
-            for i in range(len(maps))]
+    gens = G.generators or (G.identity,)
+    index = {k: i for i, k in enumerate(map(itemgetter(*gens), maps))}
+    mult = [[index[k] for k in map(itemgetter(*[a[g] for g in gens]), maps)] for a in maps]
     return _finish_table(len(maps), mult, (), None, labels=maps)
+
+
+@lru_cache(maxsize=None)
+def _inner_maps(G: FiniteGroupTable) -> frozenset[tuple[int, ...]]:
+    """The conjugation maps x -> g x g^-1, as whole maps."""
+    return frozenset(tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order))
 
 
 def inner_automorphisms(G: FiniteGroupTable) -> frozenset[int]:
     """Indices (in the automorphism table) of the conjugation maps."""
-    aut = automorphisms(G)
-    index = {m: i for i, m in enumerate(aut.labels)}
-    return frozenset(
-        index[tuple(G.conj(g, x) for x in range(G.order))] for g in range(G.order)
-    )
+    index = {m: i for i, m in enumerate(automorphisms(G).labels)}
+    return frozenset(index[m] for m in _inner_maps(G))
 
 
 def outer_group(G: FiniteGroupTable) -> FiniteGroupTable:
     """Aut modulo the inner automorphisms."""
-    aut = automorphisms(G)
-    return quotient(aut, frozenset(inner_automorphisms(G)))
-
-
-def _same_outer_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int]) -> bool:
-    inner = {tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order)}
-    return _compose_maps(a, _invert_map(b)) in inner
+    return quotient(automorphisms(G), inner_automorphisms(G))
 
 
 def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int]) -> bool:
@@ -862,9 +880,12 @@ def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int
     The isomorphism class depends only on the outer class of the twisting
     automorphism, up to inversion and conjugation in the outer group.
     """
+    inner = _inner_maps(G)
+    b_inv = _invert_map(b)
     for c in _aut_maps(G):
         cac = _compose_maps(_compose_maps(c, tuple(a)), _invert_map(c))
-        if _same_outer_class(G, cac, b) or _same_outer_class(G, _invert_map(cac), b):
+        if (_compose_maps(cac, b_inv) in inner
+                or _compose_maps(_invert_map(cac), b_inv) in inner):
             return True
     return False
 

@@ -24,6 +24,14 @@ from spherebraid.groups import (
     subgroups,
     todd_coxeter,
 )
+from spherebraid.groups import (
+    _aut_maps,
+    _compose_maps,
+    _extend_map,
+    _greedy_generators_from,
+    _invariant_vector,
+    _isomorphisms,
+)
 
 
 REPRESENTATIVE_TABLES = [
@@ -189,6 +197,23 @@ class TestAutomorphisms:
         ts = make_group("T*")
         assert len(inner_automorphisms(ts)) == 24 // len(center(ts).elements)
 
+    @pytest.mark.parametrize("name,build", REPRESENTATIVE_TABLES)
+    def test_table_matches_whole_map_composition(self, name, build):
+        aut = automorphisms(build())
+        index = {m: i for i, m in enumerate(aut.labels)}
+        assert aut.mult == tuple(
+            tuple(index[_compose_maps(a, b)] for b in aut.labels) for a in aut.labels
+        )
+
+    def test_trivial_group(self):
+        # A table of order 1 has no distinguished generators.
+        z4 = make_group("cyclic", 4)
+        trivial = subgroup_table(z4, frozenset([z4.identity]))
+        assert trivial.generators == ()
+        aut = automorphisms(trivial)
+        assert aut.order == 1 and aut.mult == ((0,),) and aut.labels == ((0,),)
+        assert outer_group(trivial).order == 1
+
     def test_aut_from_gen_images_rejects_bad(self):
         q8 = make_group("dicyclic", 2)
         x, y = q8.generators
@@ -205,8 +230,6 @@ class TestClassifyAction:
         assert classify_action(q8, tuple(range(8))) == "trivial"
 
     def test_quaternion_six_reps_to_three_tags(self):
-        from spherebraid.groups import _compose_maps
-
         q8 = make_group("dicyclic", 2)
         cat = action_catalog(q8)
         a, b = cat["alpha"], cat["beta"]
@@ -270,3 +293,56 @@ class TestIndexTwoRestriction:
         G = make_group("O*")
         h = next(x for x in subgroups(G) if x.name == "T*")
         assert is_isomorphic(subgroup_table(G, h.elements), make_group("T*"))
+
+
+def _unpruned_isomorphisms(G, H):
+    """Reference search: every order-preserving tuple of generator images,
+    each extended and checked, with no pruning on the orders of products."""
+    if G.order != H.order:
+        return
+    gens = _greedy_generators_from(G.order, G.mult, G.identity)
+    pools = [[h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
+             for g in gens]
+    for images in itertools.product(*pools):
+        phi = _extend_map(G, H, gens, images)
+        if phi is not None and len(set(phi.values())) == G.order:
+            yield phi
+
+
+CATALOG = (
+    [("B3", sphere_three_strand_table())]
+    + [(f"Z{q}", make_group("cyclic", q)) for q in range(1, 65)]
+    + [(f"Dih{2 * m}", make_group("dihedral", m)) for m in range(2, 33)]
+    + [(f"Dic{4 * m}", make_group("dicyclic", m)) for m in range(2, 17)]
+    + [(k, make_group(k)) for k in ("klein", "A4", "S4", "T*", "O*", "A5")]
+)
+
+SAME_ORDER_PAIRS = [
+    (a, G, b, H)
+    for i, (a, G) in enumerate(CATALOG)
+    for b, H in CATALOG[i + 1:]
+    if G.order == H.order
+]
+
+
+class TestPrunedSearch:
+    """The depth-first, product-order-pruned search finds exactly what the
+    unpruned search finds."""
+
+    @pytest.mark.parametrize("name,G", CATALOG, ids=[c[0] for c in CATALOG])
+    def test_aut_maps_match_unpruned_search(self, name, G):
+        unpruned = sorted(tuple(phi[x] for x in range(G.order))
+                          for phi in _unpruned_isomorphisms(G, G))
+        assert _aut_maps(G) == tuple(unpruned)
+
+    def test_same_order_pairs_cover_the_hard_cases(self):
+        names = {(a, b) for a, _, b, _ in SAME_ORDER_PAIRS}
+        assert ("S4", "T*") in names
+        assert {(f"Dih{4 * m}", f"Dic{4 * m}") for m in range(2, 17)} <= names
+
+    @pytest.mark.parametrize("a,G,b,H", SAME_ORDER_PAIRS,
+                             ids=[f"{a}-{b}" for a, _, b, _ in SAME_ORDER_PAIRS])
+    def test_isomorphism_verdicts_unchanged(self, a, G, b, H):
+        found = next(_unpruned_isomorphisms(G, H), None) is not None
+        assert (next(_isomorphisms(G, H), None) is not None) == found
+        assert is_isomorphic(G, H) == (_invariant_vector(G) == _invariant_vector(H) and found)
