@@ -30,7 +30,7 @@ from .groups import (
     FiniteGroupTable,
     GroupPresentation,
     _aut_maps,
-    _extend_map,
+    hom_from_gen_images,
     make_group,
     structure_name,
     todd_coxeter,
@@ -43,8 +43,8 @@ __all__ = [
     "SemidirectForm",
     "IsoCertificate",
     "K1K2Report",
-    "hom_from_gen_images",
     "build_amalgam",
+    "straight_gluing",
     "find_extension",
     "to_semidirect",
     "k1",
@@ -54,14 +54,6 @@ __all__ = [
     "distinguish_k1_k2",
     "amalgam_iso",
 ]
-
-
-def hom_from_gen_images(F: FiniteGroupTable, G: FiniteGroupTable, images: Sequence[int]) -> tuple[int, ...]:
-    """The homomorphism F -> G with the given generator images, as a map."""
-    phi = _extend_map(F, G, F.generators, tuple(images))
-    if phi is None:
-        raise ValueError("generator images do not define a homomorphism")
-    return tuple(phi[x] for x in range(F.order))
 
 
 @dataclass(frozen=True)
@@ -285,6 +277,29 @@ def to_semidirect(spec: AmalgamSpec, extension: Sequence[int]) -> SemidirectForm
                 raise ValueError("coset element fails to invert t")
             signs.append(-1)
     return SemidirectForm(t, 2, tuple(signs))
+
+
+def straight_gluing(kind: str, q: int) -> AmalgamSpec:
+    """Two copies of one factor glued identically over an index-2 subgroup.
+
+    ``zz``: Z_{4q} over Z_{2q}; ``dicz``: Dic_{4q} over its cyclic Z_{2q};
+    ``dicdic``: Dic_{4q} over Dic_{2q} (q even).
+    """
+    if kind == "zz":
+        big, small = make_group("cyclic", 4 * q), make_group("cyclic", 2 * q)
+        x = big.generators[0]
+        images: tuple[int, ...] = (big.mul(x, x),)
+    elif kind == "dicz":
+        big, small = make_group("dicyclic", q), make_group("cyclic", 2 * q)
+        images = big.generators[:1]
+    elif kind == "dicdic":
+        big, small = make_group("dicyclic", q), make_group("dicyclic", q // 2)
+        x, y = big.generators
+        images = (big.mul(x, x), y)
+    else:
+        raise ValueError(f"unknown straight gluing {kind!r}")
+    emb = hom_from_gen_images(small, big, images)
+    return build_amalgam(big, big, small, emb, emb)
 
 
 # ---------------------------------------------------------------------------

@@ -96,22 +96,11 @@ def _amalgam_by_tag(tag: str) -> amalgams.AmalgamSpec:
     if not q_text.isdigit():
         raise SystemExit(f"unknown amalgam tag {tag!r} (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)")
     q = int(q_text)
-    if kind == "zz":
-        big, small = groups.make_group("cyclic", 4 * q), groups.make_group("cyclic", 2 * q)
-        emb = amalgams.hom_from_gen_images(small, big, (2 % (4 * q),))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-    if kind == "dicz":
-        big, small = groups.make_group("dicyclic", q), groups.make_group("cyclic", 2 * q)
-        emb = amalgams.hom_from_gen_images(small, big, (big.generators[0],))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-    if kind == "dicdic":
-        if q % 2:
-            raise SystemExit("dicdic gluing needs an even parameter")
-        big, small = groups.make_group("dicyclic", q), groups.make_group("dicyclic", q // 2)
-        x, y = big.generators
-        emb = amalgams.hom_from_gen_images(small, big, (big.mul(x, x), y))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-    raise SystemExit(f"unknown amalgam tag {tag!r}")
+    if kind not in ("zz", "dicz", "dicdic"):
+        raise SystemExit(f"unknown amalgam tag {tag!r}")
+    if kind == "dicdic" and q % 2:
+        raise SystemExit("dicdic gluing needs an even parameter")
+    return amalgams.straight_gluing(kind, q)
 
 
 def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.AmalgamElement:

@@ -4,9 +4,9 @@ lattices, automorphism groups, and isomorphism testing.
 
 Everything at play here is tiny (order at most 200), so the algorithms are
 deliberately elementary: HLT-style coset enumeration with deterministic scan
-order for presented groups, brute-force closure for subgroup lattices, and
-generator-image backtracking for isomorphisms and automorphisms.  Tables are
-immutable once built and safe to share.
+order for presented groups, one greedy generation walk for subgroup closure
+and default generators, and generator-image backtracking for isomorphisms
+and automorphisms.  Tables are immutable once built and safe to share.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "inner_automorphisms",
     "outer_group",
     "aut_from_gen_images",
+    "hom_from_gen_images",
     "classify_action",
     "action_catalog",
     "restriction_is_surjective",
@@ -127,23 +128,37 @@ class FiniteGroupTable:
         return tuple(sorted(Counter(self.element_orders).items()))
 
     def is_abelian(self) -> bool:
+        gens = self.generators
         return all(
-            self.mult[a][b] == self.mult[b][a] for a in range(self.order) for b in range(a)
+            self.mult[a][b] == self.mult[b][a] for i, a in enumerate(gens) for b in gens[:i]
         )
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the seed elements."""
-        gens = sorted(set(seed))
-        elems = {self.identity}
-        stack = [self.identity]
+        return _greedy_closure(self.mult, self.identity, seed)[1]
+
+
+def _greedy_closure(
+    mult: Sequence[Sequence[int]], identity: int, candidates: Iterable[int]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Generators and elements of the subgroup the candidates generate: each
+    candidate not yet reached, in the order given, becomes a generator, and
+    the walk over right multiplication by the generators is extended."""
+    gens: list[int] = []
+    reached = {identity}
+    for c in candidates:
+        if c in reached:
+            continue
+        gens.append(c)
+        stack = list(reached)
         while stack:
             x = stack.pop()
             for g in gens:
-                y = self.mult[x][g]
-                if y not in elems:
-                    elems.add(y)
+                y = mult[x][g]
+                if y not in reached:
+                    reached.add(y)
                     stack.append(y)
-        return frozenset(elems)
+    return tuple(gens), frozenset(reached)
 
 
 def _bfs_words(
@@ -183,7 +198,7 @@ def _finish_table(
             x = mult[x][a]
             k += 1
         orders[a] = k
-    gens = tuple(gens) if gens else _greedy_generators_from(order, mult, identity)
+    gens = tuple(gens) if gens else _greedy_closure(mult, identity, range(order))[0]
     letters = [s * (j + 1) for j in range(len(gens)) for s in (1, -1)]
 
     def step(x: int, letter: int) -> int:
@@ -202,29 +217,6 @@ def _finish_table(
         labels=labels,
         identity=identity,
     )
-
-
-def _greedy_generators_from(
-    order: int, mult: Sequence[Sequence[int]], identity: int
-) -> tuple[int, ...]:
-    """Each element not yet generated, in index order, until all are."""
-    gens: list[int] = []
-    reached = {identity}
-    for e in range(order):
-        if e in reached:
-            continue
-        gens.append(e)
-        stack = list(reached)
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = mult[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if len(reached) == order:
-            break
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +542,11 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
         return _dicyclic(param)
     if kind == "klein":
         return _dihedral(2)
-    if kind in ("T*", "binary_tetrahedral"):
+    if kind == "T*":
         return todd_coxeter(_PRES_BINARY_TETRAHEDRAL)
-    if kind in ("O*", "binary_octahedral"):
+    if kind == "O*":
         return todd_coxeter(_PRES_BINARY_OCTAHEDRAL)
-    if kind in ("I*", "binary_icosahedral"):
+    if kind == "I*":
         return todd_coxeter(_PRES_BINARY_ICOSAHEDRAL)
     if kind == "A4":
         return _alternating(4)
@@ -585,7 +577,9 @@ class SubgroupHandle:
 
 
 def _is_normal(G: FiniteGroupTable, elems: frozenset[int]) -> bool:
-    return all(G.conj(g, x) in elems for g in range(G.order) for x in elems)
+    """Whether gNg^-1 lies in N for every generator g.  Conjugation by g then
+    maps N into N injectively, hence onto it, so all of G normalizes N."""
+    return all(G.conj(g, x) in elems for g in G.generators for x in elems)
 
 
 @lru_cache(maxsize=None)
@@ -633,7 +627,7 @@ def subgroups(G: FiniteGroupTable) -> tuple[SubgroupHandle, ...]:
 
 def center(G: FiniteGroupTable) -> SubgroupHandle:
     elems = frozenset(
-        a for a in range(G.order) if all(G.mult[a][b] == G.mult[b][a] for b in range(G.order))
+        a for a in range(G.order) if all(G.mult[a][g] == G.mult[g][a] for g in G.generators)
     )
     return SubgroupHandle(elems, True, structure_name(subgroup_table(G, elems)), True)
 
@@ -676,27 +670,44 @@ def _invariant_vector(G: FiniteGroupTable):
     )
 
 
-def _extend_map(G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]):
-    """Grow gen-images into a full homomorphism table, or None on conflict."""
-    phi: dict[int, int] = {G.identity: H.identity}
-    queue = deque([G.identity])
-    while queue:
-        x = queue.popleft()
+def _extend_map(
+    G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The homomorphism G -> H sending gens to images, as the tuple of the
+    images of 0..|G|-1; None when the images conflict or gens do not
+    generate G.  Every edge x -> x g is checked, which is the proof."""
+    phi: list[int | None] = [None] * G.order
+    phi[G.identity] = H.identity
+    stack = [G.identity]
+    while stack:
+        x = stack.pop()
         for g, h in zip(gens, images):
-            y = G.mult[x][g]
-            im = H.mult[phi[x]][h]
-            known = phi.get(y)
-            if known is None:
+            y, im = G.mult[x][g], H.mult[phi[x]][h]  # type: ignore[index]
+            if phi[y] is None:
                 phi[y] = im
-                queue.append(y)
-            elif known != im:
+                stack.append(y)
+            elif phi[y] != im:
                 return None
-    if len(phi) != G.order:
-        return None
+    return None if None in phi else tuple(phi)  # type: ignore[arg-type]
+
+
+def hom_from_gen_images(F: FiniteGroupTable, G: FiniteGroupTable, images: Sequence[int]) -> tuple[int, ...]:
+    """The homomorphism F -> G with the given generator images, as a map."""
+    phi = _extend_map(F, G, F.generators, tuple(images))
+    if phi is None:
+        raise ValueError("generator images do not define a homomorphism")
     return phi
 
 
-def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[dict[int, int]]:
+def aut_from_gen_images(G: FiniteGroupTable, images: Sequence[int]) -> tuple[int, ...]:
+    """The automorphism sending the distinguished generators to ``images``."""
+    phi = _extend_map(G, G, G.generators, images)
+    if phi is None or len(set(phi)) != G.order:
+        raise ValueError("generator images do not define an automorphism")
+    return phi
+
+
+def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[tuple[int, ...]]:
     """Every isomorphism G -> H, in lexicographic order of the images of
     greedy generators g_1..g_k of G.
 
@@ -709,15 +720,15 @@ def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[dict[int
     """
     if G.order != H.order:
         return
-    gens = _greedy_generators_from(G.order, G.mult, G.identity)
+    gens = _greedy_closure(G.mult, G.identity, range(G.order))[0]
     go, ho = G.element_orders, H.element_orders
     pools = [[h for h in range(H.order) if ho[h] == go[g]] for g in gens]
     images: list[int] = []
 
-    def choose(i: int) -> Iterator[dict[int, int]]:
+    def choose(i: int) -> Iterator[tuple[int, ...]]:
         if i == len(gens):
             phi = _extend_map(G, H, gens, images)
-            if phi is not None and len(set(phi.values())) == G.order:
+            if phi is not None and len(set(phi)) == G.order:
                 yield phi
             return
         g = gens[i]
@@ -784,17 +795,16 @@ def structure_name(G: FiniteGroupTable) -> str:
             break
     for ref_kind in _REFS_BY_ORDER.get(n, ()):
         if is_isomorphic(G, make_group(ref_kind)):
-            return {"binary_tetrahedral": "T*", "binary_octahedral": "O*",
-                    "binary_icosahedral": "I*"}.get(ref_kind, ref_kind)
+            return ref_kind
     return f"G{n}?"
 
 
 _REFS_BY_ORDER = {
     12: ("A4",),
-    24: ("binary_tetrahedral", "S4"),
-    48: ("binary_octahedral",),
+    24: ("T*", "S4"),
+    48: ("O*",),
     60: ("A5",),
-    120: ("binary_icosahedral",),
+    120: ("I*",),
 }
 
 
@@ -819,15 +829,7 @@ def normal_subgroup_witnesses(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...
 def _aut_maps(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
     if G.order > SUBGROUP_ORDER_BUDGET:
         raise SubgroupBudgetError(f"order {G.order} exceeds automorphism budget")
-    return tuple(sorted(tuple(phi[x] for x in range(G.order)) for phi in _isomorphisms(G, G)))
-
-
-def aut_from_gen_images(G: FiniteGroupTable, images: Sequence[int]) -> tuple[int, ...]:
-    """The automorphism sending the distinguished generators to ``images``."""
-    phi = _extend_map(G, G, G.generators, images)
-    if phi is None or len(set(phi.values())) != G.order:
-        raise ValueError("generator images do not define an automorphism")
-    return tuple(phi[x] for x in range(G.order))
+    return tuple(sorted(_isomorphisms(G, G)))
 
 
 def _compose_maps(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:

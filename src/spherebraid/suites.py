@@ -387,19 +387,9 @@ def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
 
 
 def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
-    def zz_spec(q: int) -> amalgams.AmalgamSpec:
-        big, small = make_group("cyclic", 4 * q), make_group("cyclic", 2 * q)
-        emb = amalgams.hom_from_gen_images(small, big, (2 % (4 * q),))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-
-    def dic_over_cyclic(q: int) -> amalgams.AmalgamSpec:
-        big, small = make_group("dicyclic", q), make_group("cyclic", 2 * q)
-        emb = amalgams.hom_from_gen_images(small, big, (big.generators[0],))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-
     named = {
-        "cyclic-8-over-4": zz_spec(2),
-        "dicyclic-12-over-6": dic_over_cyclic(3),
+        "cyclic-8-over-4": amalgams.straight_gluing("zz", 2),
+        "dicyclic-12-over-6": amalgams.straight_gluing("dicz", 3),
         "quaternion-straight": amalgams.k1(),
         "quaternion-twisted": amalgams.k2(),
     }
@@ -443,31 +433,26 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
 
     for q in range(1, 7):
         yield f"cyclic-{4 * q}-over-{2 * q}/semidirect", (
-            lambda q=q: semidirect_ok(zz_spec(q))
+            lambda q=q: semidirect_ok(amalgams.straight_gluing("zz", q))
         )
     for q in range(2, 7):
         yield f"dicyclic-{4 * q}-over-{2 * q}/semidirect", (
-            lambda q=q: semidirect_ok(dic_over_cyclic(q))
+            lambda q=q: semidirect_ok(amalgams.straight_gluing("dicz", q))
         )
     yield "quaternion-straight/semidirect", lambda: semidirect_ok(amalgams.k1())
     yield "quaternion-twisted/no-extension", (
         lambda: amalgams.find_extension(amalgams.k2()) is None
     )
 
-    def dic_over_dic(q: int) -> amalgams.AmalgamSpec:
-        big = make_group("dicyclic", q)
-        small = make_group("dicyclic", q // 2)
-        x, y = big.generators
-        emb = amalgams.hom_from_gen_images(small, big, (big.mul(x, x), y))
-        return amalgams.build_amalgam(big, big, small, emb, emb)
-
-    yield "dicyclic-24-over-12/semidirect", lambda: semidirect_ok(dic_over_dic(6))
+    yield "dicyclic-24-over-12/semidirect", (
+        lambda: semidirect_ok(amalgams.straight_gluing("dicdic", 6))
+    )
 
     def octahedral_over_tetrahedral() -> bool:
         big = make_group("O*")
         small = make_group("T*")
         # The index-2 copy generated by the first three presentation gens.
-        emb = amalgams.hom_from_gen_images(small, big, big.generators[:3])
+        emb = groups.hom_from_gen_images(small, big, big.generators[:3])
         spec = amalgams.build_amalgam(big, big, small, emb, emb)
         return semidirect_ok(spec)
 
@@ -482,8 +467,8 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
         F = make_group("dicyclic", 2)
         x, y = G.generators
         x2 = G.mul(x, x)
-        i1 = amalgams.hom_from_gen_images(F, G, (x2, y))
-        i2_four = amalgams.hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
+        i1 = groups.hom_from_gen_images(F, G, (x2, y))
+        i2_four = groups.hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
         spec4 = amalgams.build_amalgam(G, G, F, i1, i2_four)
         psi = groups.aut_from_gen_images(G, (x, G.mul(x2, y)))
         ident = tuple(range(G.order))

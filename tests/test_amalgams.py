@@ -8,15 +8,16 @@ from spherebraid.amalgams import (
     build_amalgam,
     distinguish_k1_k2,
     find_extension,
-    hom_from_gen_images,
     k1,
     k1_prime,
     k2,
     k2_prime,
+    straight_gluing,
     to_semidirect,
 )
 from spherebraid.groups import (
     aut_from_gen_images,
+    hom_from_gen_images,
     is_isomorphic,
     make_group,
     quotient,
@@ -35,6 +36,27 @@ def dic_over_cyclic_spec(q):
     big, small = make_group("dicyclic", q), make_group("cyclic", 2 * q)
     emb = hom_from_gen_images(small, big, (big.generators[0],))
     return build_amalgam(big, big, small, emb, emb)
+
+
+def dic_over_dic_spec(q):
+    big, small = make_group("dicyclic", q), make_group("dicyclic", q // 2)
+    x, y = big.generators
+    emb = hom_from_gen_images(small, big, (big.mul(x, x), y))
+    return build_amalgam(big, big, small, emb, emb)
+
+
+class TestStraightGluing:
+    @pytest.mark.parametrize("kind,q,build", (
+        [("zz", q, cyclic_spec) for q in range(1, 7)]
+        + [("dicz", q, dic_over_cyclic_spec) for q in range(2, 7)]
+        + [("dicdic", q, dic_over_dic_spec) for q in (4, 6, 8)]
+    ))
+    def test_matches_explicit_construction(self, kind, q, build):
+        assert straight_gluing(kind, q) == build(q)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            straight_gluing("dicdih", 4)
 
 
 class TestNormalForm:

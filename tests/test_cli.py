@@ -164,6 +164,21 @@ class TestAmalgamCommand:
         code, out = run(capsys, "--format", "json", "amalgam", "k1k2-report")
         assert code == 0 and json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("spec,message", [
+        ("dicdic:3", "dicdic gluing needs an even parameter"),
+        ("dicdih:4", "unknown amalgam tag 'dicdih:4'"),
+        ("zz", "unknown amalgam tag 'zz' (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)"),
+    ])
+    def test_bad_spec_tags(self, capsys, spec, message):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "amalgam", "build", "--spec", spec)
+        assert exc.value.code == message
+
+    def test_build_dicdic(self, capsys):
+        code, out = run(capsys, "--format", "json", "amalgam", "build", "--spec", "dicdic:4")
+        payload = json.loads(out)
+        assert payload["factor_order"] == 16 and payload["amalgamated_order"] == 8
+
 
 class TestErrorHandling:
     def test_word_error_clean_exit(self, capsys):

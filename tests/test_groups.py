@@ -28,8 +28,9 @@ from spherebraid.groups import (
     _aut_maps,
     _compose_maps,
     _extend_map,
-    _greedy_generators_from,
+    _greedy_closure,
     _invariant_vector,
+    _is_normal,
     _isomorphisms,
 )
 
@@ -117,7 +118,14 @@ class TestStructure:
         assert structure_name(make_group("dihedral", 2)) == "Z2 x Z2"
         assert structure_name(make_group("dihedral", 3)) == "Dih6"
         assert structure_name(make_group("T*")) == "T*"
+        assert structure_name(make_group("O*")) == "O*"
+        assert structure_name(make_group("I*")) == "I*"
         assert structure_name(make_group("A5")) == "A5"
+
+    def test_only_short_binary_polyhedral_tags(self):
+        for alias in ("binary_tetrahedral", "binary_octahedral", "binary_icosahedral"):
+            with pytest.raises(ValueError):
+                make_group(alias)
 
     def test_q8_order_histogram(self):
         assert make_group("dicyclic", 2).order_histogram() == ((1, 1), (2, 1), (4, 6))
@@ -300,12 +308,12 @@ def _unpruned_isomorphisms(G, H):
     each extended and checked, with no pruning on the orders of products."""
     if G.order != H.order:
         return
-    gens = _greedy_generators_from(G.order, G.mult, G.identity)
+    gens = _greedy_closure(G.mult, G.identity, range(G.order))[0]
     pools = [[h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
              for g in gens]
     for images in itertools.product(*pools):
         phi = _extend_map(G, H, gens, images)
-        if phi is not None and len(set(phi.values())) == G.order:
+        if phi is not None and len(set(phi)) == G.order:
             yield phi
 
 
@@ -331,9 +339,7 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("name,G", CATALOG, ids=[c[0] for c in CATALOG])
     def test_aut_maps_match_unpruned_search(self, name, G):
-        unpruned = sorted(tuple(phi[x] for x in range(G.order))
-                          for phi in _unpruned_isomorphisms(G, G))
-        assert _aut_maps(G) == tuple(unpruned)
+        assert _aut_maps(G) == tuple(sorted(_unpruned_isomorphisms(G, G)))
 
     def test_same_order_pairs_cover_the_hard_cases(self):
         names = {(a, b) for a, _, b, _ in SAME_ORDER_PAIRS}
@@ -346,3 +352,91 @@ class TestPrunedSearch:
         found = next(_unpruned_isomorphisms(G, H), None) is not None
         assert (next(_isomorphisms(G, H), None) is not None) == found
         assert is_isomorphic(G, H) == (_invariant_vector(G) == _invariant_vector(H) and found)
+
+
+def _closure_all_seeds(G, seed):
+    """Reference closure: every seed element is a generator of one walk."""
+    gens = sorted(set(seed))
+    elems = {G.identity}
+    stack = [G.identity]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = G.mult[x][g]
+            if y not in elems:
+                elems.add(y)
+                stack.append(y)
+    return frozenset(elems)
+
+
+def _greedy_generators_reference(G):
+    """Reference greedy generators: each element not yet generated, in index
+    order, with the walk restarted over all generators, until all are."""
+    gens = []
+    reached = {G.identity}
+    for e in range(G.order):
+        if e in reached:
+            continue
+        gens.append(e)
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = G.mult[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if len(reached) == G.order:
+            break
+    return tuple(gens)
+
+
+WALK_CATALOG = CATALOG + [("I*", make_group("I*"))]
+SMALL_CATALOG = [(a, G) for a, G in WALK_CATALOG if G.order <= 64 or a in ("T*", "O*", "I*")]
+
+
+class TestGenerationWalk:
+    """The one greedy walk gives the generators and closures the two former
+    walks gave."""
+
+    @pytest.mark.parametrize("name,G", WALK_CATALOG, ids=[c[0] for c in WALK_CATALOG])
+    def test_generators_and_closures_match_references(self, name, G):
+        gens, elems = _greedy_closure(G.mult, G.identity, range(G.order))
+        assert gens == _greedy_generators_reference(G)
+        assert len(elems) == G.order
+        rng = random.Random(G.order)
+        for _ in range(20):
+            seed = [rng.randrange(G.order) for _ in range(rng.randrange(4))]
+            assert G.closure(seed) == _closure_all_seeds(G, seed)
+        commutators = [G.commutator(a, b) for a in range(G.order) for b in range(G.order)]
+        assert derived_subgroup(G) == _closure_all_seeds(G, commutators)
+
+    @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
+    def test_joins_of_subgroups_match_reference(self, name, G):
+        sets = [h.elements for h in subgroups(G)]
+        rng = random.Random(len(sets))
+        pairs = [(a, b) for a in sets for b in sets]
+        for a, b in rng.sample(pairs, min(len(pairs), 300)):
+            assert G.closure(a | b) == _closure_all_seeds(G, a | b)
+
+
+class TestPropertiesOnGenerators:
+    """Normality, centre and commutativity read off the generators equal
+    their definitions over all elements."""
+
+    @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
+    def test_match_all_element_definitions(self, name, G):
+        tables = [G]
+        for h in subgroups(G):
+            assert _is_normal(G, h.elements) == all(
+                G.conj(g, x) in h.elements for g in range(G.order) for x in h.elements
+            )
+            tables.append(subgroup_table(G, h.elements))
+        for T in tables:
+            assert center(T).elements == frozenset(
+                a for a in range(T.order)
+                if all(T.mult[a][b] == T.mult[b][a] for b in range(T.order))
+            )
+            assert T.is_abelian() == all(
+                T.mult[a][b] == T.mult[b][a] for a in range(T.order) for b in range(a)
+            )
