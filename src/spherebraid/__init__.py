@@ -54,7 +54,6 @@ from .oracle import (
     artin_action,
     central_value,
     commute,
-    conjugation_action,
     equals,
     is_central,
     is_inner,

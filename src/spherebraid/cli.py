@@ -111,15 +111,20 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
         if not token:
             continue
         k_text, _, genword = token.partition(":")
+        if k_text not in ("1", "2"):
+            raise SystemExit(f"bad factor {k_text!r} in {token!r} (use 1 or 2)")
         k = int(k_text)
         G = spec.factor(k)
+        letters = "xy"[: len(G.generators)]
         g = G.identity
         idx = 0
         while idx < len(genword):
             ch = genword[idx]
-            if ch not in "xy":
-                raise SystemExit(f"bad generator letter {ch!r} in {token!r}")
-            gen = G.generators[0 if ch == "x" else 1]
+            if ch not in letters:
+                raise SystemExit(
+                    f"bad generator letter {ch!r} in {token!r} (factor {k} takes {' or '.join(letters)})"
+                )
+            gen = G.generators["xy".index(ch)]
             idx += 1
             exp = 1
             if idx < len(genword) and genword[idx] == "^":

@@ -895,9 +895,10 @@ def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int
 def action_catalog(G: FiniteGroupTable) -> dict[str, tuple[int, ...]]:
     """Named action representatives on a standard table, by family."""
     name = structure_name(G)
-    ident = tuple(range(G.order))
-    x = G.generators[0] if G.generators else G.identity
-    out: dict[str, tuple[int, ...]] = {"trivial": ident}
+    out: dict[str, tuple[int, ...]] = {"trivial": tuple(range(G.order))}
+    if G.order == 1:
+        return out
+    x = G.generators[0]
     if name.startswith("Z") and " x " not in name:
         if G.order >= 3:
             out["rho"] = aut_from_gen_images(G, (G.inverse[x],))

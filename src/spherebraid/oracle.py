@@ -9,19 +9,21 @@ fundamental group of the n-punctured sphere.  The generator sigma_k sends
 where any occurrence of the missing generator x_n is eliminated through
 x_n = (x_1 ... x_{n-1})^-1.  The induced *outer* action is faithful on the
 quotient of the braid group by its order-2 center, so a word represents the
-identity or the full twist exactly when its automorphism is inner.  The two
-are then separated by the abelianization (n odd) or by forgetting all but
-three strands and reading the exponent sum mod 4 (n even).  The three-strand
-group is finite of order 12 and is handled by its multiplication table,
-which doubles as an independent check on the main pipeline.
+identity or the full twist exactly when its automorphism is inner.  The
+three-strand group is finite of order 12 and is handled by its
+multiplication table, which doubles as an independent check on the main
+pipeline.
 
 Centrality is decided in stages, each sound: the word is cyclically reduced
-(centrality is invariant under conjugation), then screened by its
-permutation, by its pairwise linking numbers, and by the trace screen, which
-runs the same recurrence on a fixed image of the free group in SL2(F_p): an
-inner automorphism preserves the traces of x_j and x_j x_k, so a mismatch
-proves the word is not central.  Survivors get the exact innerness check on
-the free-group images.
+(centrality is invariant under conjugation), then one pass over its letters
+checks that it is pure and reads the class of its pairwise crossing counts
+modulo the sphere relators.  The identity and the full twist lie in two
+disjoint classes, so a word in neither is not central, and a central word's
+class says which of the two it is.  The trace screen then runs the same
+recurrence on a fixed image of the free group in SL2(F_p): an inner
+automorphism preserves the traces of x_j and x_j x_k, so a mismatch proves
+the word is not central.  Survivors get the exact innerness check on the
+free-group images.
 
 Free words are plain tuples of signed generator indices; only the
 automorphism type gets a dataclass wrapper.
@@ -32,16 +34,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable, sphere_three_strand_table
 from .words import (
     BraidWord,
     StrandMismatchError,
     _reduce,
-    abelianize,
-    exponent_sum,
-    forget_strands,
     full_twist,
     identity,
     permutation,
@@ -52,7 +51,6 @@ __all__ = [
     "FreeAutomorphism",
     "Order",
     "OracleBudgetError",
-    "free_word",
     "artin_action",
     "is_inner",
     "equals",
@@ -60,7 +58,6 @@ __all__ = [
     "is_central",
     "order_of",
     "commute",
-    "conjugation_action",
     "verify_finite_subgroup",
 ]
 
@@ -75,16 +72,6 @@ IMAGE_BUDGET = 2_000_000
 
 class OracleBudgetError(RuntimeError):
     """The free-group images outgrew the budget; no verdict was reached."""
-
-
-def free_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
-    """Free-reduce a sequence of signed basis indices."""
-    w = _reduce(letters)
-    if rank is not None:
-        for x in w:
-            if x == 0 or abs(x) > rank:
-                raise ValueError(f"letter {x} out of range for rank {rank}")
-    return w
 
 
 def _finv(w: Sequence[int]) -> FreeWord:
@@ -241,14 +228,21 @@ def _b3_element(w: BraidWord) -> int:
     return e
 
 
-def _linking_could_be_central(w: BraidWord) -> bool:
-    """Screen on pairwise signed crossing counts.
+def _linking_class(w: BraidWord) -> int | None:
+    """The central element a word's crossing counts allow: 0, 2, or None.
 
-    The crossing-count vector of a word, taken modulo the lattice spanned by
-    the one-strand-around-the-rest relators, is a group invariant of pure
-    braids; the identity and the full twist land in the classes of the zero
-    vector and the all-twos vector.  Membership in those classes amounts to
-    solving d_jk/2 - eps = c_j + c_k over the integers.
+    One pass follows the strands and adds up the signed crossings d_jk of
+    every pair of strands j < k.  A word that does not bring every strand
+    back to its start is not pure, hence not central: None.  A pure word
+    crosses each pair an even number of times, and the vector of the d_jk/2,
+    taken modulo the lattice spanned by the one-strand-around-the-rest
+    relators, is a group invariant.  The word lies in the class of eps times
+    the all-ones vector when d_jk/2 - eps = c_j + c_k has an integer solution;
+    eps = 0 is the class of the identity and eps = 1 that of the full twist,
+    and 2 * eps is returned.  The two classes are disjoint (c_j + c_k = 1 on
+    the three pairs of three strands has no integer solution), so the class
+    of a central word says which central element it is.  A word in neither
+    class is not central: None.
     """
     n = w.n
     d = [[0] * (n + 1) for _ in range(n + 1)]
@@ -260,8 +254,8 @@ def _linking_could_be_central(w: BraidWord) -> bool:
             a, b = b, a
         d[a][b] += 1 if x > 0 else -1
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    if any(d[j][k] % 2 for j in range(1, n + 1) for k in range(j + 1, n + 1)):
-        return False
+    if strand_at != list(range(n + 1)):
+        return None
     for eps in (0, 1):
         e = [[d[j][k] // 2 - eps for k in range(n + 1)] for j in range(n + 1)]
         t = e[1][2] + e[1][3] - e[2][3]
@@ -274,8 +268,8 @@ def _linking_could_be_central(w: BraidWord) -> bool:
         if all(
             e[j][k] == c[j] + c[k] for j in range(1, n + 1) for k in range(j + 1, n + 1)
         ):
-            return True
-    return False
+            return 2 * eps
+    return None
 
 
 # The trace screen maps the free group to SL2(F_p), p = 2^31 - 1, sending x_j
@@ -337,37 +331,35 @@ def _traces_could_be_central(w: BraidWord) -> bool:
     return _traces(imgs) == traces
 
 
+def _cyclic_core(w: BraidWord) -> BraidWord:
+    """The word with the letters that cancel between its ends stripped: a conjugate."""
+    k = _strip_ends(w.letters)
+    return BraidWord(w.n, w.letters[k : len(w.letters) - k]) if k else w
+
+
+def _acts_innerly(w: BraidWord) -> bool:
+    """Whether the word's automorphism is inner: the trace screen, then the exact check."""
+    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+
+
 def central_value(w: BraidWord) -> int | None:
     """0 if the word is trivial, 2 if it is the full twist, None otherwise.
 
-    The center is exactly {identity, full twist}; membership is decided by
-    innerness of the free-group action (after cheap permutation, linking and
-    trace screens), after which the abelianization (odd n) or the exponent
-    sum mod 4 of the projection onto three strands (even n) separates the
-    two.  All of it is invariant under conjugation, so the word is cyclically
-    reduced first.
+    The center is exactly {identity, full twist}.  Everything below is
+    invariant under conjugation, so the word is cyclically reduced first.
+    Its linking class rules out every word that is not pure or lies in
+    neither central class, and names the central element a word can be;
+    the word is central exactly when its free-group automorphism is inner,
+    which the trace screen refutes cheaply and the exact check decides.
     """
-    n = w.n
-    if n == 3:
+    if w.n == 3:
         e = _b3_element(w)
         if e == sphere_three_strand_table().identity:
             return 0
         return 2 if e == _b3_element(full_twist(3)) else None
-    k = _strip_ends(w.letters)
-    if k:
-        w = BraidWord(n, w.letters[k : len(w.letters) - k])
-    if not permutation(w).is_identity():
-        return None
-    if not _linking_could_be_central(w):
-        return None
-    if not _traces_could_be_central(w):
-        return None
-    if is_inner(artin_action(w)) is None:
-        return None
-    if n % 2 == 1:
-        return 0 if abelianize(w).is_zero() else 2
-    v = forget_strands(w, (1, 2, 3))
-    return 0 if exponent_sum(v) % 4 == 0 else 2
+    w = _cyclic_core(w)
+    value = _linking_class(w)
+    return value if value is not None and _acts_innerly(w) else None
 
 
 def equals(w1: BraidWord, w2: BraidWord) -> bool:
@@ -378,13 +370,8 @@ def equals(w1: BraidWord, w2: BraidWord) -> bool:
         return True
     if w1.n == 3:
         return _b3_element(w1) == _b3_element(w2)
-    w = w1 * w2.inv()
-    # Cheap screens before the free-group computation.
-    if not abelianize(w).is_zero():
-        return False
-    if not permutation(w).is_identity():
-        return False
-    return central_value(w) == 0
+    w = _cyclic_core(w1 * w2.inv())
+    return _linking_class(w) == 0 and _acts_innerly(w)
 
 
 def is_trivial(w: BraidWord) -> bool:
@@ -431,11 +418,6 @@ def order_of(w: BraidWord) -> Order:
 
 def commute(w1: BraidWord, w2: BraidWord) -> bool:
     return equals(w1 * w2, w2 * w1)
-
-
-def conjugation_action(g: BraidWord, w: BraidWord) -> BraidWord:
-    """The free-reduced word g w g^-1."""
-    return g * w * g.inv()
 
 
 def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) -> bool:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from spherebraid.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -173,6 +179,21 @@ class TestAmalgamCommand:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "amalgam", "build", "--spec", spec)
         assert exc.value.code == message
+
+    @pytest.mark.parametrize("elt,message", [
+        ("2:y", "bad generator letter 'y' in '2:y' (factor 2 takes x)"),
+        ("3:x", "bad factor '3' in '3:x' (use 1 or 2)"),
+    ])
+    def test_bad_elements(self, elt, message):
+        # A clean exit: the message on stderr, exit code 1, no traceback.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherebraid", "amalgam", "mul", "--spec", "zz:3",
+             "--elt", "1:x,2:x", "--elt", elt],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n"
 
     def test_build_dicdic(self, capsys):
         code, out = run(capsys, "--format", "json", "amalgam", "build", "--spec", "dicdic:4")

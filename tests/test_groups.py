@@ -250,6 +250,11 @@ class TestClassifyAction:
         z6 = make_group("cyclic", 6)
         assert classify_action(z6, action_catalog(z6)["rho"]) == "rho"
 
+    def test_order_one_table(self):
+        z1 = make_group("cyclic", 1)
+        assert action_catalog(z1) == {"trivial": (0,)}
+        assert classify_action(z1, (0,)) == "trivial"
+
     def test_tetrahedral_nontrivial(self):
         ts = make_group("T*")
         assert classify_action(ts, action_catalog(ts)["omega"]) == "omega"

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherebraid import oracle
 from spherebraid import words as W
 from spherebraid.groups import make_group, sphere_three_strand_table
 from spherebraid.oracle import (
     FreeAutomorphism,
+    _linking_class,
     _traces_could_be_central,
     OracleBudgetError,
     Order,
     artin_action,
     central_value,
     commute,
-    conjugation_action,
     equals,
     is_central,
     is_inner,
@@ -214,7 +215,8 @@ class TestCommute:
 
     def test_conjugation_action(self):
         g, w = sigma(5, 1), sigma(5, 2)
-        assert conjugation_action(g, w) == g * w * g.inv()
+        assert w.conj(g) == g * w * g.inv()
+        assert w.conj(g).letters == (1, 2, -1)
 
 
 class TestForgettingTorsion:
@@ -310,6 +312,65 @@ class TestScreenSoundness:
         p = word(4, [1, -2] * k)
         assert order_of(p) == Order(None)
         assert central_value(p * full_twist(4) * p.inv()) == 2
+
+
+def parity_split_value(w):
+    """Which central element a central word is, read without the linking class.
+
+    Odd n: the abelianization Z/2(n-1) separates the identity from the full
+    twist.  Even n: the exponent sum mod 4 of the projection onto the first
+    three strands does (B_3 of the sphere abelianizes to Z/4).  An
+    independent reference for the value the linking class names.
+    """
+    if w.n % 2:
+        return 0 if W.abelianize(w).is_zero() else 2
+    return 0 if W.exponent_sum(W.forget_strands(w, (1, 2, 3))) % 4 == 0 else 2
+
+
+class TestLinkingClass:
+    """The linking class of a central word says which central element it is."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_agrees_with_parity_split_separation(self, n):
+        rng = random.Random(80 + n)
+        rels = sphere_relators(n)
+        ft = full_twist(n)
+        central = [alpha(n, i) ** (n - i) for i in (0, 1, 2)]
+        central += [alpha(n, i) ** (2 * (n - i)) for i in (0, 1, 2)]
+        for _ in range(8):
+            g = random_word(rng, n, 15)
+            central.append(g * ft * g.inv())
+            u = random_word(rng, n, 12)
+            r = rng.choice(rels) ** rng.choice([1, -1])
+            cut = rng.randint(0, len(u))
+            v = word(n, u.letters[:cut]) * g * r * g.inv() * word(n, u.letters[cut:])
+            central += [v * u.inv(), v * u.inv() * ft]
+        for w in central:
+            value = central_value(w)
+            assert value is not None
+            assert value == parity_split_value(w) == _linking_class(w)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_none_on_words_that_are_not_pure(self, n):
+        rng = random.Random(100 + n)
+        words = [sigma(n, i) for i in range(1, n)] + [alpha(n, 0), half_twist(n)]
+        words += [random_word(rng, n, 20) for _ in range(30)]
+        for w in words:
+            if not W.permutation(w).is_identity():
+                assert _linking_class(w) is None
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_twist_apart_without_the_free_group(self, n, monkeypatch):
+        # At even n the abelianization cannot tell w from w * FT; the
+        # linking class does, so the free-group action is never computed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the free-group action was computed")
+
+        monkeypatch.setattr(oracle, "artin_action", refuse)
+        rng = random.Random(120 + n)
+        for _ in range(10):
+            w = random_word(rng, n, 15)
+            assert not equals(w, w * full_twist(n))
 
 
 class TestCatalogIdentities:
