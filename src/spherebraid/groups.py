@@ -908,15 +908,19 @@ def action_catalog(G: FiniteGroupTable) -> dict[str, tuple[int, ...]]:
         out["alpha"] = aut_from_gen_images(G, (y, G.mult[x][y]))
         out["beta"] = aut_from_gen_images(G, (G.mult[x][y], G.inverse[y]))
         return out
-    if name.startswith(("Dic", "Q")):
-        out["nu"] = aut_from_gen_images(G, (x, G.mult[x][y]))
-        return out
     if name == "Z2 x Z2":
         out["alpha~"] = aut_from_gen_images(G, (y, G.mult[x][y]))
         out["beta~"] = aut_from_gen_images(G, (G.mult[x][y], y))
         return out
-    if name.startswith("Dih"):
-        out["nu~"] = aut_from_gen_images(G, (x, G.mult[x][y]))
+    if name.startswith(("Dic", "Q", "Dih")):
+        # The distinguished generators need not be the family's x, y (B3's
+        # are not), so take the x, y on which structure_name checked the
+        # relations: x of order |G|/2, y the first element outside <x>.
+        x = G.element_orders.index(G.order // 2)
+        cyc = G.closure([x])
+        y = next(e for e in range(G.order) if e not in cyc)
+        tag = "nu~" if name.startswith("Dih") else "nu"
+        out[tag] = _extend_map(G, G, (x, y), (x, G.mult[x][y]))  # type: ignore[assignment]
         return out
     if name == "T*":
         p, q, xx = G.generators

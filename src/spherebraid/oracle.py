@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable, sphere_three_strand_table
@@ -75,12 +76,12 @@ class OracleBudgetError(RuntimeError):
 
 
 def _finv(w: Sequence[int]) -> FreeWord:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """An endomorphism of the free group given by its basis images.
+    """An endomorphism of the free group given by its free-reduced basis images.
 
     All instances produced by :func:`artin_action` are automorphisms by
     construction (each braid letter acts invertibly); general invertibility
@@ -280,8 +281,8 @@ SL2_SEED = 20031
 Matrix = tuple[int, int, int, int]
 
 
-def _mat_mul(*ms: Matrix) -> Matrix:
-    a, b, c, d = 1, 0, 0, 1
+def _mat_mul(m: Matrix, *ms: Matrix) -> Matrix:
+    a, b, c, d = m
     for e, f, g, h in ms:
         a, b, c, d = (
             (a * e + b * g) % SL2_PRIME,

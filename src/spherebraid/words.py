@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "WordError",
@@ -76,16 +76,29 @@ class StrandMismatchError(WordError):
     """Two words from braid groups with different strand counts were mixed."""
 
 
-def _reduce(*parts: Iterable[int]) -> tuple[int, ...]:
-    """Free-reduce the concatenation of the parts (signed letters)."""
+def _reduce(*parts: Sequence[int]) -> tuple[int, ...]:
+    """Free-reduce the concatenation of free-reduced parts (signed letters).
+
+    Each part must itself be free-reduced, so letters can cancel only where a
+    part meets the running result: the cancelling letters are popped there
+    and the rest of the part is copied in one step.  A part that cancels
+    completely leaves the next part to meet an earlier one.
+    """
     out: list[int] = []
     for part in parts:
-        for x in part:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
+        k, m = 0, len(part)
+        while k < m and out and out[-1] == -part[k]:
+            out.pop()
+            k += 1
+        out.extend(part[k:] if k else part)
     return tuple(out)
+
+
+def _power_parts(letters: tuple[int, ...], e: int) -> list[tuple[int, ...]]:
+    """The parts whose reduced product is the e-th power: |e| copies, inverted if e < 0."""
+    if e < 0:
+        letters = tuple(-x for x in reversed(letters))
+    return [letters] * abs(e)
 
 
 @dataclass(frozen=True)
@@ -121,8 +134,7 @@ class BraidWord:
         return BraidWord(self.n, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "BraidWord":
-        base = self if e >= 0 else self.inv()
-        return BraidWord(self.n, _reduce(base.letters * abs(e)))
+        return BraidWord(self.n, _reduce(*_power_parts(self.letters, e)))
 
     def conj(self, g: "BraidWord") -> "BraidWord":
         """g * self * g^-1."""
@@ -141,7 +153,7 @@ def word(n: int, letters: Iterable[int] = ()) -> BraidWord:
     for x in letters:
         if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
             raise WordError(f"letter {x!r} out of range for n={n}")
-    return BraidWord(n, _reduce(letters))
+    return BraidWord(n, _reduce(*[(x,) for x in letters]))
 
 
 def identity(n: int) -> BraidWord:
@@ -289,14 +301,18 @@ def forget_strands(w: BraidWord, keep: Iterable[int]) -> BraidWord:
     for p in keep_set:
         kept[p] = True
     strand_at = list(range(w.n + 1))  # strand occupying each position
+    kept_upto = [0] * (w.n + 1)  # number of kept strands at positions 1..p
+    for p in range(1, w.n + 1):
+        kept_upto[p] = kept_upto[p - 1] + kept[p]
     out: list[int] = []
     for x in w.letters:
         i = abs(x)
         a, b = strand_at[i], strand_at[i + 1]
         if kept[a] and kept[b]:
-            j = sum(1 for p in range(1, i + 1) if kept[strand_at[p]])
+            j = kept_upto[i]
             out.append(j if x > 0 else -j)
         strand_at[i], strand_at[i + 1] = b, a
+        kept_upto[i] = kept_upto[i - 1] + kept[b]
     return word(len(keep_set), out)
 
 
@@ -566,39 +582,60 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?)"
     r"(?:\^(?P<exp>-?\d+))?\s*"
 )
+_CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*")
+_SPACE = re.compile(r"\s*")
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse a braid word from text.
 
     Accepts whitespace-separated signed integers (``"1 2 -3"``), or the named
-    element DSL with ``*`` concatenation and ``^e`` powers, e.g.
-    ``"a0^4"``, ``"delta(2,0) * D^-1"``.  Plain integers may be mixed in.
+    element DSL with ``*`` concatenation, ``^e`` powers and parenthesised
+    groups with a power, e.g. ``"a0^4"``, ``"delta(2,0) * D^-1"``,
+    ``"(1 -2)^18 * FT"``.  Plain integers may be mixed in.  The letters of
+    all atoms are collected as parts and free-reduced once; a group is
+    reduced when it closes and then repeated.
     """
-    out = identity(n)
+    identity(n)  # a bad strand count is reported before any token
+    groups: list[list[tuple[int, ...]]] = [[]]  # parts of each open group
+    opened: list[int] = []  # text position of each open parenthesis
     pos = 0
     expect_atom = True
     while pos < len(text):
-        if not expect_atom:
-            rest = text[pos:].lstrip()
-            if rest.startswith("*"):
-                pos = len(text) - len(rest) + 1
-                expect_atom = True
-                continue
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
+        start = _SPACE.match(text, pos).end()  # type: ignore[union-attr]
+        c = text[start : start + 1]
+        if c == "*" and not expect_atom:
+            pos = start + 1
+            expect_atom = True
+            continue
+        if c == "(":
+            opened.append(start)
+            groups.append([])
+            pos = start + 1
+            expect_atom = True
+            continue
+        if c == ")":
+            if not opened:
+                raise WordError(f"unbalanced ')' at position {start}")
+            m = _CLOSE.match(text, start)
+            opened.pop()
+            letters = _reduce(*groups.pop())
+        else:
+            m = _TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
+            if m.group("int") is not None:
+                k = int(m.group("int"))
+                if k == 0 or abs(k) > n - 1:
+                    raise WordError(f"generator index {k} out of range for n={n}")
+                letters = (k,)
+            else:
+                args = m.group("args")
+                params = tuple(int(a) for a in args.split(",")) if args else ()
+                letters = std_element(NamedElement(m.group("name"), params), n).letters
         pos = m.end()
         expect_atom = False
-        exp = int(m.group("exp")) if m.group("exp") else 1
-        if m.group("int") is not None:
-            k = int(m.group("int"))
-            if k == 0 or abs(k) > n - 1:
-                raise WordError(f"generator index {k} out of range for n={n}")
-            atom = sigma(n, k)
-        else:
-            args = m.group("args")
-            params = tuple(int(a) for a in args.split(",")) if args else ()
-            atom = std_element(NamedElement(m.group("name"), params), n)
-        out = out * atom ** exp
-    return out
+        groups[-1] += _power_parts(letters, int(m.group("exp") or 1))
+    if opened:
+        raise WordError(f"unbalanced '(' at position {opened[-1]}")
+    return BraidWord(n, _reduce(*groups[0]))

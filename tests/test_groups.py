@@ -18,6 +18,7 @@ from spherebraid.groups import (
     outer_group,
     quotient,
     restriction_is_surjective,
+    same_semidirect_class,
     sphere_three_strand_table,
     structure_name,
     subgroup_table,
@@ -254,6 +255,36 @@ class TestClassifyAction:
         z1 = make_group("cyclic", 1)
         assert action_catalog(z1) == {"trivial": (0,)}
         assert classify_action(z1, (0,)) == "trivial"
+
+    def test_three_strand_table(self):
+        # B3's distinguished generators are not the x, y of the Dic12 table.
+        b3 = sphere_three_strand_table()
+        cat = action_catalog(b3)
+        assert set(cat) == {"trivial", "nu"}
+        assert classify_action(b3, cat["nu"]) == "nu"
+
+    def test_three_strand_tags_match_dic12(self):
+        b3, dic12 = sphere_three_strand_table(), make_group("dicyclic", 3)
+        iso = next(_isomorphisms(dic12, b3))
+        back = [0] * 12
+        for g, h in enumerate(iso):
+            back[h] = g
+        tags = set()
+        for a in _aut_maps(dic12):
+            carried = tuple(iso[a[back[h]]] for h in range(12))
+            tags.add(classify_action(dic12, a))
+            assert classify_action(b3, carried) == classify_action(dic12, a)
+        assert tags == {"trivial", "nu"}
+
+    @pytest.mark.parametrize("kind,m", [("dicyclic", m) for m in range(3, 9)]
+                             + [("dihedral", m) for m in range(3, 12)])
+    def test_standard_tables_keep_their_nu(self, kind, m):
+        # On the standard tables the catalog's representative is in the class
+        # of the one built on the distinguished generators.
+        G = make_group(kind, m)
+        x, y = G.generators
+        rep = action_catalog(G)["nu~" if kind == "dihedral" else "nu"]
+        assert same_semidirect_class(G, aut_from_gen_images(G, (x, G.mult[x][y])), rep)
 
     def test_tetrahedral_nontrivial(self):
         ts = make_group("T*")

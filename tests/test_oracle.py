@@ -408,3 +408,48 @@ class TestForgettingIsHomomorphic:
             left = W.forget_strands(u * v, keep)
             right = W.forget_strands(u, keep) * W.forget_strands(v, keep)
             assert equals(left, right)
+
+
+def braid_words(n, max_len):
+    gen = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    return st.lists(gen, max_size=max_len).map(lambda ls: word(n, ls))
+
+
+def elements(n):
+    """Random words, and conjugates of torsion powers (some times the full twist)."""
+    torsion = st.tuples(braid_words(n, 8), st.sampled_from((0, 1, 2)), st.integers(1, 2 * n),
+                        st.booleans())
+    return st.one_of(
+        braid_words(n, 12),
+        torsion.map(lambda t: t[0] * alpha(n, t[1]) ** t[2] * t[0].inv()
+                    * (full_twist(n) if t[3] else identity(n))),
+    )
+
+
+class TestConjugationInvariance:
+    """Verdicts are class functions: conjugating every argument changes none."""
+
+    @given(st.integers(4, 7).flatmap(lambda n: st.tuples(
+        elements(n), braid_words(n, 12), braid_words(n, 8), st.sampled_from(sphere_relators(n)),
+        st.booleans())))
+    @settings(max_examples=150, deadline=None)
+    def test_equals(self, args):
+        u, v, g, r, insert = args
+        if insert:
+            v = u * g.inv() * r * g
+        got = equals(u, v)
+        assert equals(g * u * g.inv(), g * v * g.inv()) == got
+        assert got or not insert
+
+    @given(st.integers(4, 7).flatmap(lambda n: st.tuples(elements(n), braid_words(n, 10))))
+    @settings(max_examples=150, deadline=None)
+    def test_order_of(self, args):
+        w, g = args
+        assert order_of(g * w * g.inv()) == order_of(w)
+
+    @given(st.integers(4, 8).flatmap(elements))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_order_is_p_or_2p(self, w):
+        p = W.permutation(w).order()
+        got = order_of(w)
+        assert got.value in (None, p, 2 * p)

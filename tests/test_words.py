@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,158 @@ class TestParsing:
     def test_malformed(self):
         with pytest.raises(WordError):
             parse_braid("1 +", 4)
+
+
+def reference_reduce(*parts):
+    """The per-letter free reduction that the junction reducer replaced."""
+    out = []
+    for part in parts:
+        for x in part:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+reduced_parts = st.lists(letters(5, 8).map(reference_reduce), max_size=8)
+
+
+class TestJunctionReduce:
+    """``_reduce`` joins free-reduced parts exactly as a per-letter pass would."""
+
+    @given(reduced_parts, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_letter_reduction(self, parts, data):
+        # Follow a random tail of the parts with its inverses, so that whole
+        # parts cancel and keep cancelling into the parts before them.
+        k = data.draw(st.integers(0, len(parts)))
+        tail = [inverse(p) for p in reversed(parts[len(parts) - k :])]
+        mid = data.draw(reduced_parts)
+        parts = parts + mid + tail
+        assert W._reduce(*parts) == reference_reduce(*parts)
+
+    def test_complete_cancellation_across_parts(self):
+        a, b = (1, 2, -3), (3, 3, 1)
+        assert W._reduce(a, b, inverse(b), inverse(a)) == ()
+        assert W._reduce(a, b, inverse(b), (4,), inverse(a)) == a + (4,) + inverse(a)
+        assert W._reduce((1,), (2,), (-2,), (-1,), (-1,)) == (-1,)
+        assert W._reduce() == ()
+
+    @given(letters(5, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_word_reduces_unreduced_letters(self, a):
+        assert word(5, a).letters == reference_reduce(a)
+
+    @given(letters(5, 10), st.integers(-6, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_power(self, a, e):
+        w = word(5, a)
+        base = w.letters if e >= 0 else inverse(w.letters)
+        assert (w ** e).letters == reference_reduce(base * abs(e))
+        assert (w ** 0).letters == ()
+        assert w ** -e == (w ** e).inv()
+
+    @given(letters(5, 10), letters(5, 10), letters(4, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_free_automorphism_apply_and_compose(self, a, b, free):
+        from spherebraid.oracle import artin_action
+
+        fa, fb = artin_action(word(5, a)), artin_action(word(5, b))
+
+        def apply(f, w):
+            return reference_reduce(*(f.images[x - 1] if x > 0 else inverse(f.images[-x - 1])
+                                      for x in w))
+
+        assert fa.apply(free) == apply(fa, free)
+        assert fa.compose(fb).images == tuple(apply(fa, img) for img in fb.images)
+        assert fa.compose(fb).apply(free) == fa.apply(fb.apply(free))
+
+
+def left_fold_parse(text, n):
+    """The parser before groups: ``out = out * atom ** exp`` at every token."""
+    out = W.identity(n)
+    pos = 0
+    expect_atom = True
+    while pos < len(text):
+        if not expect_atom:
+            rest = text[pos:].lstrip()
+            if rest.startswith("*"):
+                pos = len(text) - len(rest) + 1
+                expect_atom = True
+                continue
+        m = W._TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
+        pos = m.end()
+        expect_atom = False
+        exp = int(m.group("exp")) if m.group("exp") else 1
+        if m.group("int") is not None:
+            k = int(m.group("int"))
+            if k == 0 or abs(k) > n - 1:
+                raise WordError(f"generator index {k} out of range for n={n}")
+            atom = W.sigma(n, k)
+        else:
+            args = m.group("args")
+            params = tuple(int(a) for a in args.split(",")) if args else ()
+            atom = W.std_element(W.NamedElement(m.group("name"), params), n)
+        out = out * atom ** exp
+    return out
+
+
+ATOMS_N6 = ("1", "-2", "3", "-4", "5", "a0", "a1", "a2", "D", "FT", "O1", "O2", "rho",
+            "rho(2)", "delta(2,0)", "delta(3,0)", "xi(0)", "lam(2)", "A(1,3)", "A(2,6)", "zeta")
+
+
+def dsl_terms():
+    atom = st.sampled_from(ATOMS_N6)
+    power = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
+    return st.tuples(atom, power).map("".join)
+
+
+def dsl_text():
+    return st.lists(st.tuples(dsl_terms(), st.sampled_from((" ", " * ", "*", "  "))),
+                    max_size=10).map(lambda ts: "".join(t + sep for t, sep in ts).rstrip(" *"))
+
+
+class TestParseOnce:
+    @given(dsl_text())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_left_fold(self, text):
+        assert parse_braid(text, 6) == left_fold_parse(text, 6)
+
+    @given(dsl_text(), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_group_power(self, text, e):
+        assert parse_braid(f"({text})^{e}", 6) == parse_braid(text, 6) ** e
+        assert parse_braid(f"1 * ( {text} ) 2", 6) == parse_braid(f"1 {text} 2", 6)
+
+    def test_readme_group(self):
+        got = parse_braid("(1 -2)^18 * FT", 4)
+        assert got == word(4, [1, -2] * 18) * W.full_twist(4)
+
+    def test_nested_groups_with_named_atoms(self):
+        got = parse_braid("((1 2)^2 A(1,3))^-3 * a0^2", 4)
+        inner = word(4, [1, 2]) ** 2 * W.band_generator(4, 1, 3)
+        assert got == inner ** -3 * W.alpha(4, 0) ** 2
+        assert parse_braid("()^5 (1)^0", 4) == W.identity(4)
+
+    @pytest.mark.parametrize("text,position", [
+        ("(1 2", 0), ("1 ((2)^2", 2), ("(1 2))", 5), (")", 0), ("a0 * (1 -2)^3 )", 14),
+    ])
+    def test_unbalanced(self, text, position):
+        with pytest.raises(WordError, match=f"unbalanced '[()]' at position {position}$"):
+            parse_braid(text, 4)
+
+    def test_malformed_inside_group(self):
+        with pytest.raises(WordError, match="malformed"):
+            parse_braid("(1 * * 2)", 4)
+        with pytest.raises(WordError, match="malformed"):
+            parse_braid("(1 2)^", 4)
 
 
 class TestWordAlgebra:
@@ -151,6 +305,46 @@ class TestForgetStrands:
         from spherebraid.oracle import equals
 
         assert equals(got, W.full_twist(3))
+
+
+def scan_forget_strands(w, keep):
+    """The projection as it was, recounting the kept strands below each crossing."""
+    keep_set = frozenset(keep)
+    kept = [False] * (w.n + 1)
+    for p in keep_set:
+        kept[p] = True
+    strand_at = list(range(w.n + 1))
+    out = []
+    for x in w.letters:
+        i = abs(x)
+        a, b = strand_at[i], strand_at[i + 1]
+        if kept[a] and kept[b]:
+            j = sum(1 for p in range(1, i + 1) if kept[strand_at[p]])
+            out.append(j if x > 0 else -j)
+        strand_at[i], strand_at[i + 1] = b, a
+    return word(len(keep_set), out)
+
+
+class TestForgetStrandsRunningCount:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_matches_position_scan(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(40):
+            u = word(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 40))])
+            # Unions of the permutation's orbits (fixed points included) are kept.
+            orbits = [set(c) for c in permutation(u).cycles()]
+            orbits += [{k} for k in permutation(u).fixed_points()]
+            rng.shuffle(orbits)
+            keep = set()
+            for orbit in orbits:
+                keep |= orbit
+                if len(keep) >= 3 and rng.random() < 0.5:
+                    break
+            if len(keep) >= 3:
+                assert forget_strands(u, keep) == scan_forget_strands(u, keep)
+            pure = u ** permutation(u).order()
+            keep = rng.sample(range(1, n + 1), rng.randint(3, n))
+            assert forget_strands(pure, keep) == scan_forget_strands(pure, keep)
 
 
 class TestCatalog:
