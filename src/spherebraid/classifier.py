@@ -6,18 +6,23 @@ For a strand count n >= 4 the infinite virtually cyclic subgroups fall into
 Type I (finite-by-infinite-cyclic) and Type II (amalgams of two finite
 groups over an index-2 subgroup); the candidate families are parametrized
 by divisibility conditions in n, with a handful of congruence-gated
-binary-polyhedral entries.  Each emitted record carries a realization
-status: realized, open (a finite list of undecided strand counts), or not
-realized (two excluded cases).  Where the realization is by an explicit
-algebraic construction, :func:`witness` produces generator words together
-with an oracle-verified certificate transcript.
+binary-polyhedral entries.  Each family (Type I, Type II, and the
+mapping-class family) is a generator of ``(shape, i)`` pairs, a shape being
+the plain tuple ``(kind, factor, action, factors, amalgamated, gluing)``;
+one builder groups the deletion indices i by shape and builds each record
+once.  Each record carries a realization status read from one exception
+table: realized, open (a finite list of undecided strand counts), or not
+realized (two excluded cases).  A mapping-class record takes the merged
+status of its braid-group preimages.  Where the realization is by an
+explicit algebraic construction, :func:`witness` produces generator words
+together with an oracle-verified certificate transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import oracle, words
 from .groups import FiniteGroupTable, make_group
@@ -216,58 +221,75 @@ def _check_n(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Status tables.
+# Shapes and the exception table.
 # ---------------------------------------------------------------------------
 
-_OPEN_Q8_ALPHA = frozenset({6, 10, 14})
-_OPEN_TSTAR_TRIVIAL = frozenset({6, 8, 10, 14})
-_OPEN_TSTAR_OMEGA = frozenset({6, 8, 12, 14, 18, 20, 26})
-_OPEN_OSTAR_TRIVIAL = frozenset({6, 8, 12, 14, 18, 20, 26})
-_OPEN_ISTAR_TRIVIAL = frozenset({12, 20, 30, 32, 42, 50, 62})
-_OPEN_OTO = frozenset({6, 8, 12, 14, 18, 20, 24, 26, 30, 32, 38})
-_OPEN_K2 = frozenset({6, 14, 18, 26, 30, 38})
+# A class is enumerated as its shape: the plain tuple
+# (kind, factor, action, factors, amalgamated, gluing) of the record fields
+# that identify it.
 
 
-def realization_status(record: VcClassRecord, n: int | None = None) -> tuple[str, str]:
-    """The (status, source tag) pair for a braid-group record.
+def _type1(factor: GroupDesc, action: str) -> tuple:
+    return ("I", factor, action, None, None, None)
 
-    Everything is realized except for a hard-coded exception table: the two
-    excluded direct products at n = 4 and n = 6, and the finitely many open
-    strand counts for the binary-polyhedral and twisted-gluing entries.
-    """
-    n = record.n if n is None else n
-    if record.mcg:
-        raise ValueError("status of a mapping-class record is set by projection")
-    if record.kind == "I":
-        f, act = record.factor, record.action
-        assert f is not None
-        if f == GroupDesc("T*") and act == "trivial":
-            if n == 4:
-                return "not_realized", "excluded:tstar-z-n4"
-            if n in _OPEN_TSTAR_TRIVIAL:
-                return "open", "open:tstar-z"
-        if f == GroupDesc("O*") and act == "trivial":
-            if n == 6:
-                return "not_realized", "excluded:ostar-z-n6"
-            if n in _OPEN_OSTAR_TRIVIAL:
-                return "open", "open:ostar-z"
-        if f == GroupDesc("T*") and act == "omega" and n in _OPEN_TSTAR_OMEGA:
-            return "open", "open:tstar-omega-z"
-        if f == GroupDesc("I*") and act == "trivial" and n in _OPEN_ISTAR_TRIVIAL:
-            return "open", "open:istar-z"
-        if f == GroupDesc("Dic", 2) and act == "alpha" and n in _OPEN_Q8_ALPHA:
-            return "open", "open:q8-alpha-z"
-        return "realized", "realized"
-    if record.gluing == "K2" and n in _OPEN_K2:
-        return "open", "open:k2-gluing"
-    if record.factors == (GroupDesc("O*"), GroupDesc("O*")) and n in _OPEN_OTO:
-        return "open", "open:ostar-amalgam"
+
+def _type2(a: GroupDesc, b: GroupDesc, f: GroupDesc, gluing: str | None = None) -> tuple:
+    return ("II", None, None, (a, b), f, gluing)
+
+
+def _shape(record: VcClassRecord) -> tuple:
+    return (record.kind, record.factor, record.action,
+            record.factors, record.amalgamated, record.gluing)
+
+
+# shape -> (excluded n, open n's, tag); every other braid-group class is realized.
+_EXCEPTIONS = {
+    _type1(GroupDesc("T*"), "trivial"): (4, frozenset({6, 8, 10, 14}), "tstar-z"),
+    _type1(GroupDesc("O*"), "trivial"): (6, frozenset({6, 8, 12, 14, 18, 20, 26}), "ostar-z"),
+    _type1(GroupDesc("T*"), "omega"): (None, frozenset({6, 8, 12, 14, 18, 20, 26}), "tstar-omega-z"),
+    _type1(GroupDesc("I*"), "trivial"): (None, frozenset({12, 20, 30, 32, 42, 50, 62}), "istar-z"),
+    _type1(GroupDesc("Dic", 2), "alpha"): (None, frozenset({6, 10, 14}), "q8-alpha-z"),
+    _type2(GroupDesc("Dic", 4), GroupDesc("Dic", 4), GroupDesc("Dic", 2), "K2"):
+        (None, frozenset({6, 14, 18, 26, 30, 38}), "k2-gluing"),
+    _type2(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*")):
+        (None, frozenset({6, 8, 12, 14, 18, 20, 24, 26, 30, 32, 38}), "ostar-amalgam"),
+}
+
+
+def _status(shape: tuple, n: int) -> tuple[str, str]:
+    excluded, open_ns, tag = _EXCEPTIONS.get(shape, (None, (), ""))
+    if n == excluded:
+        return "not_realized", f"excluded:{tag}-n{n}"
+    if n in open_ns:
+        return "open", f"open:{tag}"
     return "realized", "realized"
 
 
-def _with_status(record: VcClassRecord) -> VcClassRecord:
-    status, ref = realization_status(record)
-    return replace(record, status=status, status_ref=ref)
+def realization_status(record: VcClassRecord) -> tuple[str, str]:
+    """The (status, source tag) pair for a braid-group record.
+
+    Everything is realized except for one exception table: the two excluded
+    direct products at n = 4 and n = 6, and the finitely many open strand
+    counts for the binary-polyhedral and twisted-gluing entries.
+    """
+    if record.mcg:
+        raise ValueError("status of a mapping-class record is set by projection")
+    return _status(_shape(record), record.n)
+
+
+def _records(n: int, mcg: bool, found: Iterable[tuple[tuple, int | None]],
+             status: Callable[[tuple], tuple[str, str]]) -> tuple[VcClassRecord, ...]:
+    """Group the indices i by shape and build each record once, in shape
+    order; ``status`` maps a shape to its (status, source tag) pair."""
+    indices: dict[tuple, set[int]] = {}
+    for shape, i in found:
+        seen = indices.setdefault(shape, set())
+        if i is not None:
+            seen.add(i)
+    return tuple(
+        VcClassRecord(shape[0], n, mcg, *shape[1:], tuple(sorted(indices[shape])), *status(shape))
+        for shape in sorted(indices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,89 +297,67 @@ def _with_status(record: VcClassRecord) -> VcClassRecord:
 # ---------------------------------------------------------------------------
 
 
-def _dedup(records: Iterable[tuple[VcClassRecord, int | None]]) -> tuple[VcClassRecord, ...]:
-    merged: dict[tuple, VcClassRecord] = {}
-    for rec, i in records:
-        key = rec.key
-        if key in merged:
-            old = merged[key]
-            if i is not None and i not in old.admissible_i:
-                merged[key] = replace(old, admissible_i=tuple(sorted(old.admissible_i + (i,))))
-        else:
-            merged[key] = replace(rec, admissible_i=(i,) if i is not None else ())
-    return tuple(sorted(merged.values()))
+def _v1_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+    for i in (0, 1, 2):
+        for q in _divisors(2 * (n - i))[:-1]:
+            if (n - i) % 2 == 1 and q == n - i:
+                continue
+            yield _type1(GroupDesc("Z", q), "trivial"), i
+    for i in (0, 2):
+        for q in _divisors(2 * (n - i))[:-1]:
+            if q < 3 or (n % 2 == 1 and q == n - i):
+                continue
+            yield _type1(GroupDesc("Z", q), "rho"), i
+        for m in _divisors(n - i)[:-1]:
+            if m >= 3:
+                yield _type1(GroupDesc("Dic", m), "trivial"), i
+        for m in _divisors(n - i):
+            if m >= 3 and ((n - i) // m) % 2 == 0:
+                yield _type1(GroupDesc("Dic", m), "nu"), i
+    if n % 2 == 0:
+        for tag in ("trivial", "alpha", "beta"):
+            yield _type1(GroupDesc("Dic", 2), tag), None
+        yield _type1(GroupDesc("T*"), "trivial"), None
+    if n % 6 in (0, 2):
+        yield _type1(GroupDesc("T*"), "omega"), None
+        yield _type1(GroupDesc("O*"), "trivial"), None
+    if n % 30 in (0, 2, 12, 20):
+        yield _type1(GroupDesc("I*"), "trivial"), None
+
+
+def _v2_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+    for i in (0, 1, 2):
+        if (n - i) % 2 == 0:
+            for q in _divisors((n - i) // 2):
+                yield _type2(GroupDesc("Z", 4 * q), GroupDesc("Z", 4 * q), GroupDesc("Z", 2 * q)), i
+    for i in (0, 2):
+        if (n - i) % 2 == 0:
+            for q in _divisors((n - i) // 2):
+                if q >= 2:
+                    yield _type2(GroupDesc("Z", 4 * q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q)), i
+        for q in _divisors(n - i)[:-1]:
+            if q >= 2:
+                yield _type2(GroupDesc("Dic", q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q)), i
+        for q in _divisors(n - i):
+            if q >= 4 and q % 2 == 0:
+                d = GroupDesc("Dic", q)
+                f = GroupDesc("Dic", q // 2)
+                for gluing in (("K1", "K2") if q == 4 else (None,)):
+                    yield _type2(d, d, f, gluing), i
+    if n % 6 in (0, 2):
+        yield _type2(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*")), None
 
 
 def enumerate_v1(n: int) -> tuple[VcClassRecord, ...]:
     """The Type I classes: finite-by-Z with the cataloged actions."""
     _check_n(n)
-    found: list[tuple[VcClassRecord, int | None]] = []
-
-    def rec(factor: GroupDesc, action: str, i: int | None) -> None:
-        found.append((VcClassRecord(kind="I", n=n, factor=factor, action=action), i))
-
-    for i in (0, 1, 2):
-        for q in _divisors(2 * (n - i))[:-1]:
-            if (n - i) % 2 == 1 and q == n - i:
-                continue
-            rec(GroupDesc("Z", q), "trivial", i)
-    for i in (0, 2):
-        for q in _divisors(2 * (n - i))[:-1]:
-            if q < 3 or (n % 2 == 1 and q == n - i):
-                continue
-            rec(GroupDesc("Z", q), "rho", i)
-        for m in _divisors(n - i)[:-1]:
-            if m >= 3:
-                rec(GroupDesc("Dic", m), "trivial", i)
-        for m in _divisors(n - i):
-            if m >= 3 and ((n - i) // m) % 2 == 0:
-                rec(GroupDesc("Dic", m), "nu", i)
-    if n % 2 == 0:
-        for tag in ("trivial", "alpha", "beta"):
-            rec(GroupDesc("Dic", 2), tag, None)
-        rec(GroupDesc("T*"), "trivial", None)
-    if n % 6 in (0, 2):
-        rec(GroupDesc("T*"), "omega", None)
-        rec(GroupDesc("O*"), "trivial", None)
-    if n % 30 in (0, 2, 12, 20):
-        rec(GroupDesc("I*"), "trivial", None)
-    return tuple(_with_status(r) for r in _dedup(found))
+    return _records(n, False, _v1_shapes(n), lambda shape: _status(shape, n))
 
 
 def enumerate_v2(n: int) -> tuple[VcClassRecord, ...]:
     """The Type II classes: amalgams over an index-2 subgroup."""
     _check_n(n)
-    found: list[tuple[VcClassRecord, int | None]] = []
-
-    def rec(a: GroupDesc, b: GroupDesc, f: GroupDesc, i: int | None, gluing: str | None = None) -> None:
-        found.append(
-            (VcClassRecord(kind="II", n=n, factors=(a, b), amalgamated=f, gluing=gluing), i)
-        )
-
-    for i in (0, 1, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                rec(GroupDesc("Z", 4 * q), GroupDesc("Z", 4 * q), GroupDesc("Z", 2 * q), i)
-    for i in (0, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                if q >= 2:
-                    rec(GroupDesc("Z", 4 * q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q), i)
-        for q in _divisors(n - i)[:-1]:
-            if q >= 2:
-                rec(GroupDesc("Dic", q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q), i)
-        for q in _divisors(n - i):
-            if q >= 4 and q % 2 == 0:
-                d = GroupDesc("Dic", q)
-                f = GroupDesc("Dic", q // 2)
-                if q == 4:
-                    rec(d, d, f, i, gluing="K1")
-                    rec(d, d, f, i, gluing="K2")
-                else:
-                    rec(d, d, f, i)
-    if n % 6 in (0, 2):
-        rec(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*"), None)
-    return tuple(_with_status(r) for r in _dedup(found))
+    return _records(n, False, _v2_shapes(n), lambda shape: _status(shape, n))
 
 
 def enumerate_all(n: int) -> tuple[VcClassRecord, ...]:
@@ -397,33 +397,18 @@ def _project_desc(desc: GroupDesc, quaternion_to_klein: bool = False) -> GroupDe
     return _FACTOR_PROJECTION[desc.family]
 
 
-def _project_shape(record: VcClassRecord) -> VcClassRecord:
-    if record.kind == "I":
-        assert record.factor is not None and record.action is not None
-        factor = _project_desc(record.factor, quaternion_to_klein=True)
-        action = _ACTION_PROJECTION[record.action]
+def _project(shape: tuple) -> tuple:
+    kind, factor, action, factors, amalgamated, gluing = shape
+    if kind == "I":
+        factor = _project_desc(factor, quaternion_to_klein=True)
+        action = _ACTION_PROJECTION[action]
         # Inversion collapses to the identity on the groups of order <= 2.
         if action == "rho~" and factor.order <= 2:
             action = "trivial"
-        return replace(
-            record,
-            mcg=True,
-            factor=factor,
-            action=action,
-            status="",
-            status_ref="",
-        )
-    assert record.factors is not None and record.amalgamated is not None
-    gluing = {"K1": "K1'", "K2": "K2'"}.get(record.gluing or "", record.gluing)
-    return replace(
-        record,
-        mcg=True,
-        factors=tuple(_project_desc(d) for d in record.factors),  # type: ignore[arg-type]
-        amalgamated=_project_desc(record.amalgamated),
-        gluing=gluing,
-        status="",
-        status_ref="",
-    )
+        return _type1(factor, action)
+    a, b = factors
+    gluing = {"K1": "K1'", "K2": "K2'"}.get(gluing, gluing)
+    return _type2(_project_desc(a), _project_desc(b), _project_desc(amalgamated), gluing)
 
 
 _STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
@@ -431,13 +416,12 @@ _STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
 
 @lru_cache(maxsize=None)
 def _vtilde_status(n: int) -> dict:
-    """Merged statuses of the projected classes: a mapping-class record is
+    """Merged statuses of the projected shapes: a mapping-class record is
     realized when any braid-group preimage class is, open when some
     preimage is open and none realized, excluded otherwise."""
     merged: dict[tuple, tuple[str, str]] = {}
     for rec in enumerate_all(n):
-        proj = _project_shape(rec)
-        key = proj.key
+        key = _project(_shape(rec))
         if key not in merged or _STATUS_RANK[rec.status] > _STATUS_RANK[merged[key][0]]:
             merged[key] = (rec.status, rec.status_ref)
     return merged
@@ -447,78 +431,62 @@ def project_to_mcg(record: VcClassRecord) -> VcClassRecord:
     """The image class in the mapping class group, with merged status."""
     if record.mcg:
         return record
-    proj = _project_shape(record)
-    status, ref = _vtilde_status(record.n)[proj.key]
-    return replace(proj, status=status, status_ref=ref)
+    shape = _project(_shape(record))
+    return VcClassRecord(shape[0], record.n, True, *shape[1:], record.admissible_i,
+                         *_vtilde_status(record.n)[shape])
+
+
+def _vtilde_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+    for i in (0, 1, 2):
+        for q in _divisors(n - i)[:-1]:
+            yield _type1(GroupDesc("Z", q), "trivial"), i
+    for i in (0, 2):
+        for q in _divisors(n - i)[:-1]:
+            if q >= 3:
+                yield _type1(GroupDesc("Z", q), "rho~"), i
+        for m in _divisors(n - i)[:-1]:
+            if m >= 3:
+                yield _type1(GroupDesc("Dih", m), "trivial"), i
+        for m in _divisors(n - i):
+            if m >= 3 and ((n - i) // m) % 2 == 0:
+                yield _type1(GroupDesc("Dih", m), "nu~"), i
+    if n % 2 == 0:
+        for tag in ("trivial", "alpha~", "beta~"):
+            yield _type1(GroupDesc("V4"), tag), None
+        yield _type1(GroupDesc("A4"), "trivial"), None
+    if n % 6 in (0, 2):
+        yield _type1(GroupDesc("A4"), "omega~"), None
+        yield _type1(GroupDesc("S4"), "trivial"), None
+    if n % 30 in (0, 2, 12, 20):
+        yield _type1(GroupDesc("A5"), "trivial"), None
+
+    for i in (0, 1, 2):
+        if (n - i) % 2 == 0:
+            for q in _divisors((n - i) // 2):
+                yield _type2(GroupDesc("Z", 2 * q), GroupDesc("Z", 2 * q), GroupDesc("Z", q)), i
+    for i in (0, 2):
+        if (n - i) % 2 == 0:
+            for q in _divisors((n - i) // 2):
+                if q >= 2:
+                    yield _type2(GroupDesc("Z", 2 * q), GroupDesc("Dih", q), GroupDesc("Z", q)), i
+        for q in _divisors(n - i)[:-1]:
+            if q >= 2:
+                yield _type2(GroupDesc("Dih", q), GroupDesc("Dih", q), GroupDesc("Z", q)), i
+        for q in _divisors(n - i):
+            if q >= 4 and q % 2 == 0:
+                d = GroupDesc("Dih", q)
+                f = GroupDesc("Dih", q // 2)
+                for gluing in (("K1'", "K2'") if q == 4 else (None,)):
+                    yield _type2(d, d, f, gluing), i
+    if n % 6 in (0, 2):
+        yield _type2(GroupDesc("S4"), GroupDesc("S4"), GroupDesc("A4")), None
 
 
 def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
     """The mapping-class-group classes, enumerated from their own
     definition; statuses are merged over the braid-group preimages."""
     _check_n(n)
-    found: list[tuple[VcClassRecord, int | None]] = []
-
-    def rec1(factor: GroupDesc, action: str, i: int | None) -> None:
-        found.append((VcClassRecord(kind="I", n=n, mcg=True, factor=factor, action=action), i))
-
-    def rec2(a: GroupDesc, b: GroupDesc, f: GroupDesc, i: int | None, gluing: str | None = None) -> None:
-        found.append(
-            (VcClassRecord(kind="II", n=n, mcg=True, factors=(a, b), amalgamated=f, gluing=gluing), i)
-        )
-
-    for i in (0, 1, 2):
-        for q in _divisors(n - i)[:-1]:
-            rec1(GroupDesc("Z", q), "trivial", i)
-    for i in (0, 2):
-        for q in _divisors(n - i)[:-1]:
-            if q >= 3:
-                rec1(GroupDesc("Z", q), "rho~", i)
-        for m in _divisors(n - i)[:-1]:
-            if m >= 3:
-                rec1(GroupDesc("Dih", m), "trivial", i)
-        for m in _divisors(n - i):
-            if m >= 3 and ((n - i) // m) % 2 == 0:
-                rec1(GroupDesc("Dih", m), "nu~", i)
-    if n % 2 == 0:
-        for tag in ("trivial", "alpha~", "beta~"):
-            rec1(GroupDesc("V4"), tag, None)
-        rec1(GroupDesc("A4"), "trivial", None)
-    if n % 6 in (0, 2):
-        rec1(GroupDesc("A4"), "omega~", None)
-        rec1(GroupDesc("S4"), "trivial", None)
-    if n % 30 in (0, 2, 12, 20):
-        rec1(GroupDesc("A5"), "trivial", None)
-
-    for i in (0, 1, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                rec2(GroupDesc("Z", 2 * q), GroupDesc("Z", 2 * q), GroupDesc("Z", q), i)
-    for i in (0, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                if q >= 2:
-                    rec2(GroupDesc("Z", 2 * q), GroupDesc("Dih", q), GroupDesc("Z", q), i)
-        for q in _divisors(n - i)[:-1]:
-            if q >= 2:
-                rec2(GroupDesc("Dih", q), GroupDesc("Dih", q), GroupDesc("Z", q), i)
-        for q in _divisors(n - i):
-            if q >= 4 and q % 2 == 0:
-                d = GroupDesc("Dih", q)
-                f = GroupDesc("Dih", q // 2)
-                if q == 4:
-                    rec2(d, d, f, i, gluing="K1'")
-                    rec2(d, d, f, i, gluing="K2'")
-                else:
-                    rec2(d, d, f, i)
-    if n % 6 in (0, 2):
-        rec2(GroupDesc("S4"), GroupDesc("S4"), GroupDesc("A4"), None)
-
-    status = _vtilde_status(n)
-    out = []
-    for r in _dedup(found):
-        st, ref = status[r.key]
-        out.append(replace(r, status=st, status_ref=ref))
-    return tuple(out)
+    return _records(n, True, _vtilde_shapes(n), _vtilde_status(n).__getitem__)
 
 
 # ---------------------------------------------------------------------------

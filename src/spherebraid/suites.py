@@ -558,6 +558,8 @@ def run_suite(suite: str, n_range: tuple[int, int] | None = None) -> SuiteResult
     lo, hi = n_range if n_range is not None else default
     if lo < 3:
         raise ValueError("strand counts below 3 are not supported")
+    if lo > hi:
+        raise ValueError(f"empty strand range {lo}..{hi}: the lower end exceeds the upper")
     results = []
     for check_id, fn in gen(lo, hi):
         t0 = time.perf_counter()

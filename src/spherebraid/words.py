@@ -630,9 +630,18 @@ def parse_braid(text: str, n: int) -> BraidWord:
                     raise WordError(f"generator index {k} out of range for n={n}")
                 letters = (k,)
             else:
-                args = m.group("args")
-                params = tuple(int(a) for a in args.split(",")) if args else ()
-                letters = std_element(NamedElement(m.group("name"), params), n).letters
+                name, args = m.group("name"), m.group("args")
+                params = []
+                at = m.start("args")
+                for arg in args.split(",") if args else ():
+                    try:
+                        params.append(int(arg))
+                    except ValueError:
+                        raise WordError(
+                            f"bad argument {arg!r} to {name} at position {at}"
+                        ) from None
+                    at += len(arg) + 1
+                letters = std_element(NamedElement(name, tuple(params)), n).letters
         pos = m.end()
         expect_atom = False
         groups[-1] += _power_parts(letters, int(m.group("exp") or 1))

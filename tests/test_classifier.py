@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
 
 from spherebraid.classifier import (
@@ -9,6 +12,7 @@ from spherebraid.classifier import (
     enumerate_v2,
     enumerate_vtilde,
     finite_classes,
+    _records,
     project_to_mcg,
     realization_status,
     witness,
@@ -342,3 +346,277 @@ class TestStatusBoundaries:
     def test_projection_onto_at_large_n(self, n):
         projected = {project_to_mcg(r).key for r in enumerate_all(n)}
         assert projected == {r.key for r in enumerate_vtilde(n)}
+
+
+# ---------------------------------------------------------------------------
+# Reference enumeration: the record-by-record merge that the shape builder
+# replaced, kept as it was so that every view can be compared field by field.
+# ---------------------------------------------------------------------------
+
+_REF_OPEN_Q8_ALPHA = frozenset({6, 10, 14})
+_REF_OPEN_TSTAR_TRIVIAL = frozenset({6, 8, 10, 14})
+_REF_OPEN_TSTAR_OMEGA = frozenset({6, 8, 12, 14, 18, 20, 26})
+_REF_OPEN_OSTAR_TRIVIAL = frozenset({6, 8, 12, 14, 18, 20, 26})
+_REF_OPEN_ISTAR_TRIVIAL = frozenset({12, 20, 30, 32, 42, 50, 62})
+_REF_OPEN_OTO = frozenset({6, 8, 12, 14, 18, 20, 24, 26, 30, 32, 38})
+_REF_OPEN_K2 = frozenset({6, 14, 18, 26, 30, 38})
+
+
+def reference_status(record):
+    n = record.n
+    if record.kind == "I":
+        f, act = record.factor, record.action
+        if f == GroupDesc("T*") and act == "trivial":
+            if n == 4:
+                return "not_realized", "excluded:tstar-z-n4"
+            if n in _REF_OPEN_TSTAR_TRIVIAL:
+                return "open", "open:tstar-z"
+        if f == GroupDesc("O*") and act == "trivial":
+            if n == 6:
+                return "not_realized", "excluded:ostar-z-n6"
+            if n in _REF_OPEN_OSTAR_TRIVIAL:
+                return "open", "open:ostar-z"
+        if f == GroupDesc("T*") and act == "omega" and n in _REF_OPEN_TSTAR_OMEGA:
+            return "open", "open:tstar-omega-z"
+        if f == GroupDesc("I*") and act == "trivial" and n in _REF_OPEN_ISTAR_TRIVIAL:
+            return "open", "open:istar-z"
+        if f == GroupDesc("Dic", 2) and act == "alpha" and n in _REF_OPEN_Q8_ALPHA:
+            return "open", "open:q8-alpha-z"
+        return "realized", "realized"
+    if record.gluing == "K2" and n in _REF_OPEN_K2:
+        return "open", "open:k2-gluing"
+    if record.factors == (GroupDesc("O*"), GroupDesc("O*")) and n in _REF_OPEN_OTO:
+        return "open", "open:ostar-amalgam"
+    return "realized", "realized"
+
+
+def _ref_with_status(record):
+    status, ref = reference_status(record)
+    return replace(record, status=status, status_ref=ref)
+
+
+def _ref_dedup(records):
+    merged = {}
+    for rec, i in records:
+        key = rec.key
+        if key in merged:
+            old = merged[key]
+            if i is not None and i not in old.admissible_i:
+                merged[key] = replace(old, admissible_i=tuple(sorted(old.admissible_i + (i,))))
+        else:
+            merged[key] = replace(rec, admissible_i=(i,) if i is not None else ())
+    return tuple(sorted(merged.values()))
+
+
+def reference_v1(n):
+    found = []
+
+    def rec(factor, action, i):
+        found.append((VcClassRecord(kind="I", n=n, factor=factor, action=action), i))
+
+    for i in (0, 1, 2):
+        for q in divisors(2 * (n - i))[:-1]:
+            if (n - i) % 2 == 1 and q == n - i:
+                continue
+            rec(GroupDesc("Z", q), "trivial", i)
+    for i in (0, 2):
+        for q in divisors(2 * (n - i))[:-1]:
+            if q < 3 or (n % 2 == 1 and q == n - i):
+                continue
+            rec(GroupDesc("Z", q), "rho", i)
+        for m in divisors(n - i)[:-1]:
+            if m >= 3:
+                rec(GroupDesc("Dic", m), "trivial", i)
+        for m in divisors(n - i):
+            if m >= 3 and ((n - i) // m) % 2 == 0:
+                rec(GroupDesc("Dic", m), "nu", i)
+    if n % 2 == 0:
+        for tag in ("trivial", "alpha", "beta"):
+            rec(GroupDesc("Dic", 2), tag, None)
+        rec(GroupDesc("T*"), "trivial", None)
+    if n % 6 in (0, 2):
+        rec(GroupDesc("T*"), "omega", None)
+        rec(GroupDesc("O*"), "trivial", None)
+    if n % 30 in (0, 2, 12, 20):
+        rec(GroupDesc("I*"), "trivial", None)
+    return tuple(_ref_with_status(r) for r in _ref_dedup(found))
+
+
+def reference_v2(n):
+    found = []
+
+    def rec(a, b, f, i, gluing=None):
+        found.append(
+            (VcClassRecord(kind="II", n=n, factors=(a, b), amalgamated=f, gluing=gluing), i)
+        )
+
+    for i in (0, 1, 2):
+        if (n - i) % 2 == 0:
+            for q in divisors((n - i) // 2):
+                rec(GroupDesc("Z", 4 * q), GroupDesc("Z", 4 * q), GroupDesc("Z", 2 * q), i)
+    for i in (0, 2):
+        if (n - i) % 2 == 0:
+            for q in divisors((n - i) // 2):
+                if q >= 2:
+                    rec(GroupDesc("Z", 4 * q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q), i)
+        for q in divisors(n - i)[:-1]:
+            if q >= 2:
+                rec(GroupDesc("Dic", q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q), i)
+        for q in divisors(n - i):
+            if q >= 4 and q % 2 == 0:
+                d = GroupDesc("Dic", q)
+                f = GroupDesc("Dic", q // 2)
+                if q == 4:
+                    rec(d, d, f, i, gluing="K1")
+                    rec(d, d, f, i, gluing="K2")
+                else:
+                    rec(d, d, f, i)
+    if n % 6 in (0, 2):
+        rec(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*"), None)
+    return tuple(_ref_with_status(r) for r in _ref_dedup(found))
+
+
+def reference_all(n):
+    return reference_v1(n) + reference_v2(n)
+
+
+_REF_FACTOR_PROJECTION = {"T*": GroupDesc("A4"), "O*": GroupDesc("S4"), "I*": GroupDesc("A5")}
+_REF_ACTION_PROJECTION = {"trivial": "trivial", "rho": "rho~", "nu": "nu~",
+                          "alpha": "alpha~", "beta": "beta~", "omega": "omega~"}
+
+
+def _ref_project_desc(desc, quaternion_to_klein=False):
+    if desc.family == "Z":
+        q = desc.param
+        return GroupDesc("Z", q // 2 if q % 2 == 0 else q)
+    if desc.family == "Dic":
+        if desc.param == 2 and quaternion_to_klein:
+            return GroupDesc("V4")
+        return GroupDesc("Dih", desc.param)
+    return _REF_FACTOR_PROJECTION[desc.family]
+
+
+def _ref_project_shape(record):
+    if record.kind == "I":
+        factor = _ref_project_desc(record.factor, quaternion_to_klein=True)
+        action = _REF_ACTION_PROJECTION[record.action]
+        if action == "rho~" and factor.order <= 2:
+            action = "trivial"
+        return replace(record, mcg=True, factor=factor, action=action,
+                       status="", status_ref="")
+    gluing = {"K1": "K1'", "K2": "K2'"}.get(record.gluing or "", record.gluing)
+    return replace(
+        record,
+        mcg=True,
+        factors=tuple(_ref_project_desc(d) for d in record.factors),
+        amalgamated=_ref_project_desc(record.amalgamated),
+        gluing=gluing,
+        status="",
+        status_ref="",
+    )
+
+
+_REF_STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
+
+
+@lru_cache(maxsize=None)
+def _ref_vtilde_status(n):
+    merged = {}
+    for rec in reference_all(n):
+        key = _ref_project_shape(rec).key
+        if key not in merged or _REF_STATUS_RANK[rec.status] > _REF_STATUS_RANK[merged[key][0]]:
+            merged[key] = (rec.status, rec.status_ref)
+    return merged
+
+
+def reference_project(record):
+    proj = _ref_project_shape(record)
+    status, ref = _ref_vtilde_status(record.n)[proj.key]
+    return replace(proj, status=status, status_ref=ref)
+
+
+def reference_vtilde(n):
+    found = []
+
+    def rec1(factor, action, i):
+        found.append((VcClassRecord(kind="I", n=n, mcg=True, factor=factor, action=action), i))
+
+    def rec2(a, b, f, i, gluing=None):
+        found.append(
+            (VcClassRecord(kind="II", n=n, mcg=True, factors=(a, b), amalgamated=f, gluing=gluing), i)
+        )
+
+    for i in (0, 1, 2):
+        for q in divisors(n - i)[:-1]:
+            rec1(GroupDesc("Z", q), "trivial", i)
+    for i in (0, 2):
+        for q in divisors(n - i)[:-1]:
+            if q >= 3:
+                rec1(GroupDesc("Z", q), "rho~", i)
+        for m in divisors(n - i)[:-1]:
+            if m >= 3:
+                rec1(GroupDesc("Dih", m), "trivial", i)
+        for m in divisors(n - i):
+            if m >= 3 and ((n - i) // m) % 2 == 0:
+                rec1(GroupDesc("Dih", m), "nu~", i)
+    if n % 2 == 0:
+        for tag in ("trivial", "alpha~", "beta~"):
+            rec1(GroupDesc("V4"), tag, None)
+        rec1(GroupDesc("A4"), "trivial", None)
+    if n % 6 in (0, 2):
+        rec1(GroupDesc("A4"), "omega~", None)
+        rec1(GroupDesc("S4"), "trivial", None)
+    if n % 30 in (0, 2, 12, 20):
+        rec1(GroupDesc("A5"), "trivial", None)
+
+    for i in (0, 1, 2):
+        if (n - i) % 2 == 0:
+            for q in divisors((n - i) // 2):
+                rec2(GroupDesc("Z", 2 * q), GroupDesc("Z", 2 * q), GroupDesc("Z", q), i)
+    for i in (0, 2):
+        if (n - i) % 2 == 0:
+            for q in divisors((n - i) // 2):
+                if q >= 2:
+                    rec2(GroupDesc("Z", 2 * q), GroupDesc("Dih", q), GroupDesc("Z", q), i)
+        for q in divisors(n - i)[:-1]:
+            if q >= 2:
+                rec2(GroupDesc("Dih", q), GroupDesc("Dih", q), GroupDesc("Z", q), i)
+        for q in divisors(n - i):
+            if q >= 4 and q % 2 == 0:
+                d = GroupDesc("Dih", q)
+                f = GroupDesc("Dih", q // 2)
+                if q == 4:
+                    rec2(d, d, f, i, gluing="K1'")
+                    rec2(d, d, f, i, gluing="K2'")
+                else:
+                    rec2(d, d, f, i)
+    if n % 6 in (0, 2):
+        rec2(GroupDesc("S4"), GroupDesc("S4"), GroupDesc("A4"), None)
+
+    status = _ref_vtilde_status(n)
+    out = []
+    for r in _ref_dedup(found):
+        st, ref = status[r.key]
+        out.append(replace(r, status=st, status_ref=ref))
+    return tuple(out)
+
+
+class TestAgainstReference:
+    """Every view equals the reference enumeration, record for record."""
+
+    @pytest.mark.parametrize("n", range(4, 201))
+    def test_all_views(self, n):
+        assert enumerate_v1(n) == reference_v1(n)
+        assert enumerate_v2(n) == reference_v2(n)
+        recs = enumerate_all(n)
+        assert recs == reference_all(n)
+        assert enumerate_vtilde(n) == reference_vtilde(n)
+        assert [project_to_mcg(r) for r in recs] == [reference_project(r) for r in recs]
+        assert [realization_status(r) for r in recs] == [reference_status(r) for r in recs]
+
+    def test_builder_sorts_and_merges_indices(self):
+        shape = ("I", GroupDesc("Z", 2), "trivial", None, None, None)
+        (rec,) = _records(6, False, [(shape, 2), (shape, None), (shape, 0), (shape, 2)],
+                          lambda s: ("realized", "realized"))
+        assert rec.admissible_i == (0, 2)
+        assert rec.shape == "Z2 x Z" and not rec.mcg

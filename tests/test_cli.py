@@ -207,6 +207,17 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert code == 2 and "error:" in err
 
+    def test_bad_atom_argument_clean_exit(self, capsys):
+        code = main(["order", "--n", "4", "--word", "A(1 2)"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: bad argument '1 2' to A at position 2\n"
+
+    def test_reversed_suite_range(self, capsys):
+        code = main(["--format", "json", "verify", "--suite", "torsion", "--n", "6..4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: empty strand range 6..4")
+
     def test_budget_error_clean_exit(self, capsys):
         # p FT p^-1 q FT q^-1 with p = (1 -2)^18 and q = (2 -1)^18 = p^-1:
         # trivial, but no screen decides it and its free-group images

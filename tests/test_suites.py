@@ -9,8 +9,9 @@ class TestRunner:
             run_suite("nonsense")
 
     def test_bad_range(self):
-        with pytest.raises(ValueError):
-            run_suite("torsion", (2, 5))
+        for n_range in ((2, 5), (6, 4)):
+            with pytest.raises(ValueError):
+                run_suite("torsion", n_range)
 
     @pytest.mark.parametrize("suite", SUITE_IDS)
     def test_every_suite_passes_on_small_range(self, suite):

@@ -201,6 +201,15 @@ class TestParseOnce:
         with pytest.raises(WordError, match=f"unbalanced '[()]' at position {position}$"):
             parse_braid(text, 4)
 
+    @pytest.mark.parametrize("text,arg,name,position", [
+        ("A(1 2)", "1 2", "A", 2), ("a0 * delta(2,x)", "x", "delta", 13),
+        ("(1 A(1,))^2", "", "A", 7),
+    ])
+    def test_bad_atom_argument(self, text, arg, name, position):
+        with pytest.raises(WordError) as exc:
+            parse_braid(text, 4)
+        assert str(exc.value) == f"bad argument {arg!r} to {name} at position {position}"
+
     def test_malformed_inside_group(self):
         with pytest.raises(WordError, match="malformed"):
             parse_braid("(1 * * 2)", 4)
