@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import (
     FiniteGroupTable,
@@ -56,17 +56,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AmalgamElement:
-    """Normal form: head in F, then strictly alternating factor labels."""
-
+class _AmalgamElementFields(NamedTuple):
     head: int
     syllables: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.syllables, self.syllables[1:]):
+
+class AmalgamElement(_AmalgamElementFields):
+    """Normal form: head in F, then strictly alternating factor labels.
+
+    A named tuple, so hashing and equality are those of the plain tuple
+    ``(head, syllables)``; construction checks the alternation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, head: int, syllables: tuple[int, ...] = ()) -> AmalgamElement:
+        for a, b in zip(syllables, syllables[1:]):
             if a == b:
                 raise ValueError("syllables must alternate factors")
+        return tuple.__new__(cls, (head, syllables))
 
     @property
     def syllable_length(self) -> int:
@@ -134,21 +142,22 @@ class AmalgamSpec:
             g = G.mul(g, self.transversal(k))
         return g
 
-    def _push_through(self, syllables: Sequence[int], h: int) -> int:
-        for k in reversed(syllables):
-            h = self.push[k - 1][h]
-        return h
-
     def mul(self, a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
-        head = self.f.mul(a.head, self._push_through(a.syllables, b.head))
-        left = list(a.syllables)
-        right = list(b.syllables)
-        while left and right and left[-1] == right[0]:
-            k = left.pop()
-            right.pop(0)
-            s = self._push_through(left, self.sq[k - 1])
-            head = self.f.mul(head, s)
-        return AmalgamElement(head, tuple(left + right))
+        left, right = a.syllables, b.syllables
+        # Both sides alternate, so once the facing labels agree every facing
+        # pair does: the last ``cancel`` letters of ``left`` meet the first
+        # ones of ``right``, and each meeting t_k t_k is t_k^2, which lies in F.
+        cancel = min(len(left), len(right)) if left and right and left[-1] == right[0] else 0
+        keep = len(left) - cancel
+        # Move b's head leftward through a's letters (conjugation by t_k acts
+        # as push[k] on F), absorbing each cancelled square where it stood.
+        h = b.head
+        for j in range(len(left) - 1, -1, -1):
+            k = left[j] - 1
+            h = self.push[k][h]
+            if j >= keep:
+                h = self.f.mul(h, self.sq[k])
+        return AmalgamElement(self.f.mul(a.head, h), left[:keep] + right[cancel:])
 
     def inv(self, a: AmalgamElement) -> AmalgamElement:
         out = self.one

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracle, words
 from .groups import FiniteGroupTable, make_group
@@ -46,14 +46,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class GroupDesc:
+class GroupDesc(NamedTuple):
     """A finite-group isomorphism class: family tag plus size parameter.
 
     Families: ``Z`` (cyclic of order q), ``Dic`` (dicyclic of order 4m),
     ``Dih`` (dihedral of order 2m), ``V4`` (Klein group as the image of the
     quaternion group), and the parameterless ``T*``, ``O*``, ``I*``, ``A4``,
-    ``S4``, ``A5``.
+    ``S4``, ``A5``.  A named tuple, so hashing, equality and ordering are
+    those of the plain tuple ``(family, param)``.
     """
 
     family: str
@@ -99,15 +99,16 @@ class GroupDesc:
         return make_group(self.family)
 
 
-@dataclass(frozen=True, order=True)
-class VcClassRecord:
+class VcClassRecord(NamedTuple):
     """One isomorphism class of infinite virtually cyclic subgroups.
 
     Type I records have ``factor`` and ``action``; Type II records have
     ``factors``, ``amalgamated``, and (for the one ambiguous shape) a
     ``gluing`` class tag.  ``admissible_i`` lists the strand-deletion
     indices i realizing the divisibility conditions; the abstract class is
-    recorded once even when several i work.
+    recorded once even when several i work.  A named tuple: records hash,
+    compare and sort as the plain tuple of their fields, and copies are
+    made with ``_replace``.
     """
 
     kind: str  # "I" | "II"

@@ -139,8 +139,8 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+    lo, sep, hi = text.partition("..")
+    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
 
 
 def main(argv: list[str] | None = None) -> int:

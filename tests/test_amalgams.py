@@ -109,6 +109,47 @@ class TestNormalForm:
         assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
 
 
+def _pop_loop_mul(spec, a, b):
+    """Multiplication as it was first written: push b's head through all of
+    a's letters, then cancel facing pairs one at a time, pushing each square
+    through the letters still to its left."""
+
+    def push_through(syllables, h):
+        for k in reversed(syllables):
+            h = spec.push[k - 1][h]
+        return h
+
+    head = spec.f.mul(a.head, push_through(a.syllables, b.head))
+    left = list(a.syllables)
+    right = list(b.syllables)
+    while left and right and left[-1] == right[0]:
+        k = left.pop()
+        right.pop(0)
+        head = spec.f.mul(head, push_through(left, spec.sq[k - 1]))
+    return AmalgamElement(head, tuple(left + right))
+
+
+class TestMulAgainstPopLoop:
+    @pytest.mark.parametrize("spec_fn", [
+        lambda: straight_gluing("zz", 2),
+        lambda: straight_gluing("dicz", 3),
+        k1,
+        k2,
+        k1_prime,
+        k2_prime,
+    ])
+    def test_ball3_products(self, spec_fn):
+        spec = spec_fn()
+        ball3 = spec.ball(3)
+        for a in ball3:
+            for b in ball3:
+                assert spec.mul(a, b) == _pop_loop_mul(spec, a, b)
+
+    def test_non_alternating_syllables_rejected(self):
+        with pytest.raises(ValueError):
+            AmalgamElement(0, (1, 2, 2))
+
+
 class TestBuildValidation:
     def test_rejects_non_injective(self):
         big, small = make_group("cyclic", 8), make_group("cyclic", 4)

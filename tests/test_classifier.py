@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -392,7 +391,7 @@ def reference_status(record):
 
 def _ref_with_status(record):
     status, ref = reference_status(record)
-    return replace(record, status=status, status_ref=ref)
+    return record._replace(status=status, status_ref=ref)
 
 
 def _ref_dedup(records):
@@ -402,9 +401,9 @@ def _ref_dedup(records):
         if key in merged:
             old = merged[key]
             if i is not None and i not in old.admissible_i:
-                merged[key] = replace(old, admissible_i=tuple(sorted(old.admissible_i + (i,))))
+                merged[key] = old._replace(admissible_i=tuple(sorted(old.admissible_i + (i,))))
         else:
-            merged[key] = replace(rec, admissible_i=(i,) if i is not None else ())
+            merged[key] = rec._replace(admissible_i=(i,) if i is not None else ())
     return tuple(sorted(merged.values()))
 
 
@@ -502,11 +501,10 @@ def _ref_project_shape(record):
         action = _REF_ACTION_PROJECTION[record.action]
         if action == "rho~" and factor.order <= 2:
             action = "trivial"
-        return replace(record, mcg=True, factor=factor, action=action,
-                       status="", status_ref="")
+        return record._replace(mcg=True, factor=factor, action=action,
+                               status="", status_ref="")
     gluing = {"K1": "K1'", "K2": "K2'"}.get(record.gluing or "", record.gluing)
-    return replace(
-        record,
+    return record._replace(
         mcg=True,
         factors=tuple(_ref_project_desc(d) for d in record.factors),
         amalgamated=_ref_project_desc(record.amalgamated),
@@ -532,7 +530,7 @@ def _ref_vtilde_status(n):
 def reference_project(record):
     proj = _ref_project_shape(record)
     status, ref = _ref_vtilde_status(record.n)[proj.key]
-    return replace(proj, status=status, status_ref=ref)
+    return proj._replace(status=status, status_ref=ref)
 
 
 def reference_vtilde(n):
@@ -597,7 +595,7 @@ def reference_vtilde(n):
     out = []
     for r in _ref_dedup(found):
         st, ref = status[r.key]
-        out.append(replace(r, status=st, status_ref=ref))
+        out.append(r._replace(status=st, status_ref=ref))
     return tuple(out)
 
 

@@ -218,6 +218,14 @@ class TestErrorHandling:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: empty strand range 6..4")
 
+    @pytest.mark.parametrize("text", ["4..", "..5"])
+    def test_open_ended_suite_range(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "torsion", "--n", text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --n" in captured.err
+
     def test_budget_error_clean_exit(self, capsys):
         # p FT p^-1 q FT q^-1 with p = (1 -2)^18 and q = (2 -1)^18 = p^-1:
         # trivial, but no screen decides it and its free-group images
