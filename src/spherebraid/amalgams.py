@@ -126,11 +126,9 @@ class AmalgamSpec:
     def embed(self, k: int, g: int) -> AmalgamElement:
         """The image of a factor element in the amalgam, in normal form."""
         G, emb = self.factor(k), self.embedding(k)
-        pre = {img: x for x, img in enumerate(emb)}
-        if g in pre:
-            return AmalgamElement(pre[g])
-        h = pre[G.mul(g, G.inv(self.transversal(k)))]
-        return AmalgamElement(h, (k,))
+        if g in emb:
+            return AmalgamElement(emb.index(g))
+        return AmalgamElement(emb.index(G.mul(g, G.inv(self.transversal(k)))), (k,))
 
     def in_factor(self, e: AmalgamElement, k: int) -> int:
         """The factor element an amalgam element of syllable length <= 1 is."""

@@ -7,6 +7,11 @@ deliberately elementary: HLT-style coset enumeration with deterministic scan
 order for presented groups, one greedy generation walk for subgroup closure
 and default generators, and generator-image backtracking for isomorphisms
 and automorphisms.  Tables are immutable once built and safe to share.
+
+The subgroup lattice grows by joins with cyclic subgroups of prime-power
+order, each join walking on from the subgroup already known.  The outer
+automorphism group is built on Inn-coset representatives, without the
+whole automorphism table; its ``labels`` are the representative maps.
 """
 
 from __future__ import annotations
@@ -139,18 +144,33 @@ class FiniteGroupTable:
 
 
 def _greedy_closure(
-    mult: Sequence[Sequence[int]], identity: int, candidates: Iterable[int]
+    mult: Sequence[Sequence[int]],
+    identity: int,
+    candidates: Iterable[int],
+    start: tuple[Sequence[int], Iterable[int]] | None = None,
 ) -> tuple[tuple[int, ...], frozenset[int]]:
     """Generators and elements of the subgroup the candidates generate: each
     candidate not yet reached, in the order given, becomes a generator, and
-    the walk over right multiplication by the generators is extended."""
-    gens: list[int] = []
-    reached = {identity}
+    the walk over right multiplication by the generators is extended.
+
+    ``start`` is a subgroup already known, as the (generators, elements)
+    pair this function returns; the walk goes on from it.  The elements
+    reached are closed under the earlier generators, so only the new
+    generator is applied to them, and every element found is walked with
+    all generators."""
+    known_gens, known = start if start is not None else ((), (identity,))
+    gens = list(known_gens)
+    reached = set(known)
     for c in candidates:
         if c in reached:
             continue
         gens.append(c)
-        stack = list(reached)
+        stack = []
+        for x in list(reached):
+            y = mult[x][c]
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
         while stack:
             x = stack.pop()
             for g in gens:
@@ -584,24 +604,42 @@ def _is_normal(G: FiniteGroupTable, elems: frozenset[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_subgroup_sets(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:
+    """Every subgroup, grown from the trivial one by joins with cyclic
+    subgroups of prime-power order.
+
+    Each element is a product of powers of itself of prime-power order, so
+    every subgroup is reached by a chain of such joins.  A join walks on from
+    the subgroup already known and its recorded generators.
+    """
     if G.order > SUBGROUP_ORDER_BUDGET:
         raise SubgroupBudgetError(f"order {G.order} exceeds subgroup budget {SUBGROUP_ORDER_BUDGET}")
-    subs: set[frozenset[int]] = {frozenset([G.identity])}
-    cyclic = {G.closure([a]) for a in range(G.order)}
-    subs |= cyclic
-    frontier = set(subs)
+    # One generator for each cyclic subgroup of prime-power order.
+    roots = {G.closure([x]): x for x, k in enumerate(G.element_orders) if _is_prime_power(k)}
+    trivial = frozenset([G.identity])
+    subs = {trivial: ((), trivial)}
+    frontier = list(subs.values())
     while frontier:
-        new: set[frozenset[int]] = set()
-        for a in frontier:
-            for b in cyclic:
-                if b <= a:
+        new = []
+        for known in frontier:
+            for x in roots.values():
+                if x in known[1]:
                     continue
-                join = G.closure(a | b)
-                if join not in subs and join not in new:
-                    new.add(join)
-        subs |= new
+                join = _greedy_closure(G.mult, G.identity, (x,), known)
+                if join[1] not in subs:
+                    subs[join[1]] = join
+                    new.append(join)
         frontier = new
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+
+
+def _is_prime_power(k: int) -> bool:
+    """Whether k is p^e for a prime p and e >= 1."""
+    if k < 2:
+        return False
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def subgroup_table(G: FiniteGroupTable, elems: frozenset[int]) -> FiniteGroupTable:
@@ -872,8 +910,30 @@ def inner_automorphisms(G: FiniteGroupTable) -> frozenset[int]:
 
 
 def outer_group(G: FiniteGroupTable) -> FiniteGroupTable:
-    """Aut modulo the inner automorphisms."""
-    return quotient(automorphisms(G), inner_automorphisms(G))
+    """Aut modulo the inner automorphisms, built on coset representatives.
+
+    Each automorphism is keyed by its images of the distinguished generators.
+    The automorphisms are walked in sorted order, and the first one of each
+    Inn-coset is its representative: every i∘a with i inner is keyed to the
+    new coset.  Representatives multiply by composing them on the generator
+    images (apply the row's map first).  ``labels`` holds the representative
+    maps, so the whole Aut table is never built.
+    """
+    gens = G.generators or (G.identity,)
+    inner = _inner_maps(G)
+    coset_of: dict[tuple[int, ...], int] = {}
+    reps: list[tuple[int, ...]] = []
+    rep_keys: list[tuple[int, ...]] = []
+    for a in _aut_maps(G):
+        key = tuple(a[g] for g in gens)
+        if key in coset_of:
+            continue
+        for i in inner:
+            coset_of[tuple(i[y] for y in key)] = len(reps)
+        reps.append(a)
+        rep_keys.append(key)
+    mult = [[coset_of[tuple(b[y] for y in key)] for b in reps] for key in rep_keys]
+    return _finish_table(len(reps), mult, (), None, labels=tuple(reps))
 
 
 def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int]) -> bool:

@@ -397,20 +397,21 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
         def closure_ok(spec=spec) -> bool:
             ball1 = spec.ball(1)
             ball3 = spec.ball(3)
-            idx = {e: None for e in ball3}
+            known = set(ball3)
             return all(
-                spec.mul(a, b) in idx or spec.mul(a, b).syllable_length > 3
-                for a in ball3
-                for b in ball1
+                ab in known or ab.syllable_length > 3
+                for ab in (spec.mul(a, b) for a in ball3 for b in ball1)
             )
 
         def assoc_ok(spec=spec) -> bool:
+            # Every triple is checked; each pairwise product is made once.
             ball1 = spec.ball(1)
+            prod = [[spec.mul(a, b) for b in ball1] for a in ball1]
             return all(
-                spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
-                for a in ball1
-                for b in ball1
-                for c in ball1
+                spec.mul(prod[i][j], c) == spec.mul(a, prod[j][k])
+                for i, a in enumerate(ball1)
+                for j in range(len(ball1))
+                for k, c in enumerate(ball1)
             )
 
         def inverse_ok(spec=spec) -> bool:

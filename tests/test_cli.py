@@ -234,3 +234,11 @@ class TestErrorHandling:
         code = main(["order", "--n", "4", "--word", f"{p} FT {q} {q} FT {p}"])
         err = capsys.readouterr().err
         assert code == 2 and ("budget" in err or "letters" in err)
+
+    @pytest.mark.parametrize("action,tag", [("out", "Dih400"), ("subgroups", "Z300"),
+                                            ("aut", "Z250")])
+    def test_group_budget_error_clean_exit(self, capsys, action, tag):
+        code = main(["--format", "json", "group", action, tag])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: order ") and "budget" in captured.err

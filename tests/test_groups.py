@@ -26,11 +26,14 @@ from spherebraid.groups import (
     todd_coxeter,
 )
 from spherebraid.groups import (
+    _all_subgroup_sets,
     _aut_maps,
     _compose_maps,
     _extend_map,
     _greedy_closure,
+    _inner_maps,
     _invariant_vector,
+    _invert_map,
     _is_normal,
     _isomorphisms,
 )
@@ -476,3 +479,59 @@ class TestPropertiesOnGenerators:
             assert T.is_abelian() == all(
                 T.mult[a][b] == T.mult[b][a] for a in range(T.order) for b in range(a)
             )
+
+
+def _outer_group_reference(G):
+    """Reference Out(G): the quotient of the whole automorphism table."""
+    return quotient(automorphisms(G), inner_automorphisms(G))
+
+
+def _subgroup_sets_reference(G):
+    """Reference lattice: joins with every cyclic subgroup, each closed from
+    the identity over all elements of the union."""
+    subs = {frozenset([G.identity])}
+    cyclic = {G.closure([a]) for a in range(G.order)}
+    subs |= cyclic
+    frontier = set(subs)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in cyclic:
+                if b <= a:
+                    continue
+                join = G.closure(a | b)
+                if join not in subs and join not in new:
+                    new.add(join)
+        subs |= new
+        frontier = new
+    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+
+
+class TestAgainstWholeTableReferences:
+    """Out(G) built on coset representatives, and the lattice grown by
+    prime-power joins, equal what the whole Aut table and the all-cyclic
+    joins gave."""
+
+    @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
+    def test_outer_group_matches_quotient_of_aut(self, name, G):
+        out, ref = outer_group(G), _outer_group_reference(G)
+        assert out.order == ref.order
+        assert out.mult == ref.mult
+        assert structure_name(out) == structure_name(ref)
+        assert is_isomorphic(out, ref)
+
+    @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
+    def test_outer_labels_are_coset_representatives(self, name, G):
+        out, aut, inner = outer_group(G), set(_aut_maps(G)), _inner_maps(G)
+        assert set(out.labels) <= aut
+        inverses = [_invert_map(b) for b in out.labels]
+        for i, a in enumerate(out.labels):
+            for j, b in enumerate(out.labels):
+                assert (_compose_maps(a, inverses[j]) in inner) == (i == j)
+                k = out.mult[i][j]
+                assert _compose_maps(_compose_maps(a, b), inverses[k]) in inner
+        assert len(aut) == out.order * len(inner)
+
+    @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
+    def test_subgroup_lattice_matches_all_cyclic_joins(self, name, G):
+        assert _all_subgroup_sets(G) == _subgroup_sets_reference(G)
