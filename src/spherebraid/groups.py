@@ -6,7 +6,9 @@ Everything at play here is tiny (order at most 200), so the algorithms are
 deliberately elementary: HLT-style coset enumeration with deterministic scan
 order for presented groups, one greedy generation walk for subgroup closure
 and default generators, and generator-image backtracking for isomorphisms
-and automorphisms.  Tables are immutable once built and safe to share.
+and automorphisms.  The isomorphism test screens on the order histogram
+alone; the search decides.  Tables are immutable once built and safe to
+share.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
 order, each join walking on from the subgroup already known.  The outer
@@ -51,6 +53,10 @@ __all__ = [
 
 SUBGROUP_ORDER_BUDGET = 200
 COSET_BUDGET = 100_000
+# The cyclic, dihedral and dicyclic families build their tables outright;
+# one table of order 2000 takes 1-4 s and about 190 MB, and the cost grows
+# with the square of the order.
+FAMILY_ORDER_BUDGET = 2_000
 
 
 class CosetBudgetError(RuntimeError):
@@ -58,7 +64,8 @@ class CosetBudgetError(RuntimeError):
 
 
 class SubgroupBudgetError(RuntimeError):
-    """Group order exceeds the brute-force subgroup/automorphism budget."""
+    """Group order exceeds a budget: the brute-force subgroup and automorphism
+    searches, or the table size of an explicit family."""
 
 
 @dataclass(frozen=True)
@@ -540,14 +547,23 @@ def _perm_sign(p: Sequence[int]) -> int:
     return sign
 
 
+_FAMILY_SCALES = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
+
+
 @lru_cache(maxsize=None)
 def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     """Build a standard group table by family tag.
 
     Supported kinds: ``cyclic`` (q >= 1), ``dihedral`` (order 2m, m >= 2),
     ``dicyclic`` (order 4m, m >= 2), ``klein``, ``T*``, ``O*``, ``I*``,
-    ``A4``, ``S4``, ``A5``.
+    ``A4``, ``S4``, ``A5``.  The first three raise
+    :class:`SubgroupBudgetError` past order ``FAMILY_ORDER_BUDGET``.
     """
+    scale = _FAMILY_SCALES.get(kind)
+    if scale is not None and param is not None and scale * param > FAMILY_ORDER_BUDGET:
+        raise SubgroupBudgetError(
+            f"order {scale * param} exceeds table budget {FAMILY_ORDER_BUDGET}"
+        )
     if kind == "cyclic":
         if param is None or param < 1:
             raise ValueError("cyclic group needs order >= 1")
@@ -696,18 +712,6 @@ def quotient(G: FiniteGroupTable, N: SubgroupHandle | frozenset[int]) -> FiniteG
     return _finish_table(k, mult, gens if gens else (), None, labels=tuple(reps))
 
 
-def _invariant_vector(G: FiniteGroupTable):
-    der = derived_subgroup(G)
-    ab = quotient(G, der) if len(der) > 1 else G
-    return (
-        G.order,
-        G.order_histogram(),
-        len(center(G).elements),
-        len(der),
-        ab.order_histogram() if len(der) > 1 else G.order_histogram(),
-    )
-
-
 def _extend_map(
     G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...] | None:
@@ -781,9 +785,8 @@ def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[tuple[in
 
 @lru_cache(maxsize=None)
 def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
-    if G.order != H.order:
-        return False
-    if _invariant_vector(G) != _invariant_vector(H):
+    """Screen on the order histograms, then search: a found isomorphism is the proof."""
+    if G.order_histogram() != H.order_histogram():
         return False
     return next(_isomorphisms(G, H), None) is not None
 
@@ -799,6 +802,16 @@ def _abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _index_two_cyclic(G: FiniteGroupTable) -> tuple[int, int] | None:
+    """x, the first element of order |G|/2, and y, the first element outside
+    <x>; None when no element has order |G|/2 (or |G| is odd)."""
+    if G.order % 2 or G.order // 2 not in G.element_orders:
+        return None
+    x = G.element_orders.index(G.order // 2)
+    cyc = G.closure([x])
+    return x, next(e for e in range(G.order) if e not in cyc)
+
+
 @lru_cache(maxsize=None)
 def structure_name(G: FiniteGroupTable) -> str:
     """A human name for the isomorphism class (order at most 200)."""
@@ -809,28 +822,17 @@ def structure_name(G: FiniteGroupTable) -> str:
         return f"Z{n}"
     if G.is_abelian():
         return " x ".join(f"Z{f}" for f in _abelian_invariants(G))
-    # Dicyclic: a cyclic index-2 subgroup <x>, and y outside with
-    # y^2 = x^(m) and y x y^-1 = x^-1.
-    if n % 4 == 0:
-        m = n // 4
-        for x in range(n):
-            if G.element_orders[x] != 2 * m:
-                continue
-            cyc = G.closure([x])
-            y = next(e for e in range(n) if e not in cyc)
-            if G.mult[y][y] == G.pow(x, m) and G.conj(y, x) == G.inverse[x]:
+    # Dicyclic: y^2 = x^(n/4) and y x y^-1 = x^-1; dihedral: y of order 2
+    # and y x y^-1 = x^-1.
+    pair = _index_two_cyclic(G)
+    if pair is not None:
+        x, y = pair
+        if G.conj(y, x) == G.inverse[x]:
+            m = n // 4
+            if n % 4 == 0 and G.mult[y][y] == G.pow(x, m):
                 return f"Q{n}" if m & (m - 1) == 0 else f"Dic{n}"
-            break
-    if n % 2 == 0:
-        m = n // 2
-        for x in range(n):
-            if G.element_orders[x] != m:
-                continue
-            cyc = G.closure([x])
-            y = next(e for e in range(n) if e not in cyc)
-            if G.element_orders[y] == 2 and G.conj(y, x) == G.inverse[x]:
+            if G.element_orders[y] == 2:
                 return f"Dih{n}"
-            break
     for ref_kind in _REFS_BY_ORDER.get(n, ()):
         if is_isomorphic(G, make_group(ref_kind)):
             return ref_kind
@@ -975,10 +977,8 @@ def action_catalog(G: FiniteGroupTable) -> dict[str, tuple[int, ...]]:
     if name.startswith(("Dic", "Q", "Dih")):
         # The distinguished generators need not be the family's x, y (B3's
         # are not), so take the x, y on which structure_name checked the
-        # relations: x of order |G|/2, y the first element outside <x>.
-        x = G.element_orders.index(G.order // 2)
-        cyc = G.closure([x])
-        y = next(e for e in range(G.order) if e not in cyc)
+        # relations.
+        x, y = _index_two_cyclic(G)  # type: ignore[misc]
         tag = "nu~" if name.startswith("Dih") else "nu"
         out[tag] = _extend_map(G, G, (x, y), (x, G.mult[x][y]))  # type: ignore[assignment]
         return out

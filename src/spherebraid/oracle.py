@@ -9,10 +9,8 @@ fundamental group of the n-punctured sphere.  The generator sigma_k sends
 where any occurrence of the missing generator x_n is eliminated through
 x_n = (x_1 ... x_{n-1})^-1.  The induced *outer* action is faithful on the
 quotient of the braid group by its order-2 center, so a word represents the
-identity or the full twist exactly when its automorphism is inner.  The
-three-strand group is finite of order 12 and is handled by its
-multiplication table, which doubles as an independent check on the main
-pipeline.
+identity or the full twist exactly when its automorphism is inner.  One
+pipeline decides every n >= 3, the finite three-strand group included.
 
 Centrality is decided in stages, each sound: the word is cyclically reduced
 (centrality is invariant under conjugation), then one pass over its letters
@@ -37,15 +35,8 @@ from functools import lru_cache
 from operator import neg
 from typing import Callable, Iterator, Sequence
 
-from .groups import FiniteGroupTable, sphere_three_strand_table
-from .words import (
-    BraidWord,
-    StrandMismatchError,
-    _reduce,
-    full_twist,
-    identity,
-    permutation,
-)
+from .groups import FiniteGroupTable, normal_subgroup_witnesses
+from .words import BraidWord, StrandMismatchError, _reduce, identity, permutation
 
 __all__ = [
     "FreeWord",
@@ -219,16 +210,6 @@ class Order:
 INFINITE = Order(None)
 
 
-def _b3_element(w: BraidWord) -> int:
-    table = sphere_three_strand_table()
-    g1, g2 = table.generators
-    e = table.identity
-    for x in w.letters:
-        g = g1 if abs(x) == 1 else g2
-        e = table.mul(e, g if x > 0 else table.inverse[g])
-    return e
-
-
 def _linking_class(w: BraidWord) -> int | None:
     """The central element a word's crossing counts allow: 0, 2, or None.
 
@@ -353,11 +334,6 @@ def central_value(w: BraidWord) -> int | None:
     the word is central exactly when its free-group automorphism is inner,
     which the trace screen refutes cheaply and the exact check decides.
     """
-    if w.n == 3:
-        e = _b3_element(w)
-        if e == sphere_three_strand_table().identity:
-            return 0
-        return 2 if e == _b3_element(full_twist(3)) else None
     w = _cyclic_core(w)
     value = _linking_class(w)
     return value if value is not None and _acts_innerly(w) else None
@@ -369,8 +345,6 @@ def equals(w1: BraidWord, w2: BraidWord) -> bool:
         raise StrandMismatchError(f"cannot compare words on {w1.n} and {w2.n} strands")
     if w1.letters == w2.letters:
         return True
-    if w1.n == 3:
-        return _b3_element(w1) == _b3_element(w2)
     w = _cyclic_core(w1 * w2.inv())
     return _linking_class(w) == 0 and _acts_innerly(w)
 
@@ -384,12 +358,13 @@ def is_central(w: BraidWord) -> bool:
     return central_value(w) is not None
 
 
-def torsion_order_candidates(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def torsion_order_candidates(n: int) -> tuple[int, ...]:
     """All possible finite element orders: the divisors of 2n, 2(n-1), 2(n-2)."""
     cands: set[int] = set()
     for m in (2 * n, 2 * (n - 1), 2 * (n - 2)):
         cands.update(d for d in range(1, m + 1) if m % d == 0)
-    return sorted(cands)
+    return tuple(sorted(cands))
 
 
 def order_of(w: BraidWord) -> Order:
@@ -397,17 +372,16 @@ def order_of(w: BraidWord) -> Order:
 
     If p is the order of the word's permutation, w^p is pure, and the only
     pure torsion is the identity and the full twist; so the order of w is p,
-    2p, or infinite.  Candidates not dividing one of 2n, 2(n-1), 2(n-2) are
-    ruled out by the completeness of that divisor list; the rest is settled
-    by the centrality test on the pure power (itself screened by linking
-    numbers, which catch almost every infinite-order element cheaply).
+    2p, or infinite.  When neither p nor 2p is among the torsion order
+    candidates (Murasugi's list is complete), the order is infinite; the rest
+    is settled by the centrality test on the pure power (itself screened by
+    linking numbers, which catch almost every infinite-order element cheaply).
     """
-    n = w.n
     if not w.letters:
         return Order.finite(1)
     p = permutation(w).order()
-    moduli = (2 * n, 2 * (n - 1), 2 * (n - 2))
-    if not any(m % d == 0 for d in (p, 2 * p) for m in moduli):
+    cands = torsion_order_candidates(w.n)
+    if p not in cands and 2 * p not in cands:
         return INFINITE
     cv = central_value(w ** p)
     if cv == 0:
@@ -431,24 +405,26 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
     normal subgroup of the target, an element whose image is a nontrivial
     braid (so no normal subgroup lies in the kernel).
     """
-    from .groups import normal_subgroup_witnesses
-
     if target.presentation is None:
         raise ValueError("target table carries no presentation")
     pres = target.presentation
     if len(gens) != pres.ngens:
         raise ValueError(f"expected {pres.ngens} generator words, got {len(gens)}")
     n = gens[0].n
+    for g in gens:
+        if g.n != n:
+            raise StrandMismatchError(f"generator words on {n} and {g.n} strands")
+    parts: dict[int, tuple[int, ...]] = {}
+    for k, g in enumerate(gens, start=1):
+        parts[k], parts[-k] = g.letters, g.inv().letters
+
+    def evaluate(gen_word: Sequence[int]) -> BraidWord:
+        return BraidWord(n, _reduce(*map(parts.__getitem__, gen_word)))
+
     for rel in pres.relators:
-        w = identity(n)
-        for x in rel:
-            w = w * (gens[x - 1] if x > 0 else gens[-x - 1].inv())
-        if not is_trivial(w):
+        if not is_trivial(evaluate(rel)):
             return False
     for gen_word in normal_subgroup_witnesses(target):
-        w = identity(n)
-        for x in gen_word:
-            w = w * (gens[x - 1] if x > 0 else gens[-x - 1].inv())
-        if is_trivial(w):
+        if is_trivial(evaluate(gen_word)):
             return False
     return True

@@ -242,3 +242,11 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: order ") and "budget" in captured.err
+
+    @pytest.mark.parametrize("argv", [["group", "order", "Z100000"],
+                                      ["amalgam", "build", "--spec", "zz:600"]])
+    def test_family_table_budget_clean_exit(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: order ") and "budget" in captured.err

@@ -32,7 +32,6 @@ from spherebraid.groups import (
     _extend_map,
     _greedy_closure,
     _inner_maps,
-    _invariant_vector,
     _invert_map,
     _is_normal,
     _isomorphisms,
@@ -390,7 +389,17 @@ class TestPrunedSearch:
     def test_isomorphism_verdicts_unchanged(self, a, G, b, H):
         found = next(_unpruned_isomorphisms(G, H), None) is not None
         assert (next(_isomorphisms(G, H), None) is not None) == found
-        assert is_isomorphic(G, H) == (_invariant_vector(G) == _invariant_vector(H) and found)
+        assert is_isomorphic(G, H) == found
+
+    def test_equal_histograms_decided_by_the_search(self):
+        # Z4 x Z4 and Z4 x| Z4 have the same element orders; only the
+        # generator-image search tells them apart.
+        abelian = todd_coxeter(GroupPresentation(2, ((1,) * 4, (2,) * 4, (1, 2, -1, -2))))
+        twisted = todd_coxeter(GroupPresentation(2, ((1,) * 4, (2,) * 4, (2, 1, -2, 1))))
+        assert abelian.order_histogram() == twisted.order_histogram()
+        assert not is_isomorphic(abelian, twisted)
+        assert structure_name(abelian) == "Z4 x Z4"
+        assert structure_name(twisted) == "G16?"
 
 
 def _closure_all_seeds(G, seed):

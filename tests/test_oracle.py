@@ -128,11 +128,6 @@ class TestEquals:
     def test_distinct_generators(self):
         assert not equals(sigma(4, 1), sigma(4, 2))
 
-    def test_three_strand_table_path(self):
-        assert sphere_three_strand_table().order == 12
-        assert equals(full_twist(3), alpha(3, 0) ** 3)
-        assert not equals(sigma(3, 1), sigma(3, 2))
-
     def test_congruence_properties(self):
         rng = random.Random(3)
         n = 5
@@ -149,6 +144,45 @@ class TestEquals:
         assert central_value(full_twist(6)) == 2
         assert central_value(sigma(6, 1) ** 2) is None
         assert is_central(full_twist(7)) and not is_central(sigma(7, 1))
+
+
+def _reduced_words(n, max_len):
+    """Every free-reduced word on n strands with at most max_len letters."""
+    alphabet = [x for k in range(1, n) for x in (k, -k)]
+    layer = [()]
+    for _ in range(max_len + 1):
+        yield from layer
+        layer = [w + (x,) for w in layer for x in alphabet if not w or w[-1] != -x]
+
+
+class TestThreeStrandsAgainstTable:
+    """The one pipeline decides B_3(S^2); its multiplication table, built by
+    coset enumeration, is the independent reference."""
+
+    def test_every_short_word(self):
+        table = sphere_three_strand_table()
+        assert table.order == 12
+        g1, g2 = table.generators
+
+        def element(letters):
+            e = table.identity
+            for x in letters:
+                g = g1 if abs(x) == 1 else g2
+                e = table.mul(e, g if x > 0 else table.inverse[g])
+            return e
+
+        ft, one = element(full_twist(3).letters), identity(3)
+        ws = list(_reduced_words(3, 7))
+        assert len(ws) == 4373
+        for letters in ws:
+            w, e = word(3, letters), element(letters)
+            value = 0 if e == table.identity else 2 if e == ft else None
+            assert central_value(w) == value, letters
+            assert equals(w, one) == (value == 0), letters
+            assert equals(w, full_twist(3)) == (value == 2), letters
+            assert order_of(w) == Order.finite(table.element_orders[e]), letters
+        assert equals(full_twist(3), alpha(3, 0) ** 3)
+        assert not equals(sigma(3, 1), sigma(3, 2))
 
 
 class TestOrder:
@@ -247,6 +281,11 @@ class TestVerifyFiniteSubgroup:
 
     def test_generator_order_failure(self):
         assert not verify_finite_subgroup([sigma(4, 1)], make_group("cyclic", 2))
+
+    def test_mixed_strand_counts_raise(self):
+        gens = [alpha_prime(5, 0), half_twist(6)]
+        with pytest.raises(W.StrandMismatchError):
+            verify_finite_subgroup(gens, make_group("dicyclic", 5))
 
     def test_quaternion_copy(self):
         n = 6
