@@ -13,9 +13,15 @@ one builder groups the deletion indices i by shape and builds each record
 once.  Each record carries a realization status read from one exception
 table: realized, open (a finite list of undecided strand counts), or not
 realized (two excluded cases).  A mapping-class record takes the merged
-status of its braid-group preimages.  Where the realization is by an
-explicit algebraic construction, :func:`witness` produces generator words
-together with an oracle-verified certificate transcript.
+status of its braid-group preimages.
+
+Where the realization is by an explicit algebraic construction, one table,
+``_construction(shape, n, i)``, writes the generator words down together
+with the claims that certify them, as data: an order, an infinite order, an
+equality, a commutation or a faithful finite subgroup.  One evaluator
+decides each claim with the oracle.  :func:`witness` evaluates the claims of
+a record's construction into its certificate transcript, and the
+realization suites check the same claims over their strand ranges.
 """
 
 from __future__ import annotations
@@ -490,9 +496,29 @@ def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
     return _records(n, True, _vtilde_shapes(n), _vtilde_status(n).__getitem__)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Witnesses: explicit generator words with verified certificates.
+# Constructions: generator words with the claims that certify them.
 # ---------------------------------------------------------------------------
+
+# A claim is a plain tuple (label, kind, *arguments), one of
+# (label, "order", w, k), (label, "infinite", w), (label, "equal", u, v),
+# (label, "commute", u, v) and (label, "faithful", gens, desc), the last
+# saying that the words gens present the table of desc faithfully.  The
+# oracle functions are looked up at call time, so a patched one is seen.
+_VERDICTS: dict[str, Callable[..., bool]] = {
+    "order": lambda w, k: oracle.order_of(w) == Order.finite(k),
+    "infinite": lambda w: not oracle.order_of(w).is_finite,
+    "equal": lambda u, v: oracle.equals(u, v),
+    "commute": lambda u, v: oracle.commute(u, v),
+    "faithful": lambda gens, desc: oracle.verify_finite_subgroup(gens, desc.table()),
+}
+
+
+def _holds(claim: tuple) -> bool:
+    """Decide one claim with the oracle."""
+    return _VERDICTS[claim[1]](*claim[2:])
 
 
 class WitnessUnavailable(RuntimeError):
@@ -512,207 +538,147 @@ class Witness:
         return all(passed for _, passed in self.transcript)
 
 
-class _Transcript:
-    def __init__(self) -> None:
-        self.items: list[tuple[str, bool]] = []
-
-    def check(self, label: str, passed: bool) -> None:
-        self.items.append((label, passed))
-
-    def equal(self, label: str, w1: BraidWord, w2: BraidWord) -> None:
-        self.check(label, oracle.equals(w1, w2))
-
-    def infinite(self, label: str, w: BraidWord) -> None:
-        self.check(label, not oracle.order_of(w).is_finite)
-
-    def order(self, label: str, w: BraidWord, k: int) -> None:
-        self.check(label, oracle.order_of(w) == Order.finite(k))
-
-    def done(self) -> tuple[tuple[str, bool], ...]:
-        return tuple(self.items)
+_AXIS_INFINITE = "axis generator has infinite order"
 
 
-def _pick_i(record: VcClassRecord, wanted: Iterable[int] | None = None) -> int:
-    pool = record.admissible_i if wanted is None else [
-        i for i in record.admissible_i if i in wanted
-    ]
-    if not pool:
-        raise WitnessUnavailable("no admissible strand-deletion index for this construction")
-    return min(pool)
+def _construction(shape: tuple, n: int, i: int | None) -> tuple[tuple, tuple]:
+    """The generator words of a shape at n strands and deletion index i,
+    as ``(role, word)`` pairs, with the claims that certify them.
+
+    Raises :class:`WitnessUnavailable` where the shape has no word-level
+    construction at this n: it is realized only geometrically, or through
+    subgroups without braid-word constructions.
+    """
+    kind, f, act, factors, amalgamated, gluing = shape
+    if kind == "I":
+        return _type1_construction(f, act, n, i)
+    return _type2_construction(*factors, amalgamated, gluing, n, i)
 
 
-def _conj_delta(n: int, i: int, r: int) -> BraidWord:
-    """delta_comm conjugated into the primed torsion element's frame."""
-    a0 = words.alpha(n, 0)
-    return (a0 ** (i // 2)) * words.delta_comm(n, r, i) * (a0 ** (-(i // 2)))
-
-
-def _block_commuter(n: int, i: int, m: int) -> BraidWord:
-    """The infinite-order element commuting with the standard dicyclic copy."""
-    a0 = words.alpha(n, 0)
-    return (a0 ** (i // 2)) * (words.block_pass(n, i, m) ** m) * (a0 ** (-(i // 2)))
-
-
-def _witness_type1(record: VcClassRecord) -> Witness:
-    n = record.n
-    f, act = record.factor, record.action
-    assert f is not None
-    t = _Transcript()
-    if f.family == "Z" and act == "trivial":
+def _type1_construction(f: GroupDesc, act: str, n: int, i: int | None) -> tuple[tuple, tuple]:
+    if f.family == "Z":
         q = f.param
-        i = _pick_i(record)
         m = 2 * (n - i) // q
-        r = m if (n - i) % m == 0 else m // 2
-        z = words.delta_comm(n, r, i)
-        gens: list[tuple[str, BraidWord]] = [("axis", z)]
-        t.infinite("axis generator has infinite order", z)
-        if q > 1:
-            x = words.alpha(n, i) ** m
-            gens.insert(0, ("finite", x))
-            t.order(f"finite generator has order {q}", x, q)
-            t.check("axis commutes with the finite generator", oracle.commute(z, x))
-        return Witness(record, tuple(gens), t.done())
-    if f.family == "Z" and act == "rho":
-        q = f.param
-        i = _pick_i(record, (0, 2))
-        m = 2 * (n - i) // q
-        r = m if (n - i) % m == 0 else m // 2
-        a0 = words.alpha(n, 0)
-        z = a0.inv() * words.half_twist(n) * a0 * words.delta_comm(n, r, i)
+        z = words.delta_comm(n, m if (n - i) % m == 0 else m // 2, i)
+        if act == "trivial" and q == 1:
+            return (("axis", z),), ((_AXIS_INFINITE, "infinite", z),)
         x = words.alpha(n, i) ** m
-        t.order(f"finite generator has order {q}", x, q)
-        t.infinite("axis generator has infinite order", z)
-        t.equal("axis inverts the finite generator", z * x * z.inv(), x.inv())
-        return Witness(record, (("finite", x), ("axis", z)), t.done())
-    if f.family == "Dic" and f.param >= 3:
-        s = f.param
-        i = _pick_i(record, (0, 2))
-        m = (n - i) // s
-        x = words.alpha_prime(n, i) ** m
-        y = words.half_twist(n)
-        rp = _block_commuter(n, i, m)
-        t.check(
-            f"generators present a faithful dicyclic group of order {4 * s}",
-            oracle.verify_finite_subgroup([x, y], f.table()),
-        )
+        finite = (f"finite generator has order {q}", "order", x, q)
         if act == "trivial":
-            z = rp
-            t.infinite("axis generator has infinite order", z)
-            t.check("axis commutes with x", oracle.commute(z, x))
-            t.check("axis commutes with y", oracle.commute(z, y))
-        else:  # nu
-            z = words.alpha_prime(n, i) ** (m // 2) * rp
-            t.infinite("axis generator has infinite order", z)
-            t.equal("axis fixes x", z * x * z.inv(), x)
-            t.equal("axis sends y to xy", z * y * z.inv(), x * y)
-        return Witness(record, (("finite-x", x), ("finite-y", y), ("axis", z)), t.done())
-    if f == GroupDesc("Dic", 2):
-        x = words.alpha(n, 0) ** (n // 2)
-        y = words.half_twist(n)
-        t.check(
-            "generators present a faithful quaternion group of order 8",
-            oracle.verify_finite_subgroup([x, y], f.table()),
-        )
-        if act == "trivial":
-            z = words.zeta_elt(n) ** 2
-            t.infinite("axis generator has infinite order", z)
-            t.check("axis commutes with x", oracle.commute(z, x))
-            t.check("axis commutes with y", oracle.commute(z, y))
-        elif act == "beta":
-            z = words.zeta_elt(n)
-            t.infinite("axis generator has infinite order", z)
-            t.equal("axis swaps y into x", z * y * z.inv(), x)
-            t.equal("axis swaps x into y", z * x * z.inv(), y)
-            t.equal("axis inverts xy", z * x * y * z.inv(), (x * y).inv())
-        elif act == "alpha" and n == 4:
-            x = words.word(4, [3, -1])
-            a = words.word(4, [1, 1, 2, -1, -1, -1])
-            y = a * x * a.inv()
-            t2 = _Transcript()
-            t2.check(
-                "generators present a faithful quaternion group of order 8",
-                oracle.verify_finite_subgroup([x, y], f.table()),
+            return (("finite", x), ("axis", z)), (
+                (_AXIS_INFINITE, "infinite", z),
+                finite,
+                ("axis commutes with the finite generator", "commute", z, x),
             )
-            t2.infinite("axis generator has infinite order", a)
-            t2.equal("axis sends x to y", a * x * a.inv(), y)
-            t2.equal("axis sends y to xy", a * y * a.inv(), x * y)
-            return Witness(record, (("finite-x", x), ("finite-y", y), ("axis", a)), t2.done())
+        a0 = words.alpha(n, 0)
+        z = a0.inv() * words.half_twist(n) * a0 * z  # rho
+        return (("finite", x), ("axis", z)), (
+            finite,
+            (_AXIS_INFINITE, "infinite", z),
+            ("axis inverts the finite generator", "equal", z * x * z.inv(), x.inv()),
+        )
+    if f.family != "Dic":
+        raise WitnessUnavailable(
+            f"{f} x Z classes are realized geometrically; no braid words are available"
+        )
+    if f.param >= 3:
+        s = f.param
+        m = (n - i) // s
+        ap = words.alpha_prime(n, i)
+        x, y = ap ** m, words.half_twist(n)
+        a0 = words.alpha(n, 0)
+        z = (a0 ** (i // 2)) * (words.block_pass(n, i, m) ** m) * (a0 ** (-(i // 2)))
+        if act == "nu":
+            z = ap ** (m // 2) * z
+        faithful = f"generators present a faithful dicyclic group of order {4 * s}"
+    else:
+        x, y = words.alpha(n, 0) ** (n // 2), words.half_twist(n)
+        if act == "alpha" and n == 4:
+            x = words.word(4, [3, -1])
+            z = words.word(4, [1, 1, 2, -1, -1, -1])
+            y = z * x * z.inv()
         elif act == "alpha" and n % 4 == 0:
             z = words.nu_elt(n)
-            t.infinite("axis generator has infinite order", z)
-            t.equal("axis sends x to xy", z * x * z.inv(), x * y)
-            t.equal("axis sends xy to y^-1", z * x * y * z.inv(), y.inv())
-            t.equal("axis sends y^-1 to x", z * y.inv() * z.inv(), x)
-        else:
+        elif act == "alpha":
             raise WitnessUnavailable(
                 "the cyclic quaternion action has explicit words only for n = 4 "
                 "and for n divisible by 4; other even n are realized through a "
                 "geometric construction without braid words"
             )
-        return Witness(record, (("finite-x", x), ("finite-y", y), ("axis", z)), t.done())
-    raise WitnessUnavailable(
-        f"{f} x Z classes are realized geometrically; no braid words are available"
+        else:
+            z = words.zeta_elt(n) if act == "beta" else words.zeta_elt(n) ** 2
+        faithful = "generators present a faithful quaternion group of order 8"
+    zi = z.inv()
+    if act == "trivial":
+        action = (("axis commutes with x", "commute", z, x),
+                  ("axis commutes with y", "commute", z, y))
+    elif act == "nu":
+        action = (("axis fixes x", "equal", z * x * zi, x),
+                  ("axis sends y to xy", "equal", z * y * zi, x * y))
+    elif act == "beta":
+        action = (("axis swaps y into x", "equal", z * y * zi, x),
+                  ("axis swaps x into y", "equal", z * x * zi, y),
+                  ("axis inverts xy", "equal", z * x * y * zi, (x * y).inv()))
+    elif n == 4:  # alpha
+        action = (("axis sends x to y", "equal", z * x * zi, y),
+                  ("axis sends y to xy", "equal", z * y * zi, x * y))
+    else:
+        action = (("axis sends x to xy", "equal", z * x * zi, x * y),
+                  ("axis sends xy to y^-1", "equal", z * x * y * zi, y.inv()),
+                  ("axis sends y^-1 to x", "equal", z * y.inv() * zi, x))
+    return (("finite-x", x), ("finite-y", y), ("axis", z)), (
+        (faithful, "faithful", (x, y), f),
+        (_AXIS_INFINITE, "infinite", z),
+        *action,
     )
 
 
-def _witness_type2(record: VcClassRecord) -> Witness:
-    n = record.n
-    assert record.factors is not None and record.amalgamated is not None
-    a_desc, b_desc = record.factors
-    t = _Transcript()
+def _type2_construction(a_desc: GroupDesc, b_desc: GroupDesc, f: GroupDesc,
+                        gluing: str | None, n: int, i: int | None) -> tuple[tuple, tuple]:
     D = words.half_twist(n)
-
-    if record.gluing == "K2":
+    if gluing == "K2":
         if n % 4 != 0:
             raise WitnessUnavailable(
                 "the twisted quaternion gluing has explicit words only when 4 "
                 "divides n; the remaining realizations go through subgroups "
                 "without braid-word constructions"
             )
-        a = words.alpha(n, 0) ** (n // 4)
-        b = D
+        a, b = words.alpha(n, 0) ** (n // 4), D
         nu = words.nu_elt(n)
-        x = nu * a * nu.inv()
-        y = nu * b.inv() * nu.inv()
-        t.check(
-            "first factor presents a faithful order-16 quaternion group",
-            oracle.verify_finite_subgroup([a, b], GroupDesc("Dic", 4).table()),
-        )
-        t.equal("conjugated square lands on a^2 b (twisted gluing)", x * x, a * a * b)
-        t.equal("conjugated reflection lands on a^2 (twisted gluing)", y, a * a)
-        t.infinite("x a^-1 has infinite order", x * a.inv())
-        return Witness(
-            record,
-            (("factor-1-x", a), ("factor-1-y", b), ("conjugator", nu),
-             ("factor-2-x", x), ("factor-2-y", y)),
-            t.done(),
+        x, y = nu * a * nu.inv(), nu * b.inv() * nu.inv()
+        return (("factor-1-x", a), ("factor-1-y", b), ("conjugator", nu),
+                ("factor-2-x", x), ("factor-2-y", y)), (
+            ("first factor presents a faithful order-16 quaternion group",
+             "faithful", (a, b), a_desc),
+            ("conjugated square lands on a^2 b (twisted gluing)", "equal", x * x, a * a * b),
+            ("conjugated reflection lands on a^2 (twisted gluing)", "equal", y, a * a),
+            ("x a^-1 has infinite order", "infinite", x * a.inv()),
         )
 
     if a_desc.family == "Z" and b_desc.family == "Z":
         q = a_desc.param // 4
         if q == 1:
             v1, v2 = words.v_pair(n)
-            t.order("first generator has order 4", v1, 4)
-            t.order("second generator has order 4", v2, 4)
-            t.equal("squares agree on the shared involution", v1 * v1, v2 * v2)
-            t.infinite("v1 v2 has infinite order", v1 * v2)
-            return Witness(record, (("factor-1", v1), ("factor-2", v2)), t.done())
-        i = _pick_i(record)
+            return (("factor-1", v1), ("factor-2", v2)), (
+                ("first generator has order 4", "order", v1, 4),
+                ("second generator has order 4", "order", v2, 4),
+                ("squares agree on the shared involution", "equal", v1 * v1, v2 * v2),
+                ("v1 v2 has infinite order", "infinite", v1 * v2),
+            )
         m = (n - i) // (2 * q)
         x1 = words.alpha(n, i) ** m
         xi = words.delta_comm(n, 2 * m, i)
         x2 = xi * x1 * xi.inv()
-        t.order(f"first generator has order {4 * q}", x1, 4 * q)
-        t.order(f"second generator has order {4 * q}", x2, 4 * q)
-        t.equal("conjugator fixes the shared cyclic part", xi * x1 ** 2 * xi.inv(), x1 ** 2)
-        t.infinite("x1 x2^-1 has infinite order", x1 * x2.inv())
-        return Witness(
-            record, (("factor-1", x1), ("conjugator", xi), ("factor-2", x2)), t.done()
+        return (("factor-1", x1), ("conjugator", xi), ("factor-2", x2)), (
+            (f"first generator has order {4 * q}", "order", x1, 4 * q),
+            (f"second generator has order {4 * q}", "order", x2, 4 * q),
+            ("conjugator fixes the shared cyclic part", "equal",
+             xi * x1 ** 2 * xi.inv(), x1 ** 2),
+            ("x1 x2^-1 has infinite order", "infinite", x1 * x2.inv()),
         )
 
-    if a_desc.family == "Z" and b_desc.family == "Dic":
+    if a_desc.family == "Z":  # Z *_Z Dic
         q = b_desc.param
-        i = _pick_i(record, (0, 2))
         m = (n - i) // (2 * q)
         ap = words.alpha_prime(n, i)
         xi = words.xi_elt(n, i, m)
@@ -724,95 +690,66 @@ def _witness_type2(record: VcClassRecord) -> Witness:
             g1 = xi * ap ** m * xi.inv()
             dic_x, dic_y = ap ** (2 * m), D
             eta = g1 * D
-        t.order(f"cyclic factor generator has order {4 * q}", g1, 4 * q)
-        t.check(
-            f"dicyclic factor presents a faithful group of order {4 * q}",
-            oracle.verify_finite_subgroup([dic_x, dic_y], b_desc.table()),
-        )
-        t.equal("shared cyclic part agrees", g1 ** 2, dic_x if m == 1 else ap ** (2 * m))
-        t.infinite("mixed product has infinite order", eta)
-        return Witness(
-            record,
-            (("factor-1", g1), ("factor-2-x", dic_x), ("factor-2-y", dic_y),
-             ("conjugator", xi)),
-            t.done(),
+        return (("factor-1", g1), ("factor-2-x", dic_x), ("factor-2-y", dic_y),
+                ("conjugator", xi)), (
+            (f"cyclic factor generator has order {4 * q}", "order", g1, 4 * q),
+            (f"dicyclic factor presents a faithful group of order {4 * q}",
+             "faithful", (dic_x, dic_y), b_desc),
+            ("shared cyclic part agrees", "equal", g1 ** 2, dic_x if m == 1 else ap ** (2 * m)),
+            ("mixed product has infinite order", "infinite", eta),
         )
 
-    if record.amalgamated.family == "Z":  # Dic *_Z Dic
-        q = a_desc.param
-        i = _pick_i(record, (0, 2))
-        m = (n - i) // q
-        ap = words.alpha_prime(n, i)
+    if a_desc.family != "Dic":
+        raise WitnessUnavailable(
+            "the binary-octahedral amalgam is realized geometrically; no braid "
+            "words are available"
+        )
+    q = a_desc.param
+    m = (n - i) // q
+    ap = words.alpha_prime(n, i)
+    faithful = f"factor presents a faithful dicyclic group of order {4 * q}"
+    if f.family == "Z":  # Dic *_Z Dic
+        a0 = words.alpha(n, 0)
+        xi = (a0 ** (i // 2)) * words.delta_comm(n, m, i) * (a0 ** (-(i // 2)))
         if m == 2:
-            g1x, g1y = ap ** 2, ap * D
-            xi = _conj_delta(n, i, 2)
-            core = ap ** 2
-            inf = (xi * g1y * xi.inv()) * g1y * ap ** 2
+            x, y = ap ** 2, ap * D
+            inf = (xi * y * xi.inv()) * y * ap ** 2
         else:
-            g1x, g1y = ap ** m, D
-            xi = _conj_delta(n, i, m)
-            core = ap ** m
+            x, y = ap ** m, D
             inf = xi * D * xi.inv() * D.inv()
-        t.check(
-            f"factor presents a faithful dicyclic group of order {4 * q}",
-            oracle.verify_finite_subgroup([g1x, g1y], a_desc.table()),
+        return (("factor-1-x", x), ("factor-1-y", y), ("conjugator", xi)), (
+            (faithful, "faithful", (x, y), a_desc),
+            ("conjugator fixes the shared cyclic subgroup", "equal", xi * x * xi.inv(), x),
+            ("mixed product has infinite order", "infinite", inf),
         )
-        t.equal("conjugator fixes the shared cyclic subgroup", xi * core * xi.inv(), core)
-        t.infinite("mixed product has infinite order", inf)
-        return Witness(
-            record,
-            (("factor-1-x", g1x), ("factor-1-y", g1y), ("conjugator", xi)),
-            t.done(),
-        )
-
-    if record.amalgamated.family == "Dic":  # Dic *_Dic Dic, straight gluing
-        q = a_desc.param
-        i = _pick_i(record, (0, 2))
-        m = (n - i) // q
-        ap = words.alpha_prime(n, i)
-        lam = words.lambda_elt(n, i, m)
-        x, y = ap ** m, D
-        t.check(
-            f"factor presents a faithful dicyclic group of order {4 * q}",
-            oracle.verify_finite_subgroup([x, y], a_desc.table()),
-        )
-        t.check("conjugator commutes with the half twist", oracle.commute(lam, y))
-        t.equal(
-            "conjugator fixes the shared cyclic part",
-            lam * x ** 2 * lam.inv(),
-            x ** 2,
-        )
-        t.check(
-            f"shared subgroup presents a faithful dicyclic group of order {2 * q}",
-            oracle.verify_finite_subgroup([x ** 2, y], record.amalgamated.table()),
-        )
-        if record.gluing == "K1":
-            t.equal("squares agree across the gluing", (lam * x * lam.inv()) ** 2, x ** 2)
-        if m == 1:
-            inf = lam * x * lam.inv() * x
-        else:
-            inf = x * (lam * x.inv() * lam.inv())
-        t.infinite("mixed product has infinite order", inf)
-        return Witness(
-            record,
-            (("factor-1-x", x), ("factor-1-y", y), ("conjugator", lam)),
-            t.done(),
-        )
-
-    raise WitnessUnavailable(
-        "the binary-octahedral amalgam is realized geometrically; no braid "
-        "words are available"
+    # Dic *_Dic Dic, straight gluing
+    lam = words.lambda_elt(n, i, m)
+    x, y = ap ** m, D
+    glued = ()
+    if gluing == "K1":
+        glued = (("squares agree across the gluing", "equal", (lam * x * lam.inv()) ** 2, x ** 2),)
+    inf = lam * x * lam.inv() * x if m == 1 else x * (lam * x.inv() * lam.inv())
+    return (("factor-1-x", x), ("factor-1-y", y), ("conjugator", lam)), (
+        (faithful, "faithful", (x, y), a_desc),
+        ("conjugator commutes with the half twist", "commute", lam, y),
+        ("conjugator fixes the shared cyclic part", "equal", lam * x ** 2 * lam.inv(), x ** 2),
+        (f"shared subgroup presents a faithful dicyclic group of order {2 * q}",
+         "faithful", (x ** 2, y), f),
+        *glued,
+        ("mixed product has infinite order", "infinite", inf),
     )
 
 
 def witness(record: VcClassRecord) -> Witness:
     """Generator words and a verification transcript for a realized record.
 
-    Raises :class:`WitnessUnavailable` for open or excluded records, for
-    mapping-class records (their realizations are images of braid-group
-    witnesses under the central quotient), and for the classes whose
-    realization is geometric (binary polyhedral direct products and the
-    binary-octahedral amalgam).
+    The words come from the construction of the record's shape at its
+    smallest admissible deletion index, and each claim of the construction
+    is decided by the oracle, in order.  Raises :class:`WitnessUnavailable`
+    for open or excluded records, for mapping-class records (their
+    realizations are images of braid-group witnesses under the central
+    quotient), and for the classes whose realization is geometric (binary
+    polyhedral direct products and the binary-octahedral amalgam).
     """
     if record.mcg:
         raise WitnessUnavailable(
@@ -821,6 +758,5 @@ def witness(record: VcClassRecord) -> Witness:
         )
     if record.status != "realized":
         raise WitnessUnavailable(f"record has status {record.status!r}")
-    if record.kind == "I":
-        return _witness_type1(record)
-    return _witness_type2(record)
+    gens, claims = _construction(_shape(record), record.n, min(record.admissible_i, default=None))
+    return Witness(record, gens, tuple((claim[0], _holds(claim)) for claim in claims))

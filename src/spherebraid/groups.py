@@ -53,9 +53,9 @@ __all__ = [
 
 SUBGROUP_ORDER_BUDGET = 200
 COSET_BUDGET = 100_000
-# The cyclic, dihedral and dicyclic families build their tables outright;
-# one table of order 2000 takes 1-4 s and about 190 MB, and the cost grows
-# with the square of the order.
+# The cyclic, dihedral and dicyclic families, and automorphism groups, build
+# their tables outright; one table of order 2000 takes 1-4 s and about
+# 190 MB, and the cost grows with the square of the order.
 FAMILY_ORDER_BUDGET = 2_000
 
 
@@ -65,7 +65,8 @@ class CosetBudgetError(RuntimeError):
 
 class SubgroupBudgetError(RuntimeError):
     """Group order exceeds a budget: the brute-force subgroup and automorphism
-    searches, or the table size of an explicit family."""
+    searches, or the table size of an explicit family or an automorphism
+    group."""
 
 
 @dataclass(frozen=True)
@@ -890,9 +891,15 @@ def automorphisms(G: FiniteGroupTable) -> FiniteGroupTable:
 
     An automorphism is fixed by the images of the distinguished generators
     (for the trivial group, of the identity), so maps are composed and
-    looked up on those images only.
+    looked up on those images only.  Raises :class:`SubgroupBudgetError`
+    before building a table of order past ``FAMILY_ORDER_BUDGET``.
     """
     maps = _aut_maps(G)
+    if len(maps) > FAMILY_ORDER_BUDGET:
+        raise SubgroupBudgetError(
+            f"order {len(maps)} of the automorphism group exceeds table budget "
+            f"{FAMILY_ORDER_BUDGET}"
+        )
     gens = G.generators or (G.identity,)
     index = {k: i for i, k in enumerate(map(itemgetter(*gens), maps))}
     mult = [[index[k] for k in map(itemgetter(*[a[g] for g in gens]), maps)] for a in maps]

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
-from . import amalgams, classifier, groups, oracle, words
+from . import amalgams, classifier, groups, words
 from .groups import make_group
-from .oracle import Order
-from .words import BraidWord
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_IDS", "run_suite", "default_range"]
 
@@ -49,16 +48,9 @@ class SuiteResult:
 Check = tuple[str, Callable[[], bool]]
 
 
-def _eq(w1: BraidWord, w2: BraidWord) -> Callable[[], bool]:
-    return lambda: oracle.equals(w1, w2)
-
-
-def _inf(w: BraidWord) -> Callable[[], bool]:
-    return lambda: not oracle.order_of(w).is_finite
-
-
-def _ord(w: BraidWord, k: int) -> Callable[[], bool]:
-    return lambda: oracle.order_of(w) == Order.finite(k)
+def _claim(check_id: str, kind: str, *args) -> Check:
+    """A check that one claim holds, decided as ``witness`` decides its claims."""
+    return check_id, partial(classifier._holds, (check_id, kind, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +72,9 @@ def _torsion_checks(lo: int, hi: int) -> Iterator[Check]:
     for n in range(lo, hi + 1):
         ft = words.full_twist(n)
         for i in (0, 1, 2):
-            yield f"n={n}/torsion-order-a{i}", _ord(words.alpha(n, i), 2 * (n - i))
-            yield f"n={n}/full-twist-root-a{i}", _eq(words.alpha(n, i) ** (n - i), ft)
-        yield f"n={n}/full-twist-order", _ord(ft, 2)
+            yield _claim(f"n={n}/torsion-order-a{i}", "order", words.alpha(n, i), 2 * (n - i))
+            yield _claim(f"n={n}/full-twist-root-a{i}", "equal", words.alpha(n, i) ** (n - i), ft)
+        yield _claim(f"n={n}/full-twist-order", "order", ft, 2)
 
 
 def _funda_checks(lo: int, hi: int) -> Iterator[Check]:
@@ -92,34 +84,28 @@ def _funda_checks(lo: int, hi: int) -> Iterator[Check]:
             a = words.alpha(n, i)
             for j in range(1, n - i):
                 for l in range(1, n - i - j):
-                    yield (
-                        f"n={n}/index-shift-i{i}-j{j}-l{l}",
-                        _eq(a ** l * words.sigma(n, j) * a ** (-l), words.sigma(n, j + l)),
-                    )
-            yield (
-                f"n={n}/index-wrap-i{i}",
-                _eq(words.sigma(n, 1), a ** 2 * words.sigma(n, n - i - 1) * a ** (-2)),
-            )
+                    yield _claim(f"n={n}/index-shift-i{i}-j{j}-l{l}", "equal",
+                                 a ** l * words.sigma(n, j) * a ** (-l), words.sigma(n, j + l))
+            yield _claim(f"n={n}/index-wrap-i{i}", "equal",
+                         words.sigma(n, 1), a ** 2 * words.sigma(n, n - i - 1) * a ** (-2))
         a0 = words.alpha(n, 0)
         for q in range(n + 1):
             rhs = words.word(n, list(range(1, q)) * q)
             for k in range(1, q + 1):
                 rhs = rhs * words.word(n, list(range(q - k + 1, n - k + 1)))
-            yield f"n={n}/block-form-q{q}", _eq(a0 ** q, rhs)
+            yield _claim(f"n={n}/block-form-q{q}", "equal", a0 ** q, rhs)
         for i in range(1, n):
-            yield (
-                f"n={n}/half-twist-reversal-s{i}",
-                _eq(D * words.sigma(n, i) * D.inv(), words.sigma(n, n - i)),
-            )
+            yield _claim(f"n={n}/half-twist-reversal-s{i}", "equal",
+                         D * words.sigma(n, i) * D.inv(), words.sigma(n, n - i))
         for i in (0, 2):
             ap = words.alpha_prime(n, i)
-            yield f"n={n}/half-twist-inverts-a{i}p", _eq(D * ap * D.inv(), ap.inv())
+            yield _claim(f"n={n}/half-twist-inverts-a{i}p", "equal", D * ap * D.inv(), ap.inv())
         if n <= 7:
             for j1 in range(1, n):
                 for j2 in range(j1 + 1, n):
                     lhs = words.word(n, list(range(j1, j2))) ** (j2 - j1 + 1)
                     rhs = words.word(n, list(range(j2 - 1, j1 - 1, -1))) ** (j2 - j1 + 1)
-                    yield f"n={n}/reversed-power-{j1}-{j2}", _eq(lhs, rhs)
+                    yield _claim(f"n={n}/reversed-power-{j1}-{j2}", "equal", lhs, rhs)
 
 
 def _propsomega_checks(lo: int, hi: int) -> Iterator[Check]:
@@ -129,119 +115,134 @@ def _propsomega_checks(lo: int, hi: int) -> Iterator[Check]:
         D = words.half_twist(n)
         o1, o2, r = words.omega1(n), words.omega2(n), words.rho_pass(n)
         half = words.alpha(n, 0) ** (n // 2)
-        yield f"n={n}/pass-swaps-blocks-1", _eq(r * o1, o2 * r)
-        yield f"n={n}/half-twist-factorization", _eq(D, o1 * o2 * r)
-        yield f"n={n}/pass-swaps-blocks-2", _eq(r * o2, o1 * r)
+        yield _claim(f"n={n}/pass-swaps-blocks-1", "equal", r * o1, o2 * r)
+        yield _claim(f"n={n}/half-twist-factorization", "equal", D, o1 * o2 * r)
+        yield _claim(f"n={n}/pass-swaps-blocks-2", "equal", r * o2, o1 * r)
         desc = words.identity(n)
         for k in range(n - 1, n // 2, -1):
             desc = desc * words.word(n, list(range(k, n)))
-        yield f"n={n}/second-block-descending-form", _eq(o2, desc)
-        yield f"n={n}/half-power-factorization", _eq(half, o1 * o1 * r)
-        yield f"n={n}/half-twist-conjugate", _eq(D, o2 * half * o2.inv())
-        yield f"n={n}/half-power-conjugate", _eq(half, o1 * D * o1.inv())
-        yield f"n={n}/full-twist-block-quotient", _eq(words.full_twist(n), o1 ** 2 * o2 ** -2)
+        yield _claim(f"n={n}/second-block-descending-form", "equal", o2, desc)
+        yield _claim(f"n={n}/half-power-factorization", "equal", half, o1 * o1 * r)
+        yield _claim(f"n={n}/half-twist-conjugate", "equal", D, o2 * half * o2.inv())
+        yield _claim(f"n={n}/half-power-conjugate", "equal", half, o1 * D * o1.inv())
+        yield _claim(f"n={n}/full-twist-block-quotient", "equal",
+                     words.full_twist(n), o1 ** 2 * o2 ** -2)
+
+
+# Check-id templates for the construction claims each realization suite
+# checks, by claim label; claims without a template (the faithfulness and
+# most order claims) are left to ``witness``.
+_COMMALPHAIGEN_IDS = {
+    ("Z", "trivial"): {
+        "axis generator has infinite order": "commuter-infinite-i{i}-m{m}",
+        "axis commutes with the finite generator": "commuter-commutes-i{i}-m{m}",
+    },
+    ("Z", "rho"): {
+        "axis generator has infinite order": "inverter-infinite-i{i}-q{q}",
+        "axis inverts the finite generator": "inverter-action-i{i}-q{q}",
+    },
+    ("Dic", "trivial"): {
+        "axis generator has infinite order": "block-commuter-infinite-i{i}-s{s}",
+        "axis commutes with x": "block-commuter-x-i{i}-s{s}",
+        "axis commutes with y": "block-commuter-y-i{i}-s{s}",
+    },
+    ("Dic", "nu"): {
+        "axis generator has infinite order": "dicyclic-twist-infinite-i{i}-s{s}",
+        "axis fixes x": "dicyclic-twist-fixes-x-i{i}-s{s}",
+        "axis sends y to xy": "dicyclic-twist-y-to-xy-i{i}-s{s}",
+    },
+}
+_CONSTQ8_IDS = {
+    "alpha": {
+        "axis generator has infinite order": "three-cycle-axis-infinite",
+        "axis sends x to xy": "three-cycle-x",
+        "axis sends xy to y^-1": "three-cycle-xy",
+        "axis sends y^-1 to x": "three-cycle-yinv",
+    },
+    "beta": {
+        "axis generator has infinite order": "swap-axis-infinite",
+        "axis swaps y into x": "swap-y-to-x",
+        "axis swaps x into y": "swap-x-to-y",
+        "axis inverts xy": "swap-inverts-xy",
+    },
+}
+_REALV2_IDS = {
+    "first generator has order 4": "order4-pair-first",
+    "squares agree on the shared involution": "order4-pair-shared-square",
+    "v1 v2 has infinite order": "order4-pair-product-infinite",
+}
+
+
+def _construction_checks(n: int, ids: dict[str, str], claims: tuple, **params) -> Iterator[Check]:
+    """One check per claim whose label has a template in ``ids``."""
+    for claim in claims:
+        if claim[0] in ids:
+            yield f"n={n}/" + ids[claim[0]].format(**params), partial(classifier._holds, claim)
+
+
+def _commalphaigen_order(found: tuple) -> tuple:
+    """Commuters by i and ascending power m, then per i the inverters and
+    the dicyclic constructions (block commuter before twist)."""
+    (_, f, action, *_), i = found
+    if f.family == "Z" and action == "trivial":
+        return (0, i, -f.param)
+    return (1, i, f.family == "Dic", f.param, action != "trivial")
 
 
 def _commalphaigen_checks(lo: int, hi: int) -> Iterator[Check]:
     for n in range(lo, hi + 1):
-        for i in (0, 1, 2):
-            a = words.alpha(n, i)
-            for m in range(1, 2 * (n - i) + 1):
-                if (2 * (n - i)) % m:
-                    continue
-                r = m if (n - i) % m == 0 else m // 2
-                if r < 2:
-                    continue
-                d = words.delta_comm(n, r, i)
-                yield f"n={n}/commuter-infinite-i{i}-m{m}", _inf(d)
-                yield f"n={n}/commuter-commutes-i{i}-m{m}", (
-                    lambda d=d, x=a ** m: oracle.commute(d, x)
-                )
-        # Inverting-action elements and the dicyclic-by-Z constructions.
-        a0 = words.alpha(n, 0)
-        Dp = a0.inv() * words.half_twist(n) * a0
-        for i in (0, 2):
-            for q in range(3, n - i + 1):
-                if (2 * (n - i)) % q or (n % 2 == 1 and q == n - i):
-                    continue
-                m = 2 * (n - i) // q
-                r = m if (n - i) % m == 0 else m // 2
-                z = Dp * words.delta_comm(n, r, i)
-                x = words.alpha(n, i) ** m
-                yield f"n={n}/inverter-infinite-i{i}-q{q}", _inf(z)
-                yield f"n={n}/inverter-action-i{i}-q{q}", _eq(z * x * z.inv(), x.inv())
-            for s in range(3, n - i + 1):
-                if (n - i) % s:
-                    continue
-                m = (n - i) // s
-                if m < 2:
-                    continue
-                rp = (a0 ** (i // 2)) * words.block_pass(n, i, m) ** m * (a0 ** (-(i // 2)))
-                x = words.alpha_prime(n, i) ** m
-                y = words.half_twist(n)
-                yield f"n={n}/block-commuter-infinite-i{i}-s{s}", _inf(rp)
-                yield f"n={n}/block-commuter-x-i{i}-s{s}", (
-                    lambda rp=rp, x=x: oracle.commute(rp, x)
-                )
-                yield f"n={n}/block-commuter-y-i{i}-s{s}", (
-                    lambda rp=rp, y=y: oracle.commute(rp, y)
-                )
-                if m % 2 == 0:
-                    z = words.alpha_prime(n, i) ** (m // 2) * rp
-                    yield f"n={n}/dicyclic-twist-infinite-i{i}-s{s}", _inf(z)
-                    yield f"n={n}/dicyclic-twist-fixes-x-i{i}-s{s}", _eq(z * x * z.inv(), x)
-                    yield f"n={n}/dicyclic-twist-y-to-xy-i{i}-s{s}", _eq(
-                        z * y * z.inv(), x * y
-                    )
+        # The Type I constructions that take a deletion index i; at n = 3,
+        # i = 2 leaves one strand and no commuter.
+        found = [(shape, i) for shape, i in classifier._v1_shapes(n)
+                 if i is not None and n - i >= 2]
+        for shape, i in sorted(found, key=_commalphaigen_order):
+            f, action = shape[1], shape[2]
+            gens, claims = classifier._construction(shape, n, i)
+            m = 2 * (n - i) // f.param
+            if f.param == 1:
+                # The trivial factor has no finite generator to commute with.
+                claims += (("axis commutes with the finite generator", "commute",
+                            dict(gens)["axis"], words.alpha(n, i) ** m),)
+            yield from _construction_checks(n, _COMMALPHAIGEN_IDS[f.family, action], claims,
+                                            i=i, m=m, q=f.param, s=f.param)
 
 
 def _constq8_checks(lo: int, hi: int) -> Iterator[Check]:
+    q8 = classifier.GroupDesc("Dic", 2)
     for n in range(lo, hi + 1):
         if n % 2:
             continue
-        x = words.alpha(n, 0) ** (n // 2)
-        y = words.half_twist(n)
-        if n % 4 == 0 and n >= 8:
-            nu = words.nu_elt(n)
-            yield f"n={n}/three-cycle-axis-infinite", _inf(nu)
-            yield f"n={n}/three-cycle-x", _eq(nu * x * nu.inv(), x * y)
-            yield f"n={n}/three-cycle-xy", _eq(nu * (x * y) * nu.inv(), y.inv())
-            yield f"n={n}/three-cycle-yinv", _eq(nu * y.inv() * nu.inv(), x)
-        z = words.zeta_elt(n)
-        yield f"n={n}/swap-axis-infinite", _inf(z)
-        yield f"n={n}/swap-y-to-x", _eq(z * y * z.inv(), x)
-        yield f"n={n}/swap-x-to-y", _eq(z * x * z.inv(), y)
-        yield f"n={n}/swap-inverts-xy", _eq(z * (x * y) * z.inv(), (x * y).inv())
+        # The three-cycle axis nu exists for 4 | n; n = 4 has its own words.
+        for action in ("alpha", "beta") if n % 4 == 0 and n >= 8 else ("beta",):
+            _, claims = classifier._construction(classifier._type1(q8, action), n, None)
+            yield from _construction_checks(n, _CONSTQ8_IDS[action], claims)
 
 
 def _realV2_checks(lo: int, hi: int) -> Iterator[Check]:
     if lo <= 5 <= hi:
         lhs = (words.sigma(5, 4).inv() * words.sigma(5, 3)) ** 3
         rhs = words.word(5, [-4, -4, -3, -3, 4, 4, 3, 3])
-        yield "five-strands/band-cube-identity", _eq(lhs, rhs)
-        yield "five-strands/band-cube-infinite", _inf(words.sigma(5, 4).inv() * words.sigma(5, 3))
+        yield _claim("five-strands/band-cube-identity", "equal", lhs, rhs)
+        yield _claim("five-strands/band-cube-infinite", "infinite",
+                     words.sigma(5, 4).inv() * words.sigma(5, 3))
     for (n, i) in ((4, 0), (4, 2), (6, 2)):
         if not lo <= n <= hi:
             continue
-        et = words.eta_tilde_elt(n, i)
-        yield f"n={n}/eta-tilde-infinite-i{i}", _inf(et)
+        yield _claim(f"n={n}/eta-tilde-infinite-i{i}", "infinite", words.eta_tilde_elt(n, i))
     if lo <= 4 <= hi:
         A = words.band_generator
-        yield "n=4/eta-tilde-band-form-i0", _eq(
-            words.eta_tilde_elt(4, 0), A(4, 1, 2) * A(4, 1, 4).inv()
-        )
-        yield "n=4/eta-tilde-band-form-i2", _eq(
-            words.eta_tilde_elt(4, 2), A(4, 2, 3) * A(4, 3, 4) ** 2
-        )
+        yield _claim("n=4/eta-tilde-band-form-i0", "equal",
+                     words.eta_tilde_elt(4, 0), A(4, 1, 2) * A(4, 1, 4).inv())
+        yield _claim("n=4/eta-tilde-band-form-i2", "equal",
+                     words.eta_tilde_elt(4, 2), A(4, 2, 3) * A(4, 3, 4) ** 2)
     if lo <= 6 <= hi:
         A = words.band_generator
         rhs = A(6, 1, 3).inv() * A(6, 4, 5) * A(6, 3, 4).inv() * A(6, 5, 6)
-        yield "n=6/eta-tilde-band-form-i2", _eq(words.eta_tilde_elt(6, 2), rhs)
+        yield _claim("n=6/eta-tilde-band-form-i2", "equal", words.eta_tilde_elt(6, 2), rhs)
+    z4, z2 = classifier.GroupDesc("Z", 4), classifier.GroupDesc("Z", 2)
     for n in range(lo, hi + 1):
-        v1, v2 = words.v_pair(n)
-        yield f"n={n}/order4-pair-first", _ord(v1, 4)
-        yield f"n={n}/order4-pair-shared-square", _eq(v1 ** 2, v2 ** 2)
-        yield f"n={n}/order4-pair-product-infinite", _inf(v1 * v2)
+        _, claims = classifier._construction(classifier._type2(z4, z4, z2), n, None)
+        yield from _construction_checks(n, _REALV2_IDS, claims)
 
 
 _TSTAR_LATTICE = {
@@ -445,7 +446,7 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
         lambda: amalgams.find_extension(amalgams.k2()) is None
     )
 
-    yield "dicyclic-24-over-12/semidirect", (
+    yield "dicyclic-24-over-dicyclic-12/semidirect", (
         lambda: semidirect_ok(amalgams.straight_gluing("dicdic", 6))
     )
 

@@ -1,4 +1,6 @@
+import hashlib
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -16,7 +18,8 @@ from spherebraid.classifier import (
     realization_status,
     witness,
 )
-from spherebraid.words import alpha, delta_comm, half_twist, omega1, zeta_elt
+from spherebraid import oracle, suites
+from spherebraid.words import alpha, delta_comm, half_twist, omega1, permutation, zeta_elt
 
 
 def shapes(records):
@@ -311,14 +314,75 @@ class TestWitness:
     def test_sweep_beyond_twelve_strands(self):
         verified = 0
         for n in range(13, 17):
-            for rec in enumerate_all(n):
-                try:
-                    w = witness(rec)
-                except WitnessUnavailable:
+            for rec, w in witnesses(n):
+                if isinstance(w, str):
                     continue
                 assert w.ok, f"witness failure at n={n}: {rec.shape}"
                 verified += 1
         assert verified == 116
+
+    def test_finite_generators_are_conjugate_to_alpha_powers(self):
+        # Murasugi: every finite-order element is conjugate to a power of
+        # alpha_0, alpha_1 or alpha_2, so it has the order and the cycle type
+        # of the permutation of one of those powers (alpha_i has order
+        # 2(n - i)).
+        finite = 0
+        for n in range(4, 13):
+            powers = {(2 * (n - i) // gcd(2 * (n - i), k), cycle_type(alpha(n, i) ** k))
+                      for i in (0, 1, 2) for k in range(1, 2 * (n - i) + 1)}
+            for rec, w in witnesses(n):
+                for role, word in () if isinstance(w, str) else w.generators:
+                    order = oracle.order_of(word)
+                    if order.is_finite:
+                        finite += 1
+                        assert (order.value, cycle_type(word)) in powers, (n, rec.shape, role)
+        assert finite == 294
+
+
+def cycle_type(w):
+    return tuple(sorted(len(c) for c in permutation(w).cycles()))
+
+
+@lru_cache(maxsize=None)
+def witnesses(n):
+    """(record, witness) for every record at n; the witness is the
+    WitnessUnavailable message when there is none."""
+    out = []
+    for rec in enumerate_all(n):
+        try:
+            out.append((rec, witness(rec)))
+        except WitnessUnavailable as exc:
+            out.append((rec, str(exc)))
+    return tuple(out)
+
+
+class TestConstructionGolden:
+    """The witness labels and words, and the realization suites' check ids,
+    pinned by count and sha256: any change to a construction word, a claim
+    label or a check id shows here."""
+
+    def test_realization_suite_check_ids(self):
+        ids = []
+        for suite in ("commalphaigen", "constq8", "realV2"):
+            gen, (lo, hi) = suites._SUITES[suite]
+            ids += [check_id for check_id, _ in gen(lo, hi)]
+        assert len(ids) == 252
+        assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == (
+            "82b27a2c068c25b0c940fbc9f314e3c9e8b9956f817463b9fd9c91b5d8960a72")
+
+    def test_witness_labels_and_words(self):
+        lines = []
+        for n in range(4, 17):
+            for rec, w in witnesses(n):
+                if isinstance(w, str):
+                    lines.append(f"n={n} {rec.shape}: unavailable: {w}")
+                    continue
+                lines.append(f"n={n} {rec.shape}")
+                lines += [label for label, _ in w.transcript]
+                lines += [f"{role}: {word}" for role, word in w.generators]
+        assert len(lines) == 2120
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "05646b65e708dc2a2c7f1410b57f5bd2109d4496f431fb9cda32f605804c1f39")
 
 
 class TestStatusBoundaries:

@@ -243,6 +243,15 @@ class TestErrorHandling:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: order ") and "budget" in captured.err
 
+    def test_automorphism_table_budget_clean_exit(self, capsys):
+        # |Aut(Dih118)| = 59 * 58 = 3422: the maps are found, but no
+        # 3422 x 3422 table is built.
+        code = main(["group", "aut", "Dih118"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: order 3422 of the automorphism group exceeds "
+                                "table budget 2000\n")
+
     @pytest.mark.parametrize("argv", [["group", "order", "Z100000"],
                                       ["amalgam", "build", "--spec", "zz:600"]])
     def test_family_table_budget_clean_exit(self, capsys, argv):

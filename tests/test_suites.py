@@ -1,6 +1,6 @@
 import pytest
 
-from spherebraid.suites import SUITE_IDS, default_range, run_suite
+from spherebraid.suites import _SUITES, SUITE_IDS, default_range, run_suite
 
 
 class TestRunner:
@@ -19,6 +19,12 @@ class TestRunner:
         res = run_suite(suite, (lo, min(hi, lo + 2)))
         assert res.passed, [c.check_id for c in res.checks if not c.passed]
         assert res.counts[1] == 0
+
+    @pytest.mark.parametrize("suite", SUITE_IDS)
+    def test_check_ids_unique_over_default_range(self, suite):
+        gen, (lo, hi) = _SUITES[suite]
+        ids = [check_id for check_id, _ in gen(lo, hi)]
+        assert len(ids) == len(set(ids))
 
     def test_deterministic_check_order(self):
         a = run_suite("torsion", (4, 5))
