@@ -17,11 +17,14 @@ Centrality is decided in stages, each sound: the word is cyclically reduced
 checks that it is pure and reads the class of its pairwise crossing counts
 modulo the sphere relators.  The identity and the full twist lie in two
 disjoint classes, so a word in neither is not central, and a central word's
-class says which of the two it is.  The trace screen then runs the same
+class says which of the two it is.  Survivors get the exact innerness check
+on the free-group images, first on a budget of 2(n-1) image letters per
+input letter, which almost every word stays within.  Only a word whose
+images outgrow it goes on to the trace screen, which runs the same
 recurrence on a fixed image of the free group in SL2(F_p): an inner
 automorphism preserves the traces of x_j and x_j x_k, so a mismatch proves
-the word is not central.  Survivors get the exact innerness check on the
-free-group images.
+the word is not central.  A word that passes the screen gets the exact
+check again on the full budget.
 
 Free words are plain tuples of signed generator indices; only the
 automorphism type gets a dataclass wrapper.
@@ -320,8 +323,18 @@ def _cyclic_core(w: BraidWord) -> BraidWord:
 
 
 def _acts_innerly(w: BraidWord) -> bool:
-    """Whether the word's automorphism is inner: the trace screen, then the exact check."""
-    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+    """Whether the word's automorphism is inner.
+
+    The exact check runs first on a budget of 2(n-1)|w| image letters; every
+    verdict it reaches is final.  Images that outgrow it are the mark of a
+    word far from its normal form, seldom an inner one, so the trace screen
+    gets the chance to refute it before the exact check runs again on the
+    full budget.
+    """
+    try:
+        return is_inner(artin_action(w, 2 * (w.n - 1) * len(w.letters))) is not None
+    except OracleBudgetError:
+        return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
 
 
 def central_value(w: BraidWord) -> int | None:
@@ -332,7 +345,9 @@ def central_value(w: BraidWord) -> int | None:
     Its linking class rules out every word that is not pure or lies in
     neither central class, and names the central element a word can be;
     the word is central exactly when its free-group automorphism is inner,
-    which the trace screen refutes cheaply and the exact check decides.
+    which the exact check decides on a budget linear in the word's length.
+    Only when the images outgrow that budget does the trace screen run, to
+    refute cheaply, before the exact check on the full budget.
     """
     w = _cyclic_core(w)
     value = _linking_class(w)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import amalgams, classifier, groups, words
 from .groups import make_group
@@ -531,35 +531,46 @@ def _classifier_mainodd_checks(lo: int, hi: int) -> Iterator[Check]:
         yield f"n={n}/realized-set-matches-odd-classification", match
 
 
-_SUITES: dict[str, tuple[Callable[[int, int], Iterator[Check]], tuple[int, int]]] = {
-    "presentation": (_presentation_checks, (3, 3)),
-    "torsion": (_torsion_checks, (4, 10)),
-    "funda": (_funda_checks, (4, 8)),
-    "propsomega": (_propsomega_checks, (4, 10)),
-    "commalphaigen": (_commalphaigen_checks, (4, 10)),
-    "constq8": (_constq8_checks, (4, 12)),
-    "realV2": (_realV2_checks, (4, 8)),
-    "finite_lattices": (_finite_lattices_checks, (3, 3)),
-    "autout": (_autout_checks, (3, 3)),
-    "amalgams": (_amalgams_checks, (3, 3)),
-    "classifier_mainodd": (_classifier_mainodd_checks, (4, 20)),
+class _Suite(NamedTuple):
+    """A suite's check generator, its default strand range, and the least n it holds for."""
+
+    checks: Callable[[int, int], Iterator[Check]]
+    default: tuple[int, int]
+    least: int
+
+
+# funda's index-wrap check for alpha_2 needs sigma_{n-3}, so n >= 4;
+# commalphaigen and realV2 claim elements of infinite order, which the finite
+# group B_3(S^2) lacks.
+_SUITES: dict[str, _Suite] = {
+    "presentation": _Suite(_presentation_checks, (3, 3), 3),
+    "torsion": _Suite(_torsion_checks, (4, 10), 3),
+    "funda": _Suite(_funda_checks, (4, 8), 4),
+    "propsomega": _Suite(_propsomega_checks, (4, 10), 3),
+    "commalphaigen": _Suite(_commalphaigen_checks, (4, 10), 4),
+    "constq8": _Suite(_constq8_checks, (4, 12), 3),
+    "realV2": _Suite(_realV2_checks, (4, 8), 4),
+    "finite_lattices": _Suite(_finite_lattices_checks, (3, 3), 3),
+    "autout": _Suite(_autout_checks, (3, 3), 3),
+    "amalgams": _Suite(_amalgams_checks, (3, 3), 3),
+    "classifier_mainodd": _Suite(_classifier_mainodd_checks, (4, 20), 3),
 }
 
 SUITE_IDS = tuple(sorted(_SUITES))
 
 
 def default_range(suite: str) -> tuple[int, int]:
-    return _SUITES[suite][1]
+    return _SUITES[suite].default
 
 
 def run_suite(suite: str, n_range: tuple[int, int] | None = None) -> SuiteResult:
     """Execute every check of the suite over the range; deterministic order."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_IDS)}")
-    gen, default = _SUITES[suite]
+    gen, default, least = _SUITES[suite]
     lo, hi = n_range if n_range is not None else default
-    if lo < 3:
-        raise ValueError("strand counts below 3 are not supported")
+    if lo < least:
+        raise ValueError(f"suite {suite} holds for n >= {least} only, not from n={lo}")
     if lo > hi:
         raise ValueError(f"empty strand range {lo}..{hi}: the lower end exceeds the upper")
     results = []

@@ -364,7 +364,7 @@ class TestConstructionGolden:
     def test_realization_suite_check_ids(self):
         ids = []
         for suite in ("commalphaigen", "constq8", "realV2"):
-            gen, (lo, hi) = suites._SUITES[suite]
+            gen, (lo, hi), _ = suites._SUITES[suite]
             ids += [check_id for check_id, _ in gen(lo, hi)]
         assert len(ids) == 252
         assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == (

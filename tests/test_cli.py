@@ -218,6 +218,13 @@ class TestErrorHandling:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: empty strand range 6..4")
 
+    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "realV2"])
+    def test_suite_range_below_least_n(self, capsys, suite):
+        code = main(["--format", "json", "verify", "--suite", suite, "--n", "3..5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: suite {suite} holds for n >= 4 only, not from n=3\n"
+
     @pytest.mark.parametrize("text", ["4..", "..5"])
     def test_open_ended_suite_range(self, capsys, text):
         with pytest.raises(SystemExit) as exc:

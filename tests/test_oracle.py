@@ -492,3 +492,91 @@ class TestConjugationInvariance:
         p = W.permutation(w).order()
         got = order_of(w)
         assert got.value in (None, p, 2 * p)
+
+
+def screen_first_acts_innerly(w):
+    """The stage order before the linear budget: the trace screen, then the exact check."""
+    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+
+
+def verdict(f, *args):
+    try:
+        return f(*args)
+    except OracleBudgetError:
+        return OracleBudgetError
+
+
+def stage_order_cases(n):
+    """Seeded equal pairs (a word and the same word with a relator conjugate
+    inserted), and single words: random words, their pure powers, those times
+    the full twist, g delta(r,i) g^-1, and (1 -2)^k FT, whose images outgrow
+    the linear budget when 3 divides k."""
+    rng = random.Random(80 + n)
+    rels = sphere_relators(n)
+    pairs, singles = [], []
+    for _ in range(20):
+        u, g = random_word(rng, n, 12), random_word(rng, n, 8)
+        cut = rng.randint(0, len(u))
+        r = rng.choice(rels) ** rng.choice([1, -1])
+        pairs.append((u, word(n, u.letters[:cut]) * g * r * g.inv() * word(n, u.letters[cut:])))
+        w = random_word(rng, n, 12)
+        pure = w ** W.permutation(w).order()
+        singles += [w, pure, pure * full_twist(n)]
+    for i in (0, 1, 2):
+        for r in range(2, n - i + 1):
+            if (n - i) % r == 0:
+                g = random_word(rng, n, 8)
+                singles.append(g * delta_comm(n, r, i) * g.inv())
+    singles += [word(n, [1, -2] * k) * full_twist(n) for k in (3, 4, 6, 9, 12)]
+    return pairs, singles
+
+
+class TestStageOrder:
+    """The exact check runs first on a budget of 2(n-1)|w| image letters; the
+    trace screen runs only on overflow, and no verdict changes."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_verdicts_match_the_screen_first_order(self, n, monkeypatch):
+        pairs, singles = stage_order_cases(n)
+        if n == 4:
+            p, q = word(4, [1, -2] * 18), word(4, [2, -1] * 18)
+            singles.append(p * full_twist(4) * p.inv() * q * full_twist(4) * q.inv())
+
+        def verdicts():
+            return ([verdict(equals, u, v) for u, v in pairs],
+                    [(verdict(central_value, w), verdict(order_of, w)) for w in singles])
+
+        screened = []
+        monkeypatch.setattr(oracle, "_traces_could_be_central",
+                            lambda w: screened.append(w) or _traces_could_be_central(w))
+        got = verdicts()
+        assert screened, "no word outgrew the linear budget"
+        assert all(got[0])
+        monkeypatch.setattr(oracle, "_acts_innerly", screen_first_acts_innerly)
+        assert verdicts() == got
+
+    def test_central_words_skip_the_trace_screen(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("the trace screen ran on a central word")
+
+        monkeypatch.setattr(oracle, "_traces_could_be_central", refuse)
+        for n in range(4, 10):
+            pairs, _ = stage_order_cases(n)
+            assert all(equals(u, v) for u, v in pairs)
+            g = random_word(random.Random(n), n, 10)
+            assert central_value(g * full_twist(n) * g.inv()) == 2
+
+    def test_overflow_is_screened_once_and_never_reaches_the_full_budget(self, monkeypatch):
+        w = word(4, [1, -2] * 6) * full_twist(4)
+        screened, budgets = [], []
+
+        def action(v, budget=oracle.IMAGE_BUDGET):
+            budgets.append(budget)
+            return artin_action(v, budget)
+
+        monkeypatch.setattr(oracle, "_traces_could_be_central",
+                            lambda v: screened.append(v) or _traces_could_be_central(v))
+        monkeypatch.setattr(oracle, "artin_action", action)
+        assert central_value(w) is None
+        assert screened == [w]
+        assert budgets == [2 * 3 * len(w)]

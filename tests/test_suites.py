@@ -13,6 +13,19 @@ class TestRunner:
             with pytest.raises(ValueError):
                 run_suite("torsion", n_range)
 
+    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "realV2"])
+    def test_range_below_least_n(self, suite):
+        assert _SUITES[suite].least == 4
+        for n_range in ((3, 5), (3, 3)):
+            with pytest.raises(ValueError, match=f"suite {suite} holds for n >= 4 only"):
+                run_suite(suite, n_range)
+
+    @pytest.mark.parametrize("suite", [s for s in SUITE_IDS if _SUITES[s].least == 3
+                                       and default_range(s)[0] > 3])
+    def test_suites_holding_from_three_strands_pass_there(self, suite):
+        res = run_suite(suite, (3, 3))
+        assert res.passed and res.n_range == (3, 3)
+
     @pytest.mark.parametrize("suite", SUITE_IDS)
     def test_every_suite_passes_on_small_range(self, suite):
         lo, hi = default_range(suite)
@@ -22,7 +35,7 @@ class TestRunner:
 
     @pytest.mark.parametrize("suite", SUITE_IDS)
     def test_check_ids_unique_over_default_range(self, suite):
-        gen, (lo, hi) = _SUITES[suite]
+        gen, (lo, hi), _ = _SUITES[suite]
         ids = [check_id for check_id, _ in gen(lo, hi)]
         assert len(ids) == len(set(ids))
 
