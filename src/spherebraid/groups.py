@@ -41,14 +41,12 @@ __all__ = [
     "derived_subgroup",
     "quotient",
     "automorphisms",
-    "inner_automorphisms",
     "outer_group",
     "aut_from_gen_images",
     "hom_from_gen_images",
     "classify_action",
     "action_catalog",
     "restriction_is_surjective",
-    "normal_subgroup_witnesses",
 ]
 
 SUBGROUP_ORDER_BUDGET = 200
@@ -849,18 +847,6 @@ _REFS_BY_ORDER = {
 }
 
 
-def normal_subgroup_witnesses(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
-    """For each nontrivial normal subgroup, a generator word for one
-    nontrivial element of it (words over the distinguished generators)."""
-    out = []
-    for handle in subgroups(G):
-        if handle.order == 1 or not handle.normal:
-            continue
-        e = min(x for x in handle.elements if x != G.identity)
-        out.append(G.words[e])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms.
 # ---------------------------------------------------------------------------
@@ -910,12 +896,6 @@ def automorphisms(G: FiniteGroupTable) -> FiniteGroupTable:
 def _inner_maps(G: FiniteGroupTable) -> frozenset[tuple[int, ...]]:
     """The conjugation maps x -> g x g^-1, as whole maps."""
     return frozenset(tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order))
-
-
-def inner_automorphisms(G: FiniteGroupTable) -> frozenset[int]:
-    """Indices (in the automorphism table) of the conjugation maps."""
-    index = {m: i for i, m in enumerate(automorphisms(G).labels)}
-    return frozenset(index[m] for m in _inner_maps(G))
 
 
 def outer_group(G: FiniteGroupTable) -> FiniteGroupTable:

@@ -19,12 +19,12 @@ modulo the sphere relators.  The identity and the full twist lie in two
 disjoint classes, so a word in neither is not central, and a central word's
 class says which of the two it is.  Survivors get the exact innerness check
 on the free-group images, first on a budget of 2(n-1) image letters per
-input letter, which almost every word stays within.  Only a word whose
-images outgrow it goes on to the trace screen, which runs the same
-recurrence on a fixed image of the free group in SL2(F_p): an inner
-automorphism preserves the traces of x_j and x_j x_k, so a mismatch proves
-the word is not central.  A word that passes the screen gets the exact
-check again on the full budget.
+input letter (never more than the full budget), which almost every word
+stays within.  Only a word whose images outgrow it goes on to the trace
+screen, which runs the same recurrence on a fixed image of the free group
+in SL2(F_p): an inner automorphism preserves the traces of x_j and
+x_j x_k, so a mismatch proves the word is not central.  A word that passes
+the screen gets the exact check again on the full budget.
 
 Free words are plain tuples of signed generator indices; only the
 automorphism type gets a dataclass wrapper.
@@ -35,10 +35,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from operator import neg
 from typing import Callable, Iterator, Sequence
 
-from .groups import FiniteGroupTable, normal_subgroup_witnesses
+from .groups import FiniteGroupTable
 from .words import BraidWord, StrandMismatchError, _reduce, identity, permutation
 
 __all__ = [
@@ -325,14 +326,15 @@ def _cyclic_core(w: BraidWord) -> BraidWord:
 def _acts_innerly(w: BraidWord) -> bool:
     """Whether the word's automorphism is inner.
 
-    The exact check runs first on a budget of 2(n-1)|w| image letters; every
-    verdict it reaches is final.  Images that outgrow it are the mark of a
-    word far from its normal form, seldom an inner one, so the trace screen
-    gets the chance to refute it before the exact check runs again on the
-    full budget.
+    The exact check runs first on a budget of 2(n-1)|w| image letters, but
+    never more than the full budget; every verdict it reaches is final.
+    Images that outgrow it are the mark of a word far from its normal form,
+    seldom an inner one, so the trace screen gets the chance to refute it
+    before the exact check runs again on the full budget.
     """
     try:
-        return is_inner(artin_action(w, 2 * (w.n - 1) * len(w.letters))) is not None
+        budget = min(2 * (w.n - 1) * len(w.letters), IMAGE_BUDGET)
+        return is_inner(artin_action(w, budget)) is not None
     except OracleBudgetError:
         return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
 
@@ -416,9 +418,10 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
     The target table must carry a presentation whose generators correspond,
     in order, to ``gens``.  All relators are checked with the word-problem
     oracle, which certifies a surjection from the target onto the generated
-    subgroup; injectivity then follows by exhibiting, for every nontrivial
-    normal subgroup of the target, an element whose image is a nontrivial
-    braid (so no normal subgroup lies in the kernel).
+    subgroup.  Its kernel is a subgroup of the target, and by Cauchy's
+    theorem a nontrivial one contains an element of prime order; so the map
+    is injective once every element of prime order has a nontrivial braid as
+    its image.  Only the table's element orders and words are read.
     """
     if target.presentation is None:
         raise ValueError("target table carries no presentation")
@@ -439,7 +442,9 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
     for rel in pres.relators:
         if not is_trivial(evaluate(rel)):
             return False
-    for gen_word in normal_subgroup_witnesses(target):
-        if is_trivial(evaluate(gen_word)):
+    # Cauchy: a nontrivial kernel holds an element of prime order.
+    for e, k in enumerate(target.element_orders):
+        prime = k > 1 and all(k % d for d in range(2, isqrt(k) + 1))
+        if prime and is_trivial(evaluate(target.words[e])):
             return False
     return True

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
+import sys
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from spherebraid.classifier import (
     witness,
 )
 from spherebraid import oracle, suites
-from spherebraid.words import alpha, delta_comm, half_twist, omega1, permutation, zeta_elt
+from spherebraid.words import alpha, delta_comm, half_twist, omega1, parse_braid, permutation, zeta_elt
 
 
 def shapes(records):
@@ -321,15 +324,16 @@ class TestWitness:
                 verified += 1
         assert verified == 116
 
+    def test_large_dicyclic_gluing_past_the_lattice_order(self):
+        # Factors of order 208: faithfulness is decided on the prime-order
+        # elements, with no subgroup lattice and so no lattice order budget.
+        rec = by_shape(enumerate_v2(52), "Dic208 *_{Dic104} Dic208")
+        assert witness(rec).ok
+
     def test_finite_generators_are_conjugate_to_alpha_powers(self):
-        # Murasugi: every finite-order element is conjugate to a power of
-        # alpha_0, alpha_1 or alpha_2, so it has the order and the cycle type
-        # of the permutation of one of those powers (alpha_i has order
-        # 2(n - i)).
         finite = 0
         for n in range(4, 13):
-            powers = {(2 * (n - i) // gcd(2 * (n - i), k), cycle_type(alpha(n, i) ** k))
-                      for i in (0, 1, 2) for k in range(1, 2 * (n - i) + 1)}
+            powers = alpha_power_types(n)
             for rec, w in witnesses(n):
                 for role, word in () if isinstance(w, str) else w.generators:
                     order = oracle.order_of(word)
@@ -338,9 +342,48 @@ class TestWitness:
                         assert (order.value, cycle_type(word)) in powers, (n, rec.shape, role)
         assert finite == 294
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_finite_order_queries_are_conjugate_to_alpha_powers(self, seed):
+        stream = load_perfbench_queries().stream(seed)
+        finite = 0
+        for _ in range(3):
+            for q in next(stream):
+                if q.op != "order_of" or q.answer is None:
+                    continue
+                w = parse_braid(q.text, q.n)
+                assert oracle.order_of(w).value == q.answer, q
+                assert (q.answer, cycle_type(w)) in alpha_power_types(q.n), q
+                finite += 1
+        assert finite == 42
+
 
 def cycle_type(w):
     return tuple(sorted(len(c) for c in permutation(w).cycles()))
+
+
+@lru_cache(maxsize=None)
+def alpha_power_types(n):
+    """(order, cycle type) of every power of alpha_0, alpha_1 and alpha_2.
+
+    Murasugi: every finite-order element is conjugate to one of these powers,
+    so it has the order and the permutation cycle type of one of them
+    (alpha_i has order 2(n - i)).
+    """
+    return frozenset((2 * (n - i) // gcd(2 * (n - i), k), cycle_type(alpha(n, i) ** k))
+                     for i in (0, 1, 2) for k in range(1, 2 * (n - i) + 1))
+
+
+@lru_cache(maxsize=None)
+def load_perfbench_queries():
+    """The benchmark's known-answer query stream, loaded from its file
+    without putting the benchmark directory on the import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while building.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

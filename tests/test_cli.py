@@ -90,6 +90,12 @@ class TestWitnessCommand:
                         "--class", "T* x Z")
         assert code == 1 and not json.loads(out)["available"]
 
+    def test_witness_past_the_lattice_order(self, capsys):
+        code, out = run(capsys, "witness", "--n", "52", "--class", "Dic208 *_{Dic104} Dic208")
+        claims = [line for line in out.splitlines() if line.startswith("[")]
+        assert code == 0
+        assert len(claims) == 5 and all(line.startswith("[ok] ") for line in claims)
+
     def test_unknown_class(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "witness", "--n", "4", "--class", "nonsense")

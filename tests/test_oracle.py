@@ -292,6 +292,15 @@ class TestVerifyFiniteSubgroup:
         gens = [alpha(n, 0) ** 3, half_twist(n)]
         assert verify_finite_subgroup(gens, make_group("dicyclic", 2))
 
+    @pytest.mark.parametrize("gens,kind,param", [
+        ([full_twist(6), identity(6)], "dicyclic", 2),
+        ([full_twist(6), alpha(6, 0) ** 3], "dicyclic", 3),
+        ([alpha(6, 0) ** 4], "cyclic", 6),
+    ], ids=["Q8-onto-center", "Dic12-order-3-kernel", "Z6-onto-order-3"])
+    def test_relators_hold_but_the_kernel_is_nontrivial(self, gens, kind, param):
+        # Only the injectivity check can refuse these maps.
+        assert not verify_finite_subgroup(gens, make_group(kind, param))
+
 
 class TestBudget:
     def test_pseudo_anosov_power_aborts_cleanly(self):
@@ -580,3 +589,19 @@ class TestStageOrder:
         assert central_value(w) is None
         assert screened == [w]
         assert budgets == [2 * 3 * len(w)]
+
+    def test_first_pass_never_passes_the_full_budget(self, monkeypatch):
+        # A long word's 2(n-1)|w| can pass the full budget; the first pass
+        # still stops there, so a non-central word cannot grow its images
+        # without bound before the trace screen refutes it.
+        w = word(4, [1, -2] * 6) * full_twist(4)
+        budgets = []
+
+        def action(v, budget=oracle.IMAGE_BUDGET):
+            budgets.append(budget)
+            return artin_action(v, budget)
+
+        monkeypatch.setattr(oracle, "IMAGE_BUDGET", 2 * 3 * len(w) - 1)
+        monkeypatch.setattr(oracle, "artin_action", action)
+        assert central_value(w) is None
+        assert budgets == [2 * 3 * len(w) - 1]
