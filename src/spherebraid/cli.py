@@ -131,7 +131,12 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
                 end = idx + 1
                 while end < len(genword) and (genword[end].isdigit() or genword[end] == "-"):
                     end += 1
-                exp = int(genword[idx + 1:end])
+                try:
+                    exp = int(genword[idx + 1:end])
+                except ValueError:
+                    raise SystemExit(
+                        f"bad exponent {genword[idx + 1:end]!r} in {token!r}"
+                    ) from None
                 idx = end
             g = G.mul(g, G.pow(gen, exp))
         out = spec.mul(out, spec.embed(k, g))

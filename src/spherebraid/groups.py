@@ -10,6 +10,11 @@ and automorphisms.  The isomorphism test screens on the order histogram
 alone; the search decides.  Tables are immutable once built and safe to
 share.
 
+Standard groups come from two constructors.  The cyclic, dihedral and
+dicyclic families share one builder on the elements x^a y^b.  The six fixed
+groups (T*, O*, I*, A4, S4, A5) and the Klein group come from coset
+enumeration, so every catalog table carries its presentation.
+
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
 order, each join walking on from the subgroup already known.  The outer
 automorphism group is built on Inn-coset representatives, without the
@@ -451,6 +456,21 @@ _PRES_SPHERE_THREE_STRANDS = GroupPresentation(
     ),
 )
 
+# The rotation groups, on permutation generators: A4 on a = (01)(23),
+# b = (02)(13), t = (012); S4 on s = (01), c = (0123); A5 on x = (012),
+# y = (01234).  Klein is the dihedral presentation at m = 2.
+_PRESENTED = {
+    "klein": GroupPresentation(2, ((1, 1), (2, 2), (2, 1, -2, 1))),
+    "T*": _PRES_BINARY_TETRAHEDRAL,
+    "O*": _PRES_BINARY_OCTAHEDRAL,
+    "I*": _PRES_BINARY_ICOSAHEDRAL,
+    "A4": GroupPresentation(
+        3, ((1, 1), (2, 2), (1, 2, 1, 2), (3, 3, 3), (3, 1, -3, -2), (3, 2, -3, -2, -1))
+    ),
+    "S4": GroupPresentation(2, ((1, 1), (2, 2, 2, 2), (1, 2, 1, 2, 1, 2))),
+    "A5": GroupPresentation(2, ((1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 2, 1, 2, 2))),
+}
+
 
 @lru_cache(maxsize=None)
 def sphere_three_strand_table() -> FiniteGroupTable:
@@ -458,95 +478,27 @@ def sphere_three_strand_table() -> FiniteGroupTable:
     return todd_coxeter(_PRES_SPHERE_THREE_STRANDS)
 
 
-def _cyclic(q: int) -> FiniteGroupTable:
-    mult = [[(a + b) % q for b in range(q)] for a in range(q)]
-    pres = GroupPresentation(1, ((1,) * q,))
-    return _finish_table(q, mult, (1 % q,), pres)
+def _family(k: int, s: int | None) -> FiniteGroupTable:
+    """Z_k when ``s`` is None; otherwise the group of order 2k on x of order
+    k and y with y x y^-1 = x^-1 and y^2 = x^s: dihedral for s = 0 and
+    dicyclic for s = k/2.  x^a y^b sits at index a + k*b."""
+    sums = [[(a + c) % k for c in range(k)] for a in range(k)]
+    if s is None:
+        return _finish_table(k, sums, (1 % k,), GroupPresentation(1, ((1,) * k,)))
+    # x^a y x^c = x^(a-c) y, and x^a y x^c y = x^(a-c+s).
+    diffs = [[(a - c) % k for c in range(k)] for a in range(k)]
+    mult = ([row + [e + k for e in row] for row in sums]
+            + [[e + k for e in row] + [(e + s) % k for e in row] for row in diffs])
+    powers = ((1,) * s + (-2, -2),) if s else ((1,) * k, (2, 2))
+    return _finish_table(2 * k, mult, (1, k), GroupPresentation(2, powers + ((2, 1, -2, 1),)))
 
 
-def _dihedral(m: int) -> FiniteGroupTable:
-    # Elements (a, b) -> index a + m*b, meaning x^a y^b.
-    def idx(a: int, b: int) -> int:
-        return a % m + m * (b % 2)
-
-    mult = [[0] * (2 * m) for _ in range(2 * m)]
-    for a in range(m):
-        for b in range(2):
-            for c in range(m):
-                for d in range(2):
-                    e = (a + c) % m if b == 0 else (a - c) % m
-                    mult[idx(a, b)][idx(c, d)] = idx(e, b + d)
-    pres = GroupPresentation(2, ((1,) * m, (2, 2), (2, 1, -2, 1)))
-    return _finish_table(2 * m, mult, (idx(1, 0), idx(0, 1)), pres)
-
-
-def _dicyclic(m: int) -> FiniteGroupTable:
-    # Elements (a, b) -> index a + 2m*b, meaning x^a y^b with y^2 = x^m.
-    def idx(a: int, b: int) -> int:
-        return a % (2 * m) + 2 * m * (b % 2)
-
-    mult = [[0] * (4 * m) for _ in range(4 * m)]
-    for a in range(2 * m):
-        for b in range(2):
-            for c in range(2 * m):
-                for d in range(2):
-                    if b == 0:
-                        mult[idx(a, b)][idx(c, d)] = idx(a + c, d)
-                    else:
-                        e = a - c + (m if d == 1 else 0)
-                        mult[idx(a, b)][idx(c, d)] = idx(e, b + d)
-    pres = GroupPresentation(2, ((1,) * m + (-2, -2), (2, 1, -2, 1)))
-    return _finish_table(4 * m, mult, (idx(1, 0), idx(0, 1)), pres)
-
-
-def _perm_group(degree: int, elems: list[tuple[int, ...]], gens: list[tuple[int, ...]]) -> FiniteGroupTable:
-    index = {p: i for i, p in enumerate(elems)}
-    mult = [[0] * len(elems) for _ in elems]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mult[i][j] = index[tuple(q[p[k]] for k in range(degree))]
-    return _finish_table(len(elems), mult, tuple(index[g] for g in gens), None, labels=tuple(elems))
-
-
-def _alternating(degree: int) -> FiniteGroupTable:
-    from itertools import permutations as iperm
-
-    elems = [p for p in iperm(range(degree)) if _perm_sign(p) == 1]
-    if degree == 4:
-        gens = [(1, 0, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3)]
-    else:
-        gens = [(1, 2, 0) + tuple(range(3, degree)), tuple(range(1, degree)) + (0,)]
-        if _perm_sign(gens[1]) != 1:
-            gens[1] = (0,) + tuple(range(2, degree)) + (1,)
-    return _perm_group(degree, elems, gens)
-
-
-def _symmetric(degree: int) -> FiniteGroupTable:
-    from itertools import permutations as iperm
-
-    elems = list(iperm(range(degree)))
-    gens = [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)]
-    return _perm_group(degree, elems, gens)
-
-
-def _perm_sign(p: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for k in range(len(p)):
-        if seen[k]:
-            continue
-        length = 0
-        v = k
-        while not seen[v]:
-            seen[v] = True
-            v = p[v]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-_FAMILY_SCALES = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
+# kind -> (order per unit of the parameter, least parameter, error message).
+_FAMILIES = {
+    "cyclic": (1, 1, "cyclic group needs order >= 1"),
+    "dihedral": (2, 2, "dihedral group needs m >= 2 (order 2m)"),
+    "dicyclic": (4, 2, "dicyclic group needs m >= 2 (order 4m)"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -555,41 +507,25 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
 
     Supported kinds: ``cyclic`` (q >= 1), ``dihedral`` (order 2m, m >= 2),
     ``dicyclic`` (order 4m, m >= 2), ``klein``, ``T*``, ``O*``, ``I*``,
-    ``A4``, ``S4``, ``A5``.  The first three raise
-    :class:`SubgroupBudgetError` past order ``FAMILY_ORDER_BUDGET``.
+    ``A4``, ``S4``, ``A5``.  The three index-2 families share one builder
+    on x^a y^b and raise :class:`SubgroupBudgetError` past order
+    ``FAMILY_ORDER_BUDGET``.  The six fixed groups and ``klein`` come from
+    coset enumeration, so every table carries its presentation.
     """
-    scale = _FAMILY_SCALES.get(kind)
-    if scale is not None and param is not None and scale * param > FAMILY_ORDER_BUDGET:
+    if kind in _PRESENTED:
+        return todd_coxeter(_PRESENTED[kind])
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown group family {kind!r}")
+    scale, least, message = _FAMILIES[kind]
+    if param is not None and scale * param > FAMILY_ORDER_BUDGET:
         raise SubgroupBudgetError(
             f"order {scale * param} exceeds table budget {FAMILY_ORDER_BUDGET}"
         )
-    if kind == "cyclic":
-        if param is None or param < 1:
-            raise ValueError("cyclic group needs order >= 1")
-        return _cyclic(param)
-    if kind == "dihedral":
-        if param is None or param < 2:
-            raise ValueError("dihedral group needs m >= 2 (order 2m)")
-        return _dihedral(param)
-    if kind == "dicyclic":
-        if param is None or param < 2:
-            raise ValueError("dicyclic group needs m >= 2 (order 4m)")
-        return _dicyclic(param)
-    if kind == "klein":
-        return _dihedral(2)
-    if kind == "T*":
-        return todd_coxeter(_PRES_BINARY_TETRAHEDRAL)
-    if kind == "O*":
-        return todd_coxeter(_PRES_BINARY_OCTAHEDRAL)
-    if kind == "I*":
-        return todd_coxeter(_PRES_BINARY_ICOSAHEDRAL)
-    if kind == "A4":
-        return _alternating(4)
-    if kind == "A5":
-        return _alternating(5)
-    if kind == "S4":
-        return _symmetric(4)
-    raise ValueError(f"unknown group family {kind!r}")
+    if param is None or param < least:
+        raise ValueError(message)
+    if scale == 1:
+        return _family(param, None)
+    return _family(scale * param // 2, param if scale == 4 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ modulo the sphere relators.  The identity and the full twist lie in two
 disjoint classes, so a word in neither is not central, and a central word's
 class says which of the two it is.  Survivors get the exact innerness check
 on the free-group images, first on a budget of 2(n-1) image letters per
-input letter (never more than the full budget), which almost every word
-stays within.  Only a word whose images outgrow it goes on to the trace
-screen, which runs the same recurrence on a fixed image of the free group
-in SL2(F_p): an inner automorphism preserves the traces of x_j and
-x_j x_k, so a mismatch proves the word is not central.  A word that passes
-the screen gets the exact check again on the full budget.
+input letter, which almost every word stays within.  Only a word whose
+images outgrow it goes on to the trace screen, which runs the same
+recurrence on a fixed image of the free group in SL2(F_p): an inner
+automorphism preserves the traces of x_j and x_j x_k, so a mismatch proves
+the word is not central.  A word that passes the screen gets the exact
+check again on the full budget.  A word whose 2(n-1)|w| reaches the full
+budget skips the first pass and goes to the screen first.
 
 Free words are plain tuples of signed generator indices; only the
 automorphism type gets a dataclass wrapper.
@@ -326,17 +327,20 @@ def _cyclic_core(w: BraidWord) -> BraidWord:
 def _acts_innerly(w: BraidWord) -> bool:
     """Whether the word's automorphism is inner.
 
-    The exact check runs first on a budget of 2(n-1)|w| image letters, but
-    never more than the full budget; every verdict it reaches is final.
-    Images that outgrow it are the mark of a word far from its normal form,
-    seldom an inner one, so the trace screen gets the chance to refute it
-    before the exact check runs again on the full budget.
+    The exact check runs first on a budget of 2(n-1)|w| image letters; every
+    verdict it reaches is final.  Images that outgrow it are the mark of a
+    word far from its normal form, seldom an inner one, so the trace screen
+    gets the chance to refute it before the exact check runs again on the
+    full budget.  A word whose 2(n-1)|w| reaches the full budget goes to the
+    screen first: its first pass would be the full pass.
     """
-    try:
-        budget = min(2 * (w.n - 1) * len(w.letters), IMAGE_BUDGET)
-        return is_inner(artin_action(w, budget)) is not None
-    except OracleBudgetError:
-        return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+    budget = 2 * (w.n - 1) * len(w.letters)
+    if budget < IMAGE_BUDGET:
+        try:
+            return is_inner(artin_action(w, budget)) is not None
+        except OracleBudgetError:
+            pass
+    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
 
 
 def central_value(w: BraidWord) -> int | None:

@@ -189,6 +189,9 @@ class TestAmalgamCommand:
     @pytest.mark.parametrize("elt,message", [
         ("2:y", "bad generator letter 'y' in '2:y' (factor 2 takes x)"),
         ("3:x", "bad factor '3' in '3:x' (use 1 or 2)"),
+        ("1:x^", "bad exponent '' in '1:x^'"),
+        ("1:x^-", "bad exponent '-' in '1:x^-'"),
+        ("1:x^1-2", "bad exponent '1-2' in '1:x^1-2'"),
     ])
     def test_bad_elements(self, elt, message):
         # A clean exit: the message on stderr, exit code 1, no traceback.

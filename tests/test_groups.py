@@ -6,12 +6,14 @@ import pytest
 from spherebraid.groups import (
     CosetBudgetError,
     GroupPresentation,
+    SubgroupBudgetError,
     action_catalog,
     automorphisms,
     aut_from_gen_images,
     center,
     classify_action,
     derived_subgroup,
+    hom_from_gen_images,
     is_isomorphic,
     make_group,
     outer_group,
@@ -29,6 +31,7 @@ from spherebraid.groups import (
     _aut_maps,
     _compose_maps,
     _extend_map,
+    _finish_table,
     _greedy_closure,
     _inner_maps,
     _invert_map,
@@ -545,3 +548,121 @@ class TestAgainstWholeTableReferences:
     @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
     def test_subgroup_lattice_matches_all_cyclic_joins(self, name, G):
         assert _all_subgroup_sets(G) == _subgroup_sets_reference(G)
+
+
+# The explicit builders the families and the rotation groups had before
+# they shared one builder and coset enumeration: the references below.
+def _family_reference(kind, m):
+    """(mult, generators, presentation) of Z_m, Dih_2m or Dic_4m, built
+    entry by entry on x^a y^b."""
+    if kind == "cyclic":
+        return ([[(a + b) % m for b in range(m)] for a in range(m)], (1 % m,),
+                GroupPresentation(1, ((1,) * m,)))
+    k, s = (m, 0) if kind == "dihedral" else (2 * m, m)
+
+    def idx(a, b):
+        return a % k + k * (b % 2)
+
+    mult = [[0] * (2 * k) for _ in range(2 * k)]
+    for a in range(k):
+        for b in range(2):
+            for c in range(k):
+                for d in range(2):
+                    e = a + c if b == 0 else a - c + (s if d == 1 else 0)
+                    mult[idx(a, b)][idx(c, d)] = idx(e, b + d)
+    if kind == "dihedral":
+        pres = GroupPresentation(2, ((1,) * m, (2, 2), (2, 1, -2, 1)))
+    else:
+        pres = GroupPresentation(2, ((1,) * m + (-2, -2), (2, 1, -2, 1)))
+    return mult, (idx(1, 0), idx(0, 1)), pres
+
+
+def _perm_sign_reference(p):
+    sign, seen = 1, [False] * len(p)
+    for k in range(len(p)):
+        length, v = 0, k
+        while not seen[v]:
+            seen[v] = True
+            v = p[v]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _perm_table_reference(kind):
+    """A4, S4 or A5 closed from its permutations, with the generators the
+    presentations use (a product applies its left factor first)."""
+    degree = 5 if kind == "A5" else 4
+    elems = [p for p in itertools.permutations(range(degree))
+             if kind == "S4" or _perm_sign_reference(p) == 1]
+    gens = {
+        "A4": [(1, 0, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3)],
+        "S4": [(1, 0, 2, 3), (1, 2, 3, 0)],
+        "A5": [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],
+    }[kind]
+    index = {p: i for i, p in enumerate(elems)}
+    mult = [[index[tuple(q[p[k]] for k in range(degree))] for q in elems] for p in elems]
+    return _finish_table(len(elems), mult, tuple(index[g] for g in gens), None)
+
+
+MAKE_GROUP_KINDS = (
+    [("cyclic", q) for q in (1, 2, 7, 12)]
+    + [("dihedral", m) for m in (2, 5, 6)]
+    + [("dicyclic", m) for m in (2, 3, 8)]
+    + [(k, None) for k in ("klein", "T*", "O*", "I*", "A4", "S4", "A5")]
+)
+
+
+class TestStandardConstructors:
+    """The index-2 families come from one builder and the fixed groups from
+    coset enumeration; both agree with the explicit builders they replace."""
+
+    @pytest.mark.parametrize("kind,least", [("cyclic", 1), ("dihedral", 2), ("dicyclic", 2)])
+    def test_families_match_the_explicit_builders(self, kind, least):
+        for m in range(least, 41):
+            G = make_group(kind, m)
+            mult, gens, pres = _family_reference(kind, m)
+            assert G.mult == tuple(map(tuple, mult))
+            assert (G.generators, G.presentation) == (gens, pres)
+
+    def test_klein_is_the_dihedral_table_at_two(self):
+        V, D = make_group("klein"), make_group("dihedral", 2)
+        assert (V.mult, V.generators, V.presentation) == (D.mult, D.generators, D.presentation)
+        assert (V.words, V.element_orders, V.inverse) == (D.words, D.element_orders, D.inverse)
+
+    @pytest.mark.parametrize("kind", ["A4", "S4", "A5"])
+    def test_rotation_groups_match_the_permutation_tables(self, kind):
+        G, ref = make_group(kind), _perm_table_reference(kind)
+        phi = hom_from_gen_images(G, ref, ref.generators)
+        assert len(set(phi)) == G.order == ref.order
+        assert structure_name(G) == kind
+
+    def test_a4_catalog_tags_agree(self):
+        G, ref = make_group("A4"), _perm_table_reference("A4")
+        phi = hom_from_gen_images(G, ref, ref.generators)
+        phi_inv = _invert_map(phi)
+        for a in _aut_maps(ref):
+            moved = _compose_maps(_compose_maps(phi, a), phi_inv)
+            assert classify_action(G, moved) == classify_action(ref, a)
+        assert set(action_catalog(G)) == set(action_catalog(ref)) == {"trivial", "omega~"}
+
+    @pytest.mark.parametrize("kind,param", MAKE_GROUP_KINDS)
+    def test_every_table_carries_its_presentation(self, kind, param):
+        G = make_group(kind, param)
+        pres = G.presentation
+        assert pres is not None and pres.ngens == len(G.generators)
+        assert all(G.eval_word(rel) == G.identity for rel in pres.relators)
+        assert todd_coxeter(pres).order == G.order
+
+    @pytest.mark.parametrize("kind,param,error,message", [
+        ("cyclic", 0, ValueError, "cyclic group needs order >= 1"),
+        ("dihedral", 1, ValueError, "dihedral group needs m >= 2 (order 2m)"),
+        ("dicyclic", None, ValueError, "dicyclic group needs m >= 2 (order 4m)"),
+        ("quaternion", 2, ValueError, "unknown group family 'quaternion'"),
+        ("dicyclic", 501, SubgroupBudgetError, "order 2004 exceeds table budget 2000"),
+    ])
+    def test_bad_kinds_and_parameters(self, kind, param, error, message):
+        with pytest.raises(error) as exc:
+            make_group(kind, param)
+        assert str(exc.value) == message

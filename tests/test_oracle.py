@@ -296,7 +296,11 @@ class TestVerifyFiniteSubgroup:
         ([full_twist(6), identity(6)], "dicyclic", 2),
         ([full_twist(6), alpha(6, 0) ** 3], "dicyclic", 3),
         ([alpha(6, 0) ** 4], "cyclic", 6),
-    ], ids=["Q8-onto-center", "Dic12-order-3-kernel", "Z6-onto-order-3"])
+        ([identity(6)] * 3, "A4", None),
+        ([identity(6)] * 2, "S4", None),
+        ([identity(6)] * 2, "A5", None),
+    ], ids=["Q8-onto-center", "Dic12-order-3-kernel", "Z6-onto-order-3",
+            "A4-onto-trivial", "S4-onto-trivial", "A5-onto-trivial"])
     def test_relators_hold_but_the_kernel_is_nontrivial(self, gens, kind, param):
         # Only the injectivity check can refuse these maps.
         assert not verify_finite_subgroup(gens, make_group(kind, param))
@@ -591,17 +595,38 @@ class TestStageOrder:
         assert budgets == [2 * 3 * len(w)]
 
     def test_first_pass_never_passes_the_full_budget(self, monkeypatch):
-        # A long word's 2(n-1)|w| can pass the full budget; the first pass
-        # still stops there, so a non-central word cannot grow its images
-        # without bound before the trace screen refutes it.
+        # A long word's 2(n-1)|w| can reach the full budget; such a word goes
+        # straight to the trace screen, so a non-central word cannot grow its
+        # images to the full budget before the screen refutes it.
         w = word(4, [1, -2] * 6) * full_twist(4)
-        budgets = []
+        screened, budgets = [], []
 
         def action(v, budget=oracle.IMAGE_BUDGET):
             budgets.append(budget)
             return artin_action(v, budget)
 
         monkeypatch.setattr(oracle, "IMAGE_BUDGET", 2 * 3 * len(w) - 1)
+        monkeypatch.setattr(oracle, "_traces_could_be_central",
+                            lambda v: screened.append(v) or _traces_could_be_central(v))
         monkeypatch.setattr(oracle, "artin_action", action)
         assert central_value(w) is None
-        assert budgets == [2 * 3 * len(w) - 1]
+        assert screened == [w]
+        assert budgets == []
+
+    def test_central_word_past_the_full_budget_gets_its_value(self, monkeypatch):
+        # FT^3 = FT, cyclically reduced: the screen passes it, and the one
+        # exact check runs on the full budget.
+        w, full = full_twist(4) ** 3, oracle.IMAGE_BUDGET
+        screened, budgets = [], []
+
+        def action(v, budget=oracle.IMAGE_BUDGET):
+            budgets.append(budget)
+            return artin_action(v, budget)
+
+        monkeypatch.setattr(oracle, "IMAGE_BUDGET", 2 * 3 * len(w))
+        monkeypatch.setattr(oracle, "_traces_could_be_central",
+                            lambda v: screened.append(v) or _traces_could_be_central(v))
+        monkeypatch.setattr(oracle, "artin_action", action)
+        assert central_value(w) == 2
+        assert screened == [w]
+        assert budgets == [full]
