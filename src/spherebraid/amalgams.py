@@ -167,14 +167,6 @@ class AmalgamSpec:
     def conj(self, g: AmalgamElement, x: AmalgamElement) -> AmalgamElement:
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def pow(self, a: AmalgamElement, e: int) -> AmalgamElement:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
     def element_order(self, a: AmalgamElement) -> Order:
         """Finite exactly when the (cyclically reduced) syllable length is
         at most 1; alternation makes cyclic reduction a no-op here."""

@@ -6,14 +6,15 @@ For a strand count n >= 4 the infinite virtually cyclic subgroups fall into
 Type I (finite-by-infinite-cyclic) and Type II (amalgams of two finite
 groups over an index-2 subgroup); the candidate families are parametrized
 by divisibility conditions in n, with a handful of congruence-gated
-binary-polyhedral entries.  Each family (Type I, Type II, and the
-mapping-class family) is a generator of ``(shape, i)`` pairs, a shape being
-the plain tuple ``(kind, factor, action, factors, amalgamated, gluing)``;
-one builder groups the deletion indices i by shape and builds each record
-once.  Each record carries a realization status read from one exception
-table: realized, open (a finite list of undecided strand counts), or not
-realized (two excluded cases).  A mapping-class record takes the merged
-status of its braid-group preimages.
+binary-polyhedral entries.  Each type is a generator of ``(shape, i)``
+pairs, a shape being the plain tuple
+``(kind, factor, action, factors, amalgamated, gluing)``; one builder groups
+the deletion indices i by shape and builds each record once.  Each record
+carries a realization status read from one exception table: realized, open
+(a finite list of undecided strand counts), or not realized (two excluded
+cases).  The mapping-class classes are the images of the braid-group shapes
+under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), and
+their statuses are merged over the preimages.
 
 Where the realization is by an explicit algebraic construction, one table,
 ``_construction(shape, n, i)``, writes the generator words down together
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracle, words
@@ -367,8 +369,15 @@ def enumerate_v2(n: int) -> tuple[VcClassRecord, ...]:
     return _records(n, False, _v2_shapes(n), lambda shape: _status(shape, n))
 
 
+def _shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+    return chain(_v1_shapes(n), _v2_shapes(n))
+
+
 def enumerate_all(n: int) -> tuple[VcClassRecord, ...]:
-    return enumerate_v1(n) + enumerate_v2(n)
+    """Both types in one pass; every Type I shape sorts before every Type II
+    shape, so this is ``enumerate_v1(n) + enumerate_v2(n)``."""
+    _check_n(n)
+    return _records(n, False, _shapes(n), lambda shape: _status(shape, n))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +436,10 @@ def _vtilde_status(n: int) -> dict:
     realized when any braid-group preimage class is, open when some
     preimage is open and none realized, excluded otherwise."""
     merged: dict[tuple, tuple[str, str]] = {}
-    for rec in enumerate_all(n):
-        key = _project(_shape(rec))
-        if key not in merged or _STATUS_RANK[rec.status] > _STATUS_RANK[merged[key][0]]:
-            merged[key] = (rec.status, rec.status_ref)
+    for shape, _ in _shapes(n):
+        key, status = _project(shape), _status(shape, n)
+        if key not in merged or _STATUS_RANK[status[0]] > _STATUS_RANK[merged[key][0]]:
+            merged[key] = status
     return merged
 
 
@@ -443,59 +452,13 @@ def project_to_mcg(record: VcClassRecord) -> VcClassRecord:
                          *_vtilde_status(record.n)[shape])
 
 
-def _vtilde_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
-    for i in (0, 1, 2):
-        for q in _divisors(n - i)[:-1]:
-            yield _type1(GroupDesc("Z", q), "trivial"), i
-    for i in (0, 2):
-        for q in _divisors(n - i)[:-1]:
-            if q >= 3:
-                yield _type1(GroupDesc("Z", q), "rho~"), i
-        for m in _divisors(n - i)[:-1]:
-            if m >= 3:
-                yield _type1(GroupDesc("Dih", m), "trivial"), i
-        for m in _divisors(n - i):
-            if m >= 3 and ((n - i) // m) % 2 == 0:
-                yield _type1(GroupDesc("Dih", m), "nu~"), i
-    if n % 2 == 0:
-        for tag in ("trivial", "alpha~", "beta~"):
-            yield _type1(GroupDesc("V4"), tag), None
-        yield _type1(GroupDesc("A4"), "trivial"), None
-    if n % 6 in (0, 2):
-        yield _type1(GroupDesc("A4"), "omega~"), None
-        yield _type1(GroupDesc("S4"), "trivial"), None
-    if n % 30 in (0, 2, 12, 20):
-        yield _type1(GroupDesc("A5"), "trivial"), None
-
-    for i in (0, 1, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                yield _type2(GroupDesc("Z", 2 * q), GroupDesc("Z", 2 * q), GroupDesc("Z", q)), i
-    for i in (0, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                if q >= 2:
-                    yield _type2(GroupDesc("Z", 2 * q), GroupDesc("Dih", q), GroupDesc("Z", q)), i
-        for q in _divisors(n - i)[:-1]:
-            if q >= 2:
-                yield _type2(GroupDesc("Dih", q), GroupDesc("Dih", q), GroupDesc("Z", q)), i
-        for q in _divisors(n - i):
-            if q >= 4 and q % 2 == 0:
-                d = GroupDesc("Dih", q)
-                f = GroupDesc("Dih", q // 2)
-                for gluing in (("K1'", "K2'") if q == 4 else (None,)):
-                    yield _type2(d, d, f, gluing), i
-    if n % 6 in (0, 2):
-        yield _type2(GroupDesc("S4"), GroupDesc("S4"), GroupDesc("A4")), None
-
-
 def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
-    """The mapping-class-group classes, enumerated from their own
-    definition; statuses are merged over the braid-group preimages."""
+    """The mapping-class-group classes: the images of the braid-group shapes
+    under the central quotient, each with the indices i of its preimages and
+    the status merged over them."""
     _check_n(n)
-    return _records(n, True, _vtilde_shapes(n), _vtilde_status(n).__getitem__)
-
-
+    return _records(n, True, ((_project(shape), i) for shape, i in _shapes(n)),
+                    _vtilde_status(n).__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,9 @@ def _witness_payload(w: classifier.Witness) -> dict[str, Any]:
 
 
 def _group_by_tag(tag: str) -> groups.FiniteGroupTable:
-    plain = {"T*": "T*", "O*": "O*", "I*": "I*", "A4": "A4", "S4": "S4", "A5": "A5",
-             "klein": "klein", "B3": None}
     if tag == "B3":
         return groups.sphere_three_strand_table()
-    if tag in plain:
+    if tag in ("T*", "O*", "I*", "A4", "S4", "A5", "klein"):
         return groups.make_group(tag)
     for prefix, kind, scale in (("Dic", "dicyclic", 4), ("Q", "dicyclic", 4),
                                 ("Dih", "dihedral", 2), ("Z", "cyclic", 1)):

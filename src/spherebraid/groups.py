@@ -120,10 +120,10 @@ class FiniteGroupTable:
         return self.inverse[a]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inverse[a], -e)
+        """a^e, for any integer e: e is first reduced modulo the order of a,
+        which also makes it non-negative."""
         out = self.identity
-        for _ in range(e):
+        for _ in range(e % self.element_orders[a]):
             out = self.mult[out][a]
         return out
 

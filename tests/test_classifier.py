@@ -239,12 +239,12 @@ class TestProjection:
     @pytest.mark.parametrize("n", range(4, 13))
     def test_projection_is_onto_the_tilde_family(self, n):
         projected = {project_to_mcg(r).key for r in enumerate_all(n)}
-        tilde = {r.key for r in enumerate_vtilde(n)}
+        tilde = {r.key for r in reference_vtilde(n)}
         assert projected == tilde
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_projection_statuses_agree(self, n):
-        tilde = {r.key: r.status for r in enumerate_vtilde(n)}
+        tilde = {r.key: r.status for r in reference_vtilde(n)}
         for rec in enumerate_all(n):
             proj = project_to_mcg(rec)
             assert tilde[proj.key] == proj.status
@@ -451,7 +451,7 @@ class TestStatusBoundaries:
     @pytest.mark.parametrize("n", (20, 36, 63))
     def test_projection_onto_at_large_n(self, n):
         projected = {project_to_mcg(r).key for r in enumerate_all(n)}
-        assert projected == {r.key for r in enumerate_vtilde(n)}
+        assert projected == {r.key for r in reference_vtilde(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,11 @@ class TestAmalgamCommand:
         code, out = run(capsys, "--format", "json", "amalgam", "order",
                         "--spec", "zz:1", "--elt", "1:x,2:x")
         assert json.loads(out)["order"] == "infinite"
+        # The exponent is reduced modulo the order of x; looping 10^12
+        # times would not finish.
+        code, out = run(capsys, "--format", "json", "amalgam", "order",
+                        "--spec", "k1", "--elt", "1:x^1000000000000")
+        assert code == 0 and json.loads(out)["order"] == 1
 
     def test_semidirect(self, capsys):
         code, out = run(capsys, "--format", "json", "amalgam", "semidirect",

@@ -80,6 +80,26 @@ class TestGroupAxioms:
         assert len(G.closure(G.generators)) == G.order
         assert all(G.eval_word(G.words[x]) == x for x in range(G.order))
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_group("cyclic", 12),
+        lambda: make_group("dicyclic", 6),
+        lambda: make_group("dihedral", 7),
+        lambda: make_group("T*"),
+        lambda: make_group("A5"),
+    ])
+    def test_pow_is_repeated_multiplication(self, build):
+        # pow reduces e modulo the order of a; each power is checked against
+        # |e| multiplications by a, or by its inverse for negative e, over
+        # two full periods either side of zero.
+        G = build()
+        for a in range(G.order):
+            k = G.element_orders[a]
+            for sign, step in ((1, a), (-1, G.inverse[a])):
+                x = G.identity
+                for e in range(2 * k + 2):
+                    assert G.pow(a, sign * e) == x
+                    x = G.mult[x][step]
+
 
 class TestCosetEnumeration:
     def test_three_strand_group(self):
