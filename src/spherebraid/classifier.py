@@ -13,8 +13,9 @@ the deletion indices i by shape and builds each record once.  Each record
 carries a realization status read from one exception table: realized, open
 (a finite list of undecided strand counts), or not realized (two excluded
 cases).  The mapping-class classes are the images of the braid-group shapes
-under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), and
-their statuses are merged over the preimages.
+under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), listed
+once per isomorphism class, and their statuses are merged over the
+preimages.
 
 Where the realization is by an explicit algebraic construction, one table,
 ``_construction(shape, n, i)``, writes the generator words down together
@@ -40,16 +41,13 @@ from .words import BraidWord
 __all__ = [
     "GroupDesc",
     "VcClassRecord",
-    "FiniteClassRecord",
     "Witness",
     "WitnessUnavailable",
-    "finite_classes",
     "enumerate_v1",
     "enumerate_v2",
     "enumerate_all",
     "enumerate_vtilde",
     "project_to_mcg",
-    "realization_status",
     "witness",
 ]
 
@@ -148,80 +146,8 @@ class VcClassRecord(NamedTuple):
                 self.factors, self.amalgamated, self.gluing)
 
 
-# ---------------------------------------------------------------------------
-# Finite subgroup classes.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteClassRecord:
-    desc: GroupDesc
-    maximal: bool
-    inside: tuple[str, ...]  # names of the maximal families containing it
-
-
 def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _maximal_families(n: int) -> list[GroupDesc]:
-    out = []
-    if n >= 5:
-        out.append(GroupDesc("Z", 2 * (n - 1)))
-    out.append(GroupDesc("Dic", n))
-    if n == 5 or n >= 7:
-        out.append(GroupDesc("Dic", n - 2))
-    if n % 6 == 4:
-        out.append(GroupDesc("T*"))
-    if n % 6 in (0, 2):
-        out.append(GroupDesc("O*"))
-    if n % 30 in (0, 2, 12, 20):
-        out.append(GroupDesc("I*"))
-    return out
-
-
-_BINARY_SUBGROUPS = {
-    "T*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
-           GroupDesc("Z", 6), GroupDesc("Dic", 2), GroupDesc("T*")),
-    "O*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
-           GroupDesc("Z", 6), GroupDesc("Z", 8), GroupDesc("Dic", 2), GroupDesc("Dic", 3),
-           GroupDesc("Dic", 4), GroupDesc("T*"), GroupDesc("O*")),
-    "I*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
-           GroupDesc("Z", 5), GroupDesc("Z", 6), GroupDesc("Dic", 2), GroupDesc("Z", 10),
-           GroupDesc("Dic", 3), GroupDesc("Dic", 5), GroupDesc("T*"), GroupDesc("I*")),
-}
-
-
-def _subgroup_classes(desc: GroupDesc) -> tuple[GroupDesc, ...]:
-    if desc.family == "Z":
-        return tuple(GroupDesc("Z", d) for d in _divisors(desc.param))
-    if desc.family == "Dic":
-        m = desc.param
-        cyc = [GroupDesc("Z", d) for d in _divisors(2 * m)]
-        dic = [GroupDesc("Dic", d) for d in _divisors(m) if d >= 2]
-        return tuple(cyc + dic)
-    return _BINARY_SUBGROUPS[desc.family]
-
-
-def finite_classes(n: int) -> tuple[FiniteClassRecord, ...]:
-    """All finite subgroup isomorphism classes for the given strand count,
-    with maximality flags and the maximal families containing each."""
-    _check_n(n)
-    maximal = _maximal_families(n)
-    containers: dict[GroupDesc, list[str]] = {}
-    for fam in maximal:
-        for sub in _subgroup_classes(fam):
-            containers.setdefault(sub, []).append(str(fam))
-    out = []
-    for desc in sorted(containers):
-        out.append(
-            FiniteClassRecord(
-                desc=desc,
-                maximal=desc in maximal,
-                inside=tuple(containers[desc]),
-            )
-        )
-    return tuple(out)
 
 
 def _check_n(n: int) -> None:
@@ -272,18 +198,6 @@ def _status(shape: tuple, n: int) -> tuple[str, str]:
     if n in open_ns:
         return "open", f"open:{tag}"
     return "realized", "realized"
-
-
-def realization_status(record: VcClassRecord) -> tuple[str, str]:
-    """The (status, source tag) pair for a braid-group record.
-
-    Everything is realized except for one exception table: the two excluded
-    direct products at n = 4 and n = 6, and the finitely many open strand
-    counts for the binary-polyhedral and twisted-gluing entries.
-    """
-    if record.mcg:
-        raise ValueError("status of a mapping-class record is set by projection")
-    return _status(_shape(record), record.n)
 
 
 def _records(n: int, mcg: bool, found: Iterable[tuple[tuple, int | None]],
@@ -420,6 +334,10 @@ def _project(shape: tuple) -> tuple:
         action = _ACTION_PROJECTION[action]
         # Inversion collapses to the identity on the groups of order <= 2.
         if action == "rho~" and factor.order <= 2:
+            action = "trivial"
+        # Conjugation by x^k sends y to x^(2k) y in Dih_2m, so for odd m the
+        # map (x, y) -> (x, xy) is inner and Dih_2m x|nu~ Z is Dih_2m x Z.
+        if action == "nu~" and factor.param % 2:
             action = "trivial"
         return _type1(factor, action)
     a, b = factors

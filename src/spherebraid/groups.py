@@ -43,10 +43,10 @@ __all__ = [
     "structure_name",
     "is_isomorphic",
     "center",
-    "derived_subgroup",
     "quotient",
     "automorphisms",
     "outer_group",
+    "same_semidirect_class",
     "aut_from_gen_images",
     "hom_from_gen_images",
     "classify_action",
@@ -129,9 +129,6 @@ class FiniteGroupTable:
 
     def conj(self, g: int, x: int) -> int:
         return self.mult[self.mult[g][x]][self.inverse[g]]
-
-    def commutator(self, a: int, b: int) -> int:
-        return self.mult[self.mult[a][b]][self.inverse[self.mult[b][a]]]
 
     def eval_word(self, gen_word: Sequence[int]) -> int:
         out = self.identity
@@ -619,12 +616,6 @@ def center(G: FiniteGroupTable) -> SubgroupHandle:
         a for a in range(G.order) if all(G.mult[a][g] == G.mult[g][a] for g in G.generators)
     )
     return SubgroupHandle(elems, True, structure_name(subgroup_table(G, elems)), True)
-
-
-def derived_subgroup(G: FiniteGroupTable) -> frozenset[int]:
-    return G.closure(
-        G.commutator(a, b) for a in range(G.order) for b in range(G.order)
-    )
 
 
 def quotient(G: FiniteGroupTable, N: SubgroupHandle | frozenset[int]) -> FiniteGroupTable:

@@ -50,9 +50,11 @@ __all__ = [
     "OracleBudgetError",
     "artin_action",
     "is_inner",
+    "central_value",
     "equals",
     "is_trivial",
     "is_central",
+    "torsion_order_candidates",
     "order_of",
     "commute",
     "verify_finite_subgroup",
@@ -80,8 +82,7 @@ class FreeAutomorphism:
     """An endomorphism of the free group given by its free-reduced basis images.
 
     All instances produced by :func:`artin_action` are automorphisms by
-    construction (each braid letter acts invertibly); general invertibility
-    is certified by composing with a candidate inverse, not assumed.
+    construction (each braid letter acts invertibly).
     """
 
     images: tuple[FreeWord, ...]
@@ -89,23 +90,6 @@ class FreeAutomorphism:
     @property
     def rank(self) -> int:
         return len(self.images)
-
-    def apply(self, w: Sequence[int]) -> FreeWord:
-        parts: list[Sequence[int]] = []
-        for x in w:
-            parts.append(self.images[x - 1] if x > 0 else _finv(self.images[-x - 1]))
-        return _reduce(*parts)
-
-    def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """self after other: (self.compose(other)).apply == self.apply(other.apply(.))."""
-        return FreeAutomorphism(tuple(self.apply(img) for img in other.images))
-
-    def is_identity(self) -> bool:
-        return all(img == (j,) for j, img in enumerate(self.images, start=1))
-
-    @staticmethod
-    def identity(rank: int) -> "FreeAutomorphism":
-        return FreeAutomorphism(tuple((j,) for j in range(1, rank + 1)))
 
 
 def _artin_steps(

@@ -10,11 +10,11 @@ deciding equality *in the group* is the job of :mod:`spherebraid.oracle`.
 Two homomorphisms are computable directly on words: the underlying
 permutation (sigma_k maps to the transposition (k, k+1), permutations
 composed left to right, i.e. the leftmost letter acts first) and the
-abelianization (exponent sum mod 2(n-1)).  The module also implements the
-geometric strand-forgetting projection and a catalog of standard elements
-(torsion elements, half/full twist, the half-block twists, and the various
-commuting and conjugating elements used by the realization constructions),
-together with a small text DSL for naming them on the command line.
+abelianization (exponent sum mod 2(n-1)).  The module also holds a catalog
+of standard elements (torsion elements, half/full twist, the half-block
+twists, and the various commuting and conjugating elements used by the
+realization constructions), together with a small text DSL for naming them
+on the command line.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "permutation",
     "abelianize",
     "exponent_sum",
-    "forget_strands",
     "std_element",
     "alpha",
     "alpha_prime",
@@ -136,10 +135,6 @@ class BraidWord:
     def __pow__(self, e: int) -> "BraidWord":
         return BraidWord(self.n, _reduce(*_power_parts(self.letters, e)))
 
-    def conj(self, g: "BraidWord") -> "BraidWord":
-        """g * self * g^-1."""
-        return g * self * g.inv()
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -183,18 +178,6 @@ class Permutation:
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Left-to-right composition: apply self first, then other."""
-        if self.n != other.n:
-            raise StrandMismatchError("permutation size mismatch")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
-
-    def inv(self) -> "Permutation":
-        out = [0] * self.n
-        for k, v in enumerate(self.images, start=1):
-            out[v - 1] = k
-        return Permutation(tuple(out))
-
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
 
@@ -203,9 +186,6 @@ class Permutation:
         for c in self.cycles():
             d = _lcm(d, len(c))
         return d
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self.images, start=1) if v == k)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least element."""
@@ -224,9 +204,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
-
-    def maps_onto(self, subset: frozenset[int]) -> bool:
-        return {self(k) for k in subset} == set(subset)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -280,40 +257,6 @@ def abelianize(w: BraidWord) -> AbelianClass:
     """Exponent sum of the word reduced modulo 2(n-1)."""
     m = 2 * (w.n - 1)
     return AbelianClass(exponent_sum(w) % m, m)
-
-
-def forget_strands(w: BraidWord, keep: Iterable[int]) -> BraidWord:
-    """Project onto the braid group of the kept strands.
-
-    Tracks strand positions through the word, drops every crossing that
-    involves a forgotten strand, and relabels the surviving strands by the
-    order-preserving bijection onto {1, ..., len(keep)}.  Defined only when
-    the word's permutation maps the keep-set onto itself.
-    """
-    keep_set = frozenset(keep)
-    if not keep_set or not keep_set <= set(range(1, w.n + 1)):
-        raise WordError(f"keep-set {sorted(keep_set)} is not a nonempty subset of 1..{w.n}")
-    if len(keep_set) < 3:
-        raise WordError("fewer than 3 strands would remain")
-    if not permutation(w).maps_onto(keep_set):
-        raise WordError("word's permutation does not preserve the keep-set")
-    kept = [False] * (w.n + 1)
-    for p in keep_set:
-        kept[p] = True
-    strand_at = list(range(w.n + 1))  # strand occupying each position
-    kept_upto = [0] * (w.n + 1)  # number of kept strands at positions 1..p
-    for p in range(1, w.n + 1):
-        kept_upto[p] = kept_upto[p - 1] + kept[p]
-    out: list[int] = []
-    for x in w.letters:
-        i = abs(x)
-        a, b = strand_at[i], strand_at[i + 1]
-        if kept[a] and kept[b]:
-            j = kept_upto[i]
-            out.append(j if x > 0 else -j)
-        strand_at[i], strand_at[i + 1] = b, a
-        kept_upto[i] = kept_upto[i - 1] + kept[b]
-    return word(len(keep_set), out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -15,13 +16,12 @@ from spherebraid.classifier import (
     enumerate_v1,
     enumerate_v2,
     enumerate_vtilde,
-    finite_classes,
     _records,
     project_to_mcg,
-    realization_status,
     witness,
 )
 from spherebraid import oracle, suites
+from spherebraid.groups import _index_two_cyclic, action_catalog, make_group, same_semidirect_class
 from spherebraid.words import alpha, delta_comm, half_twist, omega1, parse_braid, permutation, zeta_elt
 
 
@@ -35,6 +35,67 @@ def by_shape(records, shape):
 
 def divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+# The maximal-finite-subgroup list, kept here as an independent reference for
+# the factors the enumerator names; the engine itself has no caller for it.
+class FiniteClassRecord(NamedTuple):
+    desc: GroupDesc
+    maximal: bool
+    inside: tuple[str, ...]  # names of the maximal families containing it
+
+
+def _maximal_families(n):
+    out = []
+    if n >= 5:
+        out.append(GroupDesc("Z", 2 * (n - 1)))
+    out.append(GroupDesc("Dic", n))
+    if n == 5 or n >= 7:
+        out.append(GroupDesc("Dic", n - 2))
+    if n % 6 == 4:
+        out.append(GroupDesc("T*"))
+    if n % 6 in (0, 2):
+        out.append(GroupDesc("O*"))
+    if n % 30 in (0, 2, 12, 20):
+        out.append(GroupDesc("I*"))
+    return out
+
+
+_BINARY_SUBGROUPS = {
+    "T*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
+           GroupDesc("Z", 6), GroupDesc("Dic", 2), GroupDesc("T*")),
+    "O*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
+           GroupDesc("Z", 6), GroupDesc("Z", 8), GroupDesc("Dic", 2), GroupDesc("Dic", 3),
+           GroupDesc("Dic", 4), GroupDesc("T*"), GroupDesc("O*")),
+    "I*": (GroupDesc("Z", 1), GroupDesc("Z", 2), GroupDesc("Z", 3), GroupDesc("Z", 4),
+           GroupDesc("Z", 5), GroupDesc("Z", 6), GroupDesc("Dic", 2), GroupDesc("Z", 10),
+           GroupDesc("Dic", 3), GroupDesc("Dic", 5), GroupDesc("T*"), GroupDesc("I*")),
+}
+
+
+def _subgroup_classes(desc):
+    if desc.family == "Z":
+        return tuple(GroupDesc("Z", d) for d in divisors(desc.param))
+    if desc.family == "Dic":
+        m = desc.param
+        cyc = [GroupDesc("Z", d) for d in divisors(2 * m)]
+        dic = [GroupDesc("Dic", d) for d in divisors(m) if d >= 2]
+        return tuple(cyc + dic)
+    return _BINARY_SUBGROUPS[desc.family]
+
+
+def finite_classes(n):
+    """All finite subgroup isomorphism classes for the given strand count,
+    with maximality flags and the maximal families containing each."""
+    if n < 4:
+        raise ValueError(f"the classification needs n >= 4, got {n}")
+    maximal = _maximal_families(n)
+    containers = {}
+    for fam in maximal:
+        for sub in _subgroup_classes(fam):
+            containers.setdefault(sub, []).append(str(fam))
+    return tuple(FiniteClassRecord(desc, desc in maximal, tuple(containers[desc]))
+                 for desc in sorted(containers))
 
 
 class TestFiniteClasses:
@@ -214,11 +275,6 @@ class TestStatuses:
         for n in (5, 7, 9, 11):
             assert all(r.status == "realized" for r in enumerate_all(n))
 
-    def test_status_requires_braid_record(self):
-        rec = enumerate_vtilde(6)[0]
-        with pytest.raises(ValueError):
-            realization_status(rec)
-
 
 class TestProjection:
     def test_factor_projections(self):
@@ -264,6 +320,47 @@ class TestProjection:
         assert by_shape(enumerate_vtilde(6), "S4 *_{A4} S4").status == "open"
         assert by_shape(enumerate_vtilde(8), "Dih8 *_{Dih4} Dih8 [K2']").status == "realized"
         assert by_shape(enumerate_vtilde(14), "Dih8 *_{Dih4} Dih8 [K2']").status == "open"
+
+
+class TestOneRecordPerClass:
+    """The mapping-class records list classes up to isomorphism.  In Dih_2m,
+    conjugation by x^k sends y to x^(2k) y; for odd m, 2k = 1 (mod m) has a
+    solution, so the twist nu~ : (x, y) -> (x, xy) is inner and
+    Dih_2m x|nu~ Z is the class Dih_2m x Z."""
+
+    @staticmethod
+    def _nu_preimages():
+        by_m = {}
+        for n in range(4, 201):
+            for rec in enumerate_v1(n):
+                if rec.action == "nu":
+                    by_m.setdefault(rec.factor.param, []).append(rec)
+        return by_m
+
+    def test_odd_m_merges_into_the_direct_product(self):
+        by_m = self._nu_preimages()
+        assert min(by_m) == 3 and max(by_m) == 100
+        for m, recs in by_m.items():
+            for rec in recs:
+                proj = project_to_mcg(rec)
+                assert proj.factor == GroupDesc("Dih", m)
+                assert proj.action == ("trivial" if m % 2 else "nu~"), rec.shape
+                tilde = enumerate_vtilde(rec.n)
+                assert proj.key in {r.key for r in tilde}
+                assert not any(r.factor == proj.factor and r.action == "nu~"
+                               for r in tilde if m % 2)
+
+    def test_each_collapsed_pair_is_one_class(self):
+        for m in sorted(self._nu_preimages()):
+            G = make_group("dihedral", m)
+            nu = action_catalog(G)["nu~"]
+            if m % 2:
+                # x^k with 2k = 1 (mod m) fixes x and sends y to xy.
+                x, _ = _index_two_cyclic(G)
+                xk = G.pow(x, (m + 1) // 2)
+                assert tuple(G.conj(xk, g) for g in range(G.order)) == nu
+            if m <= 39:  # the search over Aut(Dih_2m) grows as m^4
+                assert same_semidirect_class(G, nu, tuple(range(G.order))) == bool(m % 2), m
 
 
 class TestWitness:
@@ -608,6 +705,9 @@ def _ref_project_shape(record):
         action = _REF_ACTION_PROJECTION[record.action]
         if action == "rho~" and factor.order <= 2:
             action = "trivial"
+        # For odd m, nu~ is inner on Dih_2m: the class is Dih_2m x Z.
+        if action == "nu~" and factor.param % 2:
+            action = "trivial"
         return record._replace(mcg=True, factor=factor, action=action,
                                status="", status_ref="")
     gluing = {"K1": "K1'", "K2": "K2'"}.get(record.gluing or "", record.gluing)
@@ -663,7 +763,8 @@ def reference_vtilde(n):
                 rec1(GroupDesc("Dih", m), "trivial", i)
         for m in divisors(n - i):
             if m >= 3 and ((n - i) // m) % 2 == 0:
-                rec1(GroupDesc("Dih", m), "nu~", i)
+                # For odd m, nu~ is inner: the record is Dih_2m x Z.
+                rec1(GroupDesc("Dih", m), "trivial" if m % 2 else "nu~", i)
     if n % 2 == 0:
         for tag in ("trivial", "alpha~", "beta~"):
             rec1(GroupDesc("V4"), tag, None)
@@ -717,7 +818,6 @@ class TestAgainstReference:
         assert recs == reference_all(n)
         assert enumerate_vtilde(n) == reference_vtilde(n)
         assert [project_to_mcg(r) for r in recs] == [reference_project(r) for r in recs]
-        assert [realization_status(r) for r in recs] == [reference_status(r) for r in recs]
 
     def test_builder_sorts_and_merges_indices(self):
         shape = ("I", GroupDesc("Z", 2), "trivial", None, None, None)

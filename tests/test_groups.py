@@ -12,7 +12,6 @@ from spherebraid.groups import (
     aut_from_gen_images,
     center,
     classify_action,
-    derived_subgroup,
     hom_from_gen_images,
     is_isomorphic,
     make_group,
@@ -206,10 +205,6 @@ class TestQuotientsAndIso:
         q16 = make_group("dicyclic", 4)
         z2 = next(h for h in subgroups(q16) if h.name == "Z2")
         assert structure_name(quotient(q16, z2)) == "Dih8"
-
-    def test_derived_subgroup(self):
-        q8 = make_group("dicyclic", 2)
-        assert len(derived_subgroup(q8)) == 2
 
 
 class TestAutomorphisms:
@@ -478,8 +473,6 @@ class TestGenerationWalk:
         for _ in range(20):
             seed = [rng.randrange(G.order) for _ in range(rng.randrange(4))]
             assert G.closure(seed) == _closure_all_seeds(G, seed)
-        commutators = [G.commutator(a, b) for a in range(G.order) for b in range(G.order)]
-        assert derived_subgroup(G) == _closure_all_seeds(G, commutators)
 
     @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
     def test_joins_of_subgroups_match_reference(self, name, G):
