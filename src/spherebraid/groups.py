@@ -16,9 +16,10 @@ groups (T*, O*, I*, A4, S4, A5) and the Klein group come from coset
 enumeration, so every catalog table carries its presentation.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
-order, each join walking on from the subgroup already known.  The outer
-automorphism group is built on Inn-coset representatives, without the
-whole automorphism table; its ``labels`` are the representative maps.
+order, each join walking on from the subgroup already known.  Aut and Out
+come from one coset walk over the automorphisms, keyed by their generator
+images; Out keeps one representative map per Inn-coset as its ``labels``,
+and outer-class questions (``same_semidirect_class``) are read off its table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -791,81 +791,65 @@ def _compose_maps(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     return tuple(g[f[x]] for x in range(len(f)))
 
 
-def _invert_map(f: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(f)
-    for x, y in enumerate(f):
-        out[y] = x
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def automorphisms(G: FiniteGroupTable) -> FiniteGroupTable:
-    """The automorphism group; element labels carry the underlying maps.
+def _aut_cosets(G: FiniteGroupTable, inner: bool) -> tuple[FiniteGroupTable, dict]:
+    """Aut(G) (``inner`` false) or Out(G) (``inner`` true) on coset
+    representatives, with the coset index of every automorphism's key.
 
-    An automorphism is fixed by the images of the distinguished generators
-    (for the trivial group, of the identity), so maps are composed and
-    looked up on those images only.  Raises :class:`SubgroupBudgetError`
-    before building a table of order past ``FAMILY_ORDER_BUDGET``.
+    Each automorphism is keyed by its images of the distinguished generators
+    (for the trivial group, of the identity).  The automorphisms are walked
+    in sorted order, and the first one of each coset of the inner
+    automorphisms (or of the identity alone) is its representative: its key
+    conjugated by every g is keyed to the new coset.  Representatives
+    multiply by composing them on the generator images (apply the row's map
+    first), and ``labels`` holds the representative maps.  Raises
+    :class:`SubgroupBudgetError` before building a table of order past
+    ``FAMILY_ORDER_BUDGET``.
     """
-    maps = _aut_maps(G)
-    if len(maps) > FAMILY_ORDER_BUDGET:
+    gens = G.generators or (G.identity,)
+    conjugators = range(G.order) if inner else (G.identity,)
+    coset_of: dict[tuple[int, ...], int] = {}
+    reps: list[tuple[int, ...]] = []
+    for a in _aut_maps(G):
+        key = tuple(a[g] for g in gens)
+        if key not in coset_of:
+            coset_of.update((tuple(G.conj(g, y) for y in key), len(reps)) for g in conjugators)
+            reps.append(a)
+    if len(reps) > FAMILY_ORDER_BUDGET:
         raise SubgroupBudgetError(
-            f"order {len(maps)} of the automorphism group exceeds table budget "
+            f"order {len(reps)} of the automorphism group exceeds table budget "
             f"{FAMILY_ORDER_BUDGET}"
         )
-    gens = G.generators or (G.identity,)
-    index = {k: i for i, k in enumerate(map(itemgetter(*gens), maps))}
-    mult = [[index[k] for k in map(itemgetter(*[a[g] for g in gens]), maps)] for a in maps]
-    return _finish_table(len(maps), mult, (), None, labels=maps)
+    mult = [[coset_of[tuple(b[a[g]] for g in gens)] for b in reps] for a in reps]
+    return _finish_table(len(reps), mult, (), None, labels=tuple(reps)), coset_of
 
 
-@lru_cache(maxsize=None)
-def _inner_maps(G: FiniteGroupTable) -> frozenset[tuple[int, ...]]:
-    """The conjugation maps x -> g x g^-1, as whole maps."""
-    return frozenset(tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order))
+def automorphisms(G: FiniteGroupTable) -> FiniteGroupTable:
+    """The automorphism group; element labels carry the underlying maps."""
+    return _aut_cosets(G, False)[0]
 
 
 def outer_group(G: FiniteGroupTable) -> FiniteGroupTable:
-    """Aut modulo the inner automorphisms, built on coset representatives.
-
-    Each automorphism is keyed by its images of the distinguished generators.
-    The automorphisms are walked in sorted order, and the first one of each
-    Inn-coset is its representative: every i∘a with i inner is keyed to the
-    new coset.  Representatives multiply by composing them on the generator
-    images (apply the row's map first).  ``labels`` holds the representative
-    maps, so the whole Aut table is never built.
-    """
-    gens = G.generators or (G.identity,)
-    inner = _inner_maps(G)
-    coset_of: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[int, ...]] = []
-    rep_keys: list[tuple[int, ...]] = []
-    for a in _aut_maps(G):
-        key = tuple(a[g] for g in gens)
-        if key in coset_of:
-            continue
-        for i in inner:
-            coset_of[tuple(i[y] for y in key)] = len(reps)
-        reps.append(a)
-        rep_keys.append(key)
-    mult = [[coset_of[tuple(b[y] for y in key)] for b in reps] for key in rep_keys]
-    return _finish_table(len(reps), mult, (), None, labels=tuple(reps))
+    """Aut modulo the inner automorphisms; ``labels`` holds the coset
+    representatives as maps, so the whole Aut table is never built."""
+    return _aut_cosets(G, True)[0]
 
 
 def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether the infinite semidirect products twisted by a and b agree.
 
     The isomorphism class depends only on the outer class of the twisting
-    automorphism, up to inversion and conjugation in the outer group.
+    automorphism, up to inversion and conjugation in the outer group, so the
+    question is answered on the table of ``outer_group(G)``.  Raises
+    ``ValueError`` when a or b is not an automorphism of G.
     """
-    inner = _inner_maps(G)
-    b_inv = _invert_map(b)
-    for c in _aut_maps(G):
-        cac = _compose_maps(_compose_maps(c, tuple(a)), _invert_map(c))
-        if (_compose_maps(cac, b_inv) in inner
-                or _compose_maps(_invert_map(cac), b_inv) in inner):
-            return True
-    return False
+    for f in (a, b):
+        if len(f) != G.order or tuple(f) != aut_from_gen_images(G, [f[g] for g in G.generators]):
+            raise ValueError("map is not an automorphism of the group")
+    out, coset_of = _aut_cosets(G, True)
+    gens = G.generators or (G.identity,)
+    i, j = (coset_of[tuple(f[g] for g in gens)] for f in (a, b))
+    return any(out.conj(c, i) in (j, out.inverse[j]) for c in range(out.order))
 
 
 def action_catalog(G: FiniteGroupTable) -> dict[str, tuple[int, ...]]:

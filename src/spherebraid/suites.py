@@ -172,10 +172,13 @@ _REALV2_IDS = {
 
 
 def _construction_checks(n: int, ids: dict[str, str], claims: tuple, **params) -> Iterator[Check]:
-    """One check per claim whose label has a template in ``ids``."""
-    for claim in claims:
-        if claim[0] in ids:
-            yield f"n={n}/" + ids[claim[0]].format(**params), partial(classifier._holds, claim)
+    """One check per template in ``ids``, in template order, on the claim
+    with its label; a template whose label no claim carries fails."""
+    by_label = {claim[0]: claim for claim in claims}
+    for label, template in ids.items():
+        claim = by_label.get(label)
+        check_id = f"n={n}/" + template.format(**params)
+        yield check_id, partial(classifier._holds, claim) if claim else (lambda: False)
 
 
 def _commalphaigen_order(found: tuple) -> tuple:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import sys
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
@@ -21,8 +22,19 @@ from spherebraid.classifier import (
     witness,
 )
 from spherebraid import oracle, suites
-from spherebraid.groups import _index_two_cyclic, action_catalog, make_group, same_semidirect_class
-from spherebraid.words import alpha, delta_comm, half_twist, omega1, parse_braid, permutation, zeta_elt
+from spherebraid.groups import (
+    _index_two_cyclic,
+    action_catalog,
+    aut_from_gen_images,
+    classify_action,
+    make_group,
+    quotient,
+    same_semidirect_class,
+    structure_name,
+)
+from spherebraid.words import (
+    alpha, delta_comm, half_twist, identity, omega1, parse_braid, permutation, zeta_elt,
+)
 
 
 def shapes(records):
@@ -359,8 +371,27 @@ class TestOneRecordPerClass:
                 x, _ = _index_two_cyclic(G)
                 xk = G.pow(x, (m + 1) // 2)
                 assert tuple(G.conj(xk, g) for g in range(G.order)) == nu
-            if m <= 39:  # the search over Aut(Dih_2m) grows as m^4
+            if m <= 39:  # enumerating Aut(Dih_2m) by brute force grows about as m^3
                 assert same_semidirect_class(G, nu, tuple(range(G.order))) == bool(m % 2), m
+
+    def test_type1_records_are_pairwise_non_isomorphic(self):
+        # Two Type I records with one factor are one class exactly when
+        # their actions are; every factor table here has order <= 200.
+        pairs = 0
+        for n in range(4, 51):
+            for records in (enumerate_all(n), enumerate_vtilde(n)):
+                actions = {}
+                for rec in records:
+                    if rec.kind == "I":
+                        actions.setdefault(rec.factor, []).append(catalog_tag(rec.action))
+                for factor, tags in actions.items():
+                    G = factor.table()
+                    catalog = action_catalog(G)
+                    for a, b in combinations(tags, 2):
+                        pairs += 1
+                        assert not same_semidirect_class(G, catalog[a], catalog[b]), (
+                            n, str(factor), a, b)
+        assert pairs == 761
 
 
 class TestWitness:
@@ -523,6 +554,87 @@ class TestConstructionGolden:
         assert len(lines) == 2120
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "05646b65e708dc2a2c7f1410b57f5bd2109d4496f431fb9cda32f605804c1f39")
+
+
+def catalog_tag(action):
+    """The cyclic catalog names inversion ``rho`` on every cyclic table, so
+    the mapping-class tag ``rho~`` is looked up as ``rho``."""
+    return "rho" if action == "rho~" else action
+
+
+def construction_data(rec, w):
+    """The factor table, the braid word of each of its elements (from its
+    word over the finite generators) and the axis word of a witness."""
+    roles = dict(w.generators)
+    gens = [roles[r] for r in ("finite", "finite-x", "finite-y") if r in roles]
+    T = rec.factor.table()
+    elements = []
+    for letters in T.words:
+        out = identity(rec.n)
+        for x in letters:
+            out = out * (gens[x - 1] if x > 0 else gens[-x - 1].inv())
+        elements.append(out)
+    return T, elements, roles["axis"]
+
+
+def action_from_words(T, elements, z, same):
+    """The tag of the automorphism g -> z g z^-1 of T, where ``same`` decides
+    whether two braid words name the same element of T."""
+    images = []
+    for g in T.generators:
+        c = z * elements[g] * z.inv()
+        images.append(next(e for e in range(T.order) if same(c, elements[e])))
+    return classify_action(T, aut_from_gen_images(T, images))
+
+
+class TestActionLabelsFromWords:
+    """Every Type I label at n = 4..12 is read back off the construction
+    words: the axis acts on the factor by conjugation, and the automorphism
+    it induces is named by the action catalog."""
+
+    def test_braid_records(self):
+        read = 0
+        for n in range(4, 13):
+            for rec, w in witnesses(n):
+                if rec.kind != "I" or isinstance(w, str) or rec.factor.order == 1:
+                    continue
+                assert w.ok, rec.shape
+                T, elements, z = construction_data(rec, w)
+                assert action_from_words(T, elements, z, oracle.equals) == rec.action, (
+                    n, rec.shape)
+                read += 1
+        assert read == 98
+
+    def test_mapping_class_records(self):
+        # The kernel of the central quotient on a factor is the set of its
+        # elements with central words; the mapping-class factor is the
+        # quotient by it, and the axis acts on it modulo the centre.
+        def same_mod_centre(u, v):
+            return oracle.central_value(u * v.inv()) is not None
+
+        read, without_words = 0, []
+        for n in range(4, 13):
+            braid = [(rec, w) for rec, w in witnesses(n)
+                     if rec.kind == "I" and not isinstance(w, str)]
+            for mcg in enumerate_vtilde(n):
+                if mcg.kind != "I" or mcg.factor.order == 1 or mcg.status != "realized":
+                    continue
+                found = next(((rec, w) for rec, w in braid
+                              if project_to_mcg(rec).key == mcg.key), None)
+                if found is None:
+                    without_words.append((n, mcg.shape))
+                    continue
+                T, elements, z = construction_data(*found)
+                kernel = frozenset(e for e in range(T.order)
+                                   if oracle.central_value(elements[e]) is not None)
+                Q = quotient(T, kernel)
+                assert structure_name(Q) == structure_name(mcg.factor.table()), mcg.shape
+                label = action_from_words(Q, [elements[r] for r in Q.labels], z, same_mod_centre)
+                assert label == catalog_tag(mcg.action), (n, mcg.shape)
+                read += 1
+        assert read == 62
+        # T* x Z is realized geometrically, without braid words.
+        assert without_words == [(12, "A4 x Z")]
 
 
 class TestStatusBoundaries:

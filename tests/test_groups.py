@@ -32,11 +32,35 @@ from spherebraid.groups import (
     _extend_map,
     _finish_table,
     _greedy_closure,
-    _inner_maps,
-    _invert_map,
     _is_normal,
     _isomorphisms,
 )
+
+
+# Whole-map helpers and the brute-force outer-class test that the Out table
+# replaced, kept here as references.
+def _inner_maps(G):
+    """The conjugation maps x -> g x g^-1, as whole maps."""
+    return frozenset(tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order))
+
+
+def _invert_map(f):
+    out = [0] * len(f)
+    for x, y in enumerate(f):
+        out[y] = x
+    return tuple(out)
+
+
+def _same_semidirect_class_reference(G, a, b):
+    """Some automorphism c conjugates a to b or to b^-1 modulo Inn(G)."""
+    inner = _inner_maps(G)
+    b_inv = _invert_map(b)
+    for c in _aut_maps(G):
+        cac = _compose_maps(_compose_maps(c, tuple(a)), _invert_map(c))
+        if (_compose_maps(cac, b_inv) in inner
+                or _compose_maps(_invert_map(cac), b_inv) in inner):
+            return True
+    return False
 
 
 REPRESENTATIVE_TABLES = [
@@ -314,6 +338,44 @@ class TestClassifyAction:
         cat = action_catalog(v4)
         assert classify_action(v4, cat["alpha~"]) == "alpha~"
         assert classify_action(v4, cat["beta~"]) == "beta~"
+
+
+OUTER_CLASS_TABLES = [
+    ("Z12", lambda: make_group("cyclic", 12)),
+    ("Dih8", lambda: make_group("dihedral", 4)),
+    ("Dih12", lambda: make_group("dihedral", 6)),
+    ("Dic12", lambda: make_group("dicyclic", 3)),
+    ("Q8", lambda: make_group("dicyclic", 2)),
+    ("klein", lambda: make_group("klein")),
+    ("A4", lambda: make_group("A4")),
+    ("T*", lambda: make_group("T*")),
+]
+
+
+class TestSameSemidirectClass:
+    """The outer-class test read off the Out table agrees with the
+    brute-force search over Aut on whole maps."""
+
+    @pytest.mark.parametrize("name,build", OUTER_CLASS_TABLES)
+    def test_matches_whole_map_search_on_every_pair(self, name, build):
+        G = build()
+        maps = _aut_maps(G)
+        for a in maps:
+            for b in maps:
+                assert same_semidirect_class(G, a, b) == _same_semidirect_class_reference(G, a, b)
+
+    def test_rejects_a_map_that_is_not_an_automorphism(self):
+        q8 = make_group("dicyclic", 2)
+        identity = tuple(range(8))
+        x, y = q8.generators
+        # The identity on the generators, but not on the other elements.
+        swapped = list(identity)
+        swapped[q8.mult[x][y]], swapped[q8.mult[y][x]] = q8.mult[y][x], q8.mult[x][y]
+        for bad in ((0,) * 8, identity[:4], tuple(swapped)):
+            with pytest.raises(ValueError):
+                same_semidirect_class(q8, bad, identity)
+            with pytest.raises(ValueError):
+                same_semidirect_class(q8, identity, bad)
 
 
 class TestIndexTwoRestriction:

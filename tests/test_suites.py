@@ -1,5 +1,6 @@
 import pytest
 
+from spherebraid import classifier
 from spherebraid.suites import _SUITES, SUITE_IDS, default_range, run_suite
 
 
@@ -48,3 +49,23 @@ class TestRunner:
     def test_overall_flag_matches_checks(self):
         res = run_suite("presentation")
         assert res.passed == all(c.passed for c in res.checks)
+
+
+class TestConstructionChecks:
+    def test_renamed_claim_label_fails_its_check(self, monkeypatch):
+        # A claim label that no longer matches its check-id template must
+        # fail that check, not drop it from the suite.
+        before = run_suite("constq8", (4, 8))
+        construction = classifier._construction
+
+        def renamed(*args):
+            gens, claims = construction(*args)
+            return gens, tuple(("renamed",) + c[1:] if c[0] == "axis swaps y into x" else c
+                               for c in claims)
+
+        monkeypatch.setattr(classifier, "_construction", renamed)
+        after = run_suite("constq8", (4, 8))
+        assert before.passed and not after.passed
+        assert [c.check_id for c in after.checks] == [c.check_id for c in before.checks]
+        assert [c.check_id for c in after.checks if not c.passed] == [
+            f"n={n}/swap-y-to-x" for n in (4, 6, 8)]
