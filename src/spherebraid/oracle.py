@@ -7,10 +7,15 @@ fundamental group of the n-punctured sphere.  The generator sigma_k sends
     x_k -> x_k x_{k+1} x_k^-1,    x_{k+1} -> x_k,    others fixed,
 
 where any occurrence of the missing generator x_n is eliminated through
-x_n = (x_1 ... x_{n-1})^-1.  The induced *outer* action is faithful on the
-quotient of the braid group by its order-2 center, so a word represents the
-identity or the full twist exactly when its automorphism is inner.  One
-pipeline decides every n >= 3, the finite three-strand group included.
+x_n = (x_1 ... x_{n-1})^-1.  The recurrence carries P, the image of
+x_1 ... x_{n-1}, so x_n maps to P^-1.  Only sigma_{n-1}^{+-1} moves P: with
+a the image of x_{n-1}, sigma_{n-1} sends P to a^-1 (and x_{n-1} to
+a P^-1 a^-1), and sigma_{n-1}^-1 sends P to P a^-1 P^-1 (and x_{n-1} to
+P^-1).  Each letter thus multiplies at most three factors.  The induced
+*outer* action is faithful on the quotient of the braid group by its order-2
+center, so a word represents the identity or the full twist exactly when its
+automorphism is inner.  One pipeline decides every n >= 3, the finite
+three-strand group included.
 
 Centrality is decided in stages, each sound: the word is cyclically reduced
 (centrality is invariant under conjugation), then one pass over its letters
@@ -94,41 +99,61 @@ class FreeAutomorphism:
 
 def _artin_steps(
     letters: Sequence[int], imgs: list, cat: Callable, inv: Callable
-) -> Iterator[None]:
+) -> Iterator[int]:
     """Apply the braid letters, left to right, to the basis images in place.
 
     ``cat`` multiplies and ``inv`` inverts in the target group, so the one
-    recurrence serves free words and matrices alike.  Yields after each letter.
+    recurrence serves free words and matrices alike.  Beside the images it
+    carries P = phi(x_1 ... x_{n-1}), so the image of the missing generator
+    x_n is P^-1.  A letter sigma_k with k < n-1 fixes P; with a = phi(x_{n-1}),
+    sigma_{n-1} sends x_{n-1} to a P^-1 a^-1 and P to a^-1, and sigma_{n-1}^-1
+    sends x_{n-1} to P^-1 and P to P a^-1 P^-1.  So each letter multiplies at
+    most three factors, whatever n is.  Each letter replaces exactly one image,
+    and the step yields len(new) - len(displaced), the change in the total
+    image length.
     """
     last = len(imgs)
+    p = cat(*imgs)
     for x in letters:
         i = abs(x)
+        a = imgs[i - 1]
         if i < last:
-            a, b = imgs[i - 1], imgs[i]
+            b = imgs[i]
             if x > 0:
-                imgs[i - 1], imgs[i] = cat(a, b, inv(a)), a
+                new, old = cat(a, b, inv(a)), b
+                imgs[i - 1], imgs[i] = new, a
             else:
-                imgs[i - 1], imgs[i] = b, cat(inv(b), a, b)
-        elif x > 0:
-            # x_{n-1} x_n x_{n-1}^-1 = x_{n-2}^-1 ... x_1^-1 x_{n-1}^-1 after
-            # eliminating x_n; the inverse letter sends x_{n-1} to x_n itself.
-            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 2, -1, -1)], inv(imgs[i - 1]))
+                new, old = cat(inv(b), a, b), a
+                imgs[i - 1], imgs[i] = b, new
         else:
-            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 1, -1, -1)])
-        yield
+            old = a
+            if x > 0:
+                p_next = inv(a)
+                new, p = cat(a, inv(p), p_next), p_next
+            else:
+                new = inv(p)
+                p = cat(p, inv(a), new)
+            imgs[i - 1] = new
+        yield len(new) - len(old)
 
 
 def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     """The action of a braid word on the punctured-sphere free group.
 
     Letters are processed left to right and composed so that the whole map is
-    a homomorphism of braid words into automorphisms; occurrences of the
-    missing generator are rewritten eagerly after each letter.  Raises
-    :class:`OracleBudgetError` when the total image length passes ``budget``.
+    a homomorphism of braid words into automorphisms.  The image of the
+    missing generator x_n is P^-1, where P = phi(x_1 ... x_{n-1}) is carried
+    along: sigma_{n-1} sends P to a^-1 and sigma_{n-1}^-1 sends it to
+    P a^-1 P^-1, with a = phi(x_{n-1}), and every other letter fixes it.  P is
+    the reduced product of the images, so it is never longer than their
+    total.  That total is kept as a running sum of each letter's change;
+    raises :class:`OracleBudgetError` when it passes ``budget``.
     """
     imgs: list[FreeWord] = [(j,) for j in range(1, w.n)]
-    for _ in _artin_steps(w.letters, imgs, _reduce, _finv):
-        if sum(map(len, imgs)) > budget:
+    total = len(imgs)
+    for step in _artin_steps(w.letters, imgs, _reduce, _finv):
+        total += step
+        if total > budget:
             raise OracleBudgetError(
                 f"free-group images passed {budget} letters after "
                 f"{len(w.letters)}-letter input; the word is far from any "

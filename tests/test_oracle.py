@@ -69,6 +69,118 @@ class TestArtinAction:
         assert artin_action(w * w).images == twice
 
 
+def artin_steps_reference(letters, imgs, cat, inv):
+    """The recurrence that rebuilds the image of x_n from all n - 1 images."""
+    last = len(imgs)
+    for x in letters:
+        i = abs(x)
+        if i < last:
+            a, b = imgs[i - 1], imgs[i]
+            if x > 0:
+                imgs[i - 1], imgs[i] = cat(a, b, inv(a)), a
+            else:
+                imgs[i - 1], imgs[i] = b, cat(inv(b), a, b)
+        elif x > 0:
+            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 2, -1, -1)], inv(imgs[i - 1]))
+        else:
+            imgs[i - 1] = cat(*[inv(imgs[j]) for j in range(last - 1, -1, -1)])
+        yield
+
+
+def artin_action_reference(w, budget):
+    """Free-group images by the reference recurrence, re-summed after every letter."""
+    imgs = [(j,) for j in range(1, w.n)]
+    for _ in artin_steps_reference(w.letters, imgs, W._reduce, oracle._finv):
+        if sum(map(len, imgs)) > budget:
+            raise OracleBudgetError("reference images passed the budget")
+    return FreeAutomorphism(tuple(imgs))
+
+
+def sl2_reference(w):
+    """Final SL2 images by the reference recurrence, and the trace verdict."""
+    basis, traces = oracle._sl2_basis(w.n)
+    imgs = list(basis)
+    for _ in artin_steps_reference(w.letters, imgs, oracle._mat_mul, oracle._mat_inv):
+        pass
+    return tuple(imgs), oracle._traces(imgs) == traces
+
+
+def sl2_images(w):
+    imgs = list(oracle._sl2_basis(w.n)[0])
+    for _ in oracle._artin_steps(w.letters, imgs, oracle._mat_mul, oracle._mat_inv):
+        pass
+    return tuple(imgs)
+
+
+def last_heavy_word(rng, n, length):
+    """A reduced word about half of whose letters are sigma_{n-1}^{+-1}."""
+    letters = []
+    while len(letters) < length:
+        k = n - 1 if rng.random() < 0.5 else rng.randint(1, n - 2)
+        x = rng.choice([k, -k])
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return word(n, letters)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args).images
+    except OracleBudgetError:
+        return OracleBudgetError
+
+
+class TestArtinRecurrenceAgainstReference:
+    """Carrying phi(x_1 ... x_{n-1}) changes no image, budget error or trace verdict."""
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 20, 40])
+    def test_images_budget_errors_and_traces(self, n):
+        rng = random.Random(1800 + n)
+        ws = [last_heavy_word(rng, n, length) for length in (0, 1, 2, 5, 9, 14, 20, 30, 45)]
+        heavy = sum(abs(x) == n - 1 for w in ws for x in w.letters)
+        assert 3 * heavy >= sum(len(w) for w in ws)
+        # Inner automorphisms, which the trace screen must pass.
+        ws += [u * surface_relation(n) * u.inv() for u in ws[3:6]]
+        ws += [u * full_twist(n) * u.inv() for u in ws[3:5]]
+        outcomes = set()
+        for w in ws:
+            for budget in (n - 1 + len(w) // 2, 2 * (n - 1) * len(w)):
+                got = outcome(artin_action, w, budget)
+                assert got == outcome(artin_action_reference, w, budget)
+                outcomes.add(got is OracleBudgetError)
+            mats, verdict = sl2_reference(w)
+            assert sl2_images(w) == mats
+            assert _traces_could_be_central(w) == verdict
+        assert outcomes == {True, False}
+        assert all(_traces_could_be_central(w) for w in ws[-5:])
+
+    def test_each_letter_multiplies_at_most_three_factors(self):
+        n = 40
+        w = last_heavy_word(random.Random(40), n, 120)
+        factors = []
+
+        def cat(*parts):
+            factors.append(len(parts))
+            return W._reduce(*parts)
+
+        imgs = [(j,) for j in range(1, n)]
+        ref = list(imgs)
+        total, seen, per_letter = len(imgs), 0, []
+        steps = oracle._artin_steps(w.letters, imgs, cat, oracle._finv)
+        reference = artin_steps_reference(w.letters, ref, W._reduce, oracle._finv)
+        for step, _ in zip(steps, reference):
+            per_letter.append(factors[seen:])
+            seen = len(factors)
+            total += step
+            assert imgs == ref
+            assert total == sum(map(len, imgs))
+        assert len(per_letter) == len(w)
+        # The first letter's count starts with the initial P = cat(*imgs).
+        assert per_letter[0][0] == n - 1
+        per_letter[0] = per_letter[0][1:]
+        assert all(sum(counts) <= 3 for counts in per_letter)
+
+
 class TestIsInner:
     def test_identity(self):
         assert is_inner(FreeAutomorphism(((1,), (2,), (3,)))) == ()
