@@ -45,6 +45,7 @@ __all__ = [
     "K1K2Report",
     "build_amalgam",
     "straight_gluing",
+    "named_amalgam",
     "find_extension",
     "to_semidirect",
     "k1",
@@ -284,6 +285,8 @@ def straight_gluing(kind: str, q: int) -> AmalgamSpec:
     ``zz``: Z_{4q} over Z_{2q}; ``dicz``: Dic_{4q} over its cyclic Z_{2q};
     ``dicdic``: Dic_{4q} over Dic_{2q} (q even).
     """
+    if kind == "dicdic" and q % 2:
+        raise ValueError("dicdic gluing needs an even parameter")
     if kind == "zz":
         big, small = make_group("cyclic", 4 * q), make_group("cyclic", 2 * q)
         x = big.generators[0]
@@ -296,7 +299,7 @@ def straight_gluing(kind: str, q: int) -> AmalgamSpec:
         x, y = big.generators
         images = (big.mul(x, x), y)
     else:
-        raise ValueError(f"unknown straight gluing {kind!r}")
+        raise ValueError(f"unknown amalgam tag '{kind}:{q}'")
     emb = hom_from_gen_images(small, big, images)
     return build_amalgam(big, big, small, emb, emb)
 
@@ -342,29 +345,28 @@ def k2_prime() -> AmalgamSpec:
     return _glued_spec("dihedral", False)
 
 
+_NAMED = {"k1": k1, "k2": k2, "k1p": k1_prime, "k2p": k2_prime}
+
+
+def named_amalgam(tag: str) -> AmalgamSpec:
+    """The amalgam a tag stands for: ``k1``, ``k2``, ``k1p`` and ``k2p``, or
+    ``zz:q``, ``dicz:q`` and ``dicdic:q`` for :func:`straight_gluing`.
+    Raises ``ValueError`` on any other tag."""
+    if tag in _NAMED:
+        return _NAMED[tag]()
+    kind, _, q_text = tag.partition(":")
+    if not q_text.isdigit():
+        raise ValueError(f"unknown amalgam tag {tag!r} (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)")
+    return straight_gluing(kind, int(q_text))
+
+
 def _presentation_with_identification(factor_kind: str) -> GroupPresentation:
-    # Generators x, y, a, b = 1..4; both factor presentations, the gluing
-    # relations of the straight case, and the extra identification x = a.
-    if factor_kind == "dicyclic":
-        base = [
-            (1, 1, 1, 1, -2, -2),
-            (3, 3, 3, 3, -4, -4),
-        ]
-    else:
-        base = [
-            (1, 1, 1, 1),
-            (2, 2),
-            (3, 3, 3, 3),
-            (4, 4),
-        ]
-    rels = base + [
-        (2, 1, -2, 1),
-        (4, 3, -4, 3),
-        (1, 1, -3, -3),
-        (2, -4),
-        (1, -3),
-    ]
-    return GroupPresentation(4, tuple(rels))
+    # Generators x, y, a, b = 1..4: the factor's relators on x, y and again
+    # on a, b, the gluing relations x^2 = a^2 and y = b of the straight case,
+    # and the extra identification x = a.
+    rels = make_group(factor_kind, 4).presentation.relators  # type: ignore[union-attr]
+    moved = tuple(tuple(x + 2 if x > 0 else x - 2 for x in rel) for rel in rels)
+    return GroupPresentation(4, rels + moved + ((1, 1, -3, -3), (2, -4), (1, -3)))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracle, words
-from .groups import FiniteGroupTable, make_group
+from .groups import FiniteGroupTable, dicyclic_name, named_group
 from .oracle import Order
 from .words import BraidWord
 
@@ -69,8 +69,7 @@ class GroupDesc(NamedTuple):
         if self.family == "Z":
             return "1" if self.param == 1 else f"Z{self.param}"
         if self.family == "Dic":
-            order = 4 * self.param
-            return f"Q{order}" if self.param & (self.param - 1) == 0 else f"Dic{order}"
+            return dicyclic_name(4 * self.param)
         if self.family == "Dih":
             return f"Dih{2 * self.param}"
         if self.family == "V4":
@@ -94,15 +93,7 @@ class GroupDesc(NamedTuple):
 
     def table(self) -> FiniteGroupTable:
         """The reference multiplication table for this class."""
-        if self.family == "Z":
-            return make_group("cyclic", self.param)
-        if self.family == "Dic":
-            return make_group("dicyclic", self.param)
-        if self.family == "Dih":
-            return make_group("dihedral", self.param)
-        if self.family == "V4":
-            return make_group("klein")
-        return make_group(self.family)
+        return named_group(str(self))
 
 
 class VcClassRecord(NamedTuple):

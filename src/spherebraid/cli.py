@@ -4,7 +4,10 @@ amalgam arithmetic, the classification tables, and the identity suites.
 
 JSON is the machine contract (stable key order, no timing data, so
 identical inputs render byte-identical output); CSV and text are for
-eyeballs.  The process exits nonzero when a verification fails.
+eyeballs.  The exit code is 0 on success, 1 when a check failed or there is
+nothing to show, and 2 on bad input or an exceeded budget, with ``error:``
+and the reason on stderr.  Group and amalgam tags are looked up by
+``groups.named_group`` and ``amalgams.named_amalgam``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ def _render(payload: dict, fmt: str, text_lines: list[str]) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
-        rows = payload.get("rows", [])
+        # A payload without a table is one row of its top-level fields.
+        rows = payload["rows"] if "rows" in payload else [{
+            key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+            if isinstance(value, (list, dict)) else value
+            for key, value in payload.items()
+        }]
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -64,43 +72,6 @@ def _witness_payload(w: classifier.Witness) -> dict[str, Any]:
     return payload
 
 
-def _group_by_tag(tag: str) -> groups.FiniteGroupTable:
-    if tag == "B3":
-        return groups.sphere_three_strand_table()
-    if tag in ("T*", "O*", "I*", "A4", "S4", "A5", "klein"):
-        return groups.make_group(tag)
-    for prefix, kind, scale in (("Dic", "dicyclic", 4), ("Q", "dicyclic", 4),
-                                ("Dih", "dihedral", 2), ("Z", "cyclic", 1)):
-        if tag.startswith(prefix) and tag[len(prefix):].isdigit():
-            order = int(tag[len(prefix):])
-            if order % scale:
-                raise SystemExit(f"order {order} is not a multiple of {scale} for {prefix}")
-            return groups.make_group(kind, order // scale)
-    raise SystemExit(f"unknown group tag {tag!r}")
-
-
-_AMALGAM_SPECS = {
-    "k1": amalgams.k1,
-    "k2": amalgams.k2,
-    "k1p": amalgams.k1_prime,
-    "k2p": amalgams.k2_prime,
-}
-
-
-def _amalgam_by_tag(tag: str) -> amalgams.AmalgamSpec:
-    if tag in _AMALGAM_SPECS:
-        return _AMALGAM_SPECS[tag]()
-    kind, _, q_text = tag.partition(":")
-    if not q_text.isdigit():
-        raise SystemExit(f"unknown amalgam tag {tag!r} (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)")
-    q = int(q_text)
-    if kind not in ("zz", "dicz", "dicdic"):
-        raise SystemExit(f"unknown amalgam tag {tag!r}")
-    if kind == "dicdic" and q % 2:
-        raise SystemExit("dicdic gluing needs an even parameter")
-    return amalgams.straight_gluing(kind, q)
-
-
 def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.AmalgamElement:
     """Element syntax: comma-separated ``k:genword`` factors, e.g. ``1:xy,2:x^2``."""
     out = spec.one
@@ -110,7 +81,7 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
             continue
         k_text, _, genword = token.partition(":")
         if k_text not in ("1", "2"):
-            raise SystemExit(f"bad factor {k_text!r} in {token!r} (use 1 or 2)")
+            raise ValueError(f"bad factor {k_text!r} in {token!r} (use 1 or 2)")
         k = int(k_text)
         G = spec.factor(k)
         letters = "xy"[: len(G.generators)]
@@ -119,7 +90,7 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
         while idx < len(genword):
             ch = genword[idx]
             if ch not in letters:
-                raise SystemExit(
+                raise ValueError(
                     f"bad generator letter {ch!r} in {token!r} (factor {k} takes {' or '.join(letters)})"
                 )
             gen = G.generators["xy".index(ch)]
@@ -132,7 +103,7 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
                 try:
                     exp = int(genword[idx + 1:end])
                 except ValueError:
-                    raise SystemExit(
+                    raise ValueError(
                         f"bad exponent {genword[idx + 1:end]!r} in {token!r}"
                     ) from None
                 idx = end
@@ -246,7 +217,7 @@ def _main(argv: list[str] | None = None) -> int:
     if args.command == "witness":
         match = [r for r in classifier.enumerate_all(args.n) if r.shape == args.shape]
         if not match:
-            raise SystemExit(f"no class with shape {args.shape!r} at n={args.n}")
+            raise ValueError(f"no class with shape {args.shape!r} at n={args.n}")
         try:
             w = classifier.witness(match[0])
         except classifier.WitnessUnavailable as exc:
@@ -278,12 +249,12 @@ def _main(argv: list[str] | None = None) -> int:
     if args.command == "group":
         if args.action == "iso":
             if len(args.tags) != 2:
-                raise SystemExit("iso takes exactly two group tags")
-            g, h = map(_group_by_tag, args.tags)
+                raise ValueError("iso takes exactly two group tags")
+            g, h = map(groups.named_group, args.tags)
             ans = groups.is_isomorphic(g, h)
             print(_render({"isomorphic": ans}, fmt, [f"isomorphic: {ans}"]))
             return 0
-        table = _group_by_tag(args.tags[0])
+        table = groups.named_group(args.tags[0])
         if args.action == "order":
             print(_render({"order": table.order}, fmt, [f"order: {table.order}"]))
             return 0
@@ -301,62 +272,60 @@ def _main(argv: list[str] | None = None) -> int:
         print(_render({"subgroups": rows, "rows": rows}, fmt, lines))
         return 0
 
-    if args.command == "amalgam":
-        if args.action == "k1k2-report":
-            rep = amalgams.distinguish_k1_k2()
-            payload = {
-                "twisted_has_cyclic_permuter": rep.k2_has_cyclic_permuter,
-                "straight_signs_ok": rep.k1_conjugation_signs_ok,
-                "straight_quotient": [rep.k1_quotient_order, rep.k1_quotient_name],
-                "straight_semidirect": rep.k1_semidirect_ok,
-                "straight_core_normalized": rep.k1_core_normalized_by_all,
-                "twisted_has_no_extension": rep.k2_has_no_extension,
-                "passed": rep.ok,
-            }
-            lines = [f"{k}: {v}" for k, v in payload.items()]
-            print(_render(payload, fmt, lines))
-            return 0 if rep.ok else 1
-        spec = _amalgam_by_tag(args.spec)
-        if args.action == "build":
-            payload = {
-                "factor_order": spec.g1.order,
-                "amalgamated_order": spec.f.order,
-                "factor_names": [groups.structure_name(spec.g1), groups.structure_name(spec.g2)],
-            }
-            print(_render(payload, fmt, [f"{payload['factor_names'][0]} *_"
-                                          f"{groups.structure_name(spec.f)} {payload['factor_names'][1]}"]))
-            return 0
-        if args.action == "semidirect":
-            ext = amalgams.find_extension(spec)
-            if ext is None:
-                print(_render({"semidirect": False}, fmt,
-                              ["no extension: the gluing is not a semidirect product over its factor"]))
-                return 1
-            form = amalgams.to_semidirect(spec, ext)
-            payload = {"semidirect": True,
-                       "inverting_elements": form.signs.count(-1),
-                       "centralizing_elements": form.signs.count(1)}
-            print(_render(payload, fmt, [f"semidirect: {payload}"]))
-            return 0
-        elems = [_parse_amalgam_element(spec, e) for e in args.elements]
-        if args.action == "mul":
-            if len(elems) < 2:
-                raise SystemExit("mul takes at least two element expressions")
-            out = elems[0]
-            for e in elems[1:]:
-                out = spec.mul(out, e)
-            payload = {"head": out.head, "syllables": list(out.syllables)}
-            print(_render(payload, fmt, [f"head={out.head} syllables={out.syllables}"]))
-            return 0
-        if args.action == "order":
-            if len(elems) != 1:
-                raise SystemExit("order takes exactly one element expression")
-            result = spec.element_order(elems[0])
-            value = result.value if result.is_finite else "infinite"
-            print(_render({"order": value}, fmt, [f"order: {value}"]))
-            return 0
-
-    raise SystemExit(f"unhandled command {args.command!r}")
+    # args.command == "amalgam"
+    if args.action == "k1k2-report":
+        rep = amalgams.distinguish_k1_k2()
+        payload = {
+            "twisted_has_cyclic_permuter": rep.k2_has_cyclic_permuter,
+            "straight_signs_ok": rep.k1_conjugation_signs_ok,
+            "straight_quotient": [rep.k1_quotient_order, rep.k1_quotient_name],
+            "straight_semidirect": rep.k1_semidirect_ok,
+            "straight_core_normalized": rep.k1_core_normalized_by_all,
+            "twisted_has_no_extension": rep.k2_has_no_extension,
+            "passed": rep.ok,
+        }
+        lines = [f"{k}: {v}" for k, v in payload.items()]
+        print(_render(payload, fmt, lines))
+        return 0 if rep.ok else 1
+    spec = amalgams.named_amalgam(args.spec)
+    if args.action == "build":
+        payload = {
+            "factor_order": spec.g1.order,
+            "amalgamated_order": spec.f.order,
+            "factor_names": [groups.structure_name(spec.g1), groups.structure_name(spec.g2)],
+        }
+        print(_render(payload, fmt, [f"{payload['factor_names'][0]} *_"
+                                      f"{groups.structure_name(spec.f)} {payload['factor_names'][1]}"]))
+        return 0
+    if args.action == "semidirect":
+        ext = amalgams.find_extension(spec)
+        if ext is None:
+            print(_render({"semidirect": False}, fmt,
+                          ["no extension: the gluing is not a semidirect product over its factor"]))
+            return 1
+        form = amalgams.to_semidirect(spec, ext)
+        payload = {"semidirect": True,
+                   "inverting_elements": form.signs.count(-1),
+                   "centralizing_elements": form.signs.count(1)}
+        print(_render(payload, fmt, [f"semidirect: {payload}"]))
+        return 0
+    elems = [_parse_amalgam_element(spec, e) for e in args.elements]
+    if args.action == "mul":
+        if len(elems) < 2:
+            raise ValueError("mul takes at least two element expressions")
+        out = elems[0]
+        for e in elems[1:]:
+            out = spec.mul(out, e)
+        payload = {"head": out.head, "syllables": list(out.syllables)}
+        print(_render(payload, fmt, [f"head={out.head} syllables={out.syllables}"]))
+        return 0
+    # args.action == "order"
+    if len(elems) != 1:
+        raise ValueError("order takes exactly one element expression")
+    result = spec.element_order(elems[0])
+    value = result.value if result.is_finite else "infinite"
+    print(_render({"order": value}, fmt, [f"order: {value}"]))
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,11 @@ share.
 Standard groups come from two constructors.  The cyclic, dihedral and
 dicyclic families share one builder on the elements x^a y^b.  The six fixed
 groups (T*, O*, I*, A4, S4, A5) and the Klein group come from coset
-enumeration, so every catalog table carries its presentation.
+enumeration, so every catalog table carries its presentation.  The catalog
+names are kept here too: ``named_group`` turns every name the engine prints
+(``Z<q>``, ``Dih<2m>``, ``Dic<4m>`` or ``Q<4m>``, ``Z2xZ2``, the fixed
+groups) back into its table, and ``dicyclic_name`` is the one rule that
+calls a dicyclic group of 2-power order generalised quaternion.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
 order, each join walking on from the subgroup already known.  Aut and Out
@@ -37,6 +41,8 @@ __all__ = [
     "SubgroupHandle",
     "todd_coxeter",
     "make_group",
+    "named_group",
+    "dicyclic_name",
     "sphere_three_strand_table",
     "subgroup_table",
     "subgroups",
@@ -129,13 +135,6 @@ class FiniteGroupTable:
 
     def conj(self, g: int, x: int) -> int:
         return self.mult[self.mult[g][x]][self.inverse[g]]
-
-    def eval_word(self, gen_word: Sequence[int]) -> int:
-        out = self.identity
-        for x in gen_word:
-            g = self.generators[abs(x) - 1]
-            out = self.mult[out][g if x > 0 else self.inverse[g]]
-        return out
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(Counter(self.element_orders).items()))
@@ -252,15 +251,15 @@ def _finish_table(
 # ---------------------------------------------------------------------------
 
 
-def todd_coxeter(pres: GroupPresentation, limit: int | None = None) -> FiniteGroupTable:
+def todd_coxeter(pres: GroupPresentation) -> FiniteGroupTable:
     """Enumerate the cosets of the trivial subgroup: the regular representation.
 
     HLT strategy: relators are scanned from every live coset in definition
     order, missing transitions are filled by defining new cosets, and
     coincidences are processed through a union-find.  Deterministic.  Raises
-    :class:`CosetBudgetError` when more than ``limit`` cosets get defined.
+    :class:`CosetBudgetError` when more than ``COSET_BUDGET`` cosets get
+    defined.
     """
-    limit = limit if limit is not None else COSET_BUDGET
     ng = pres.ngens
     ncols = 2 * ng
 
@@ -303,9 +302,9 @@ def todd_coxeter(pres: GroupPresentation, limit: int | None = None) -> FiniteGro
 
     def new_coset() -> int:
         nonlocal total
-        if total >= limit:
+        if total >= COSET_BUDGET:
             raise CosetBudgetError(
-                f"coset budget {limit} exhausted; the presentation may define an infinite group"
+                f"coset budget {COSET_BUDGET} exhausted; the presentation may define an infinite group"
             )
         tab.append([None] * ncols)
         parent.append(len(tab) - 1)
@@ -455,17 +454,18 @@ _PRES_SPHERE_THREE_STRANDS = GroupPresentation(
 
 # The rotation groups, on permutation generators: A4 on a = (01)(23),
 # b = (02)(13), t = (012); S4 on s = (01), c = (0123); A5 on x = (012),
-# y = (01234).  Klein is the dihedral presentation at m = 2.
+# y = (01234).  Klein is the dihedral presentation at m = 2.  Each name maps
+# to (order, presentation); ``structure_name`` reads the orders.
 _PRESENTED = {
-    "klein": GroupPresentation(2, ((1, 1), (2, 2), (2, 1, -2, 1))),
-    "T*": _PRES_BINARY_TETRAHEDRAL,
-    "O*": _PRES_BINARY_OCTAHEDRAL,
-    "I*": _PRES_BINARY_ICOSAHEDRAL,
-    "A4": GroupPresentation(
+    "klein": (4, GroupPresentation(2, ((1, 1), (2, 2), (2, 1, -2, 1)))),
+    "T*": (24, _PRES_BINARY_TETRAHEDRAL),
+    "O*": (48, _PRES_BINARY_OCTAHEDRAL),
+    "I*": (120, _PRES_BINARY_ICOSAHEDRAL),
+    "A4": (12, GroupPresentation(
         3, ((1, 1), (2, 2), (1, 2, 1, 2), (3, 3, 3), (3, 1, -3, -2), (3, 2, -3, -2, -1))
-    ),
-    "S4": GroupPresentation(2, ((1, 1), (2, 2, 2, 2), (1, 2, 1, 2, 1, 2))),
-    "A5": GroupPresentation(2, ((1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 2, 1, 2, 2))),
+    )),
+    "S4": (24, GroupPresentation(2, ((1, 1), (2, 2, 2, 2), (1, 2, 1, 2, 1, 2)))),
+    "A5": (60, GroupPresentation(2, ((1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 2, 1, 2, 2)))),
 }
 
 
@@ -490,11 +490,12 @@ def _family(k: int, s: int | None) -> FiniteGroupTable:
     return _finish_table(2 * k, mult, (1, k), GroupPresentation(2, powers + ((2, 1, -2, 1),)))
 
 
-# kind -> (order per unit of the parameter, least parameter, error message).
+# kind -> (name prefixes, order per unit of the parameter, least parameter,
+# error message).
 _FAMILIES = {
-    "cyclic": (1, 1, "cyclic group needs order >= 1"),
-    "dihedral": (2, 2, "dihedral group needs m >= 2 (order 2m)"),
-    "dicyclic": (4, 2, "dicyclic group needs m >= 2 (order 4m)"),
+    "cyclic": (("Z",), 1, 1, "cyclic group needs order >= 1"),
+    "dihedral": (("Dih",), 2, 2, "dihedral group needs m >= 2 (order 2m)"),
+    "dicyclic": (("Dic", "Q"), 4, 2, "dicyclic group needs m >= 2 (order 4m)"),
 }
 
 
@@ -510,10 +511,10 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     coset enumeration, so every table carries its presentation.
     """
     if kind in _PRESENTED:
-        return todd_coxeter(_PRESENTED[kind])
+        return todd_coxeter(_PRESENTED[kind][1])
     if kind not in _FAMILIES:
         raise ValueError(f"unknown group family {kind!r}")
-    scale, least, message = _FAMILIES[kind]
+    _, scale, least, message = _FAMILIES[kind]
     if param is not None and scale * param > FAMILY_ORDER_BUDGET:
         raise SubgroupBudgetError(
             f"order {scale * param} exceeds table budget {FAMILY_ORDER_BUDGET}"
@@ -523,6 +524,41 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     if scale == 1:
         return _family(param, None)
     return _family(scale * param // 2, param if scale == 4 else 0)
+
+
+def dicyclic_name(order: int) -> str:
+    """``Q<order>`` when the order is a power of two (the generalised
+    quaternion groups), ``Dic<order>`` otherwise."""
+    return f"Q{order}" if order & (order - 1) == 0 else f"Dic{order}"
+
+
+def named_group(name: str) -> FiniteGroupTable:
+    """The catalog table a name stands for.
+
+    Takes every name the classifier prints for a finite group (``1``,
+    ``Z<q>``, ``Dih<2m>``, ``Dic<4m>``, ``Q<4m>``, ``Z2xZ2``, ``T*``, ``O*``,
+    ``I*``, ``A4``, ``S4``, ``A5``), so also every name ``structure_name``
+    gives a cyclic, dihedral, dicyclic or fixed table, plus ``klein`` and
+    ``B3`` (the three-strand sphere braid group).  ``Dic`` and ``Q`` both
+    take any order divisible by 4.  Raises ``ValueError`` on any other name.
+    """
+    if name == "B3":
+        return sphere_three_strand_table()
+    if name in _PRESENTED:
+        return make_group(name)
+    if name == "Z2xZ2":
+        return make_group("klein")
+    if name == "1":
+        return make_group("cyclic", 1)
+    for kind, (prefixes, scale, _, _) in _FAMILIES.items():
+        for prefix in prefixes:
+            digits = name[len(prefix):]
+            if name.startswith(prefix) and digits.isdigit():
+                order = int(digits)
+                if order % scale:
+                    raise ValueError(f"order {order} is not a multiple of {scale} for {prefix}")
+                return make_group(kind, order // scale)
+    raise ValueError(f"unknown group tag {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -754,24 +790,15 @@ def structure_name(G: FiniteGroupTable) -> str:
     if pair is not None:
         x, y = pair
         if G.conj(y, x) == G.inverse[x]:
-            m = n // 4
-            if n % 4 == 0 and G.mult[y][y] == G.pow(x, m):
-                return f"Q{n}" if m & (m - 1) == 0 else f"Dic{n}"
+            if n % 4 == 0 and G.mult[y][y] == G.pow(x, n // 4):
+                return dicyclic_name(n)
             if G.element_orders[y] == 2:
                 return f"Dih{n}"
-    for ref_kind in _REFS_BY_ORDER.get(n, ()):
-        if is_isomorphic(G, make_group(ref_kind)):
-            return ref_kind
+    # Every group of order 4 is abelian, so the Klein entry is never reached.
+    for kind, (order, _) in _PRESENTED.items():
+        if order == n and is_isomorphic(G, make_group(kind)):
+            return kind
     return f"G{n}?"
-
-
-_REFS_BY_ORDER = {
-    12: ("A4",),
-    24: ("T*", "S4"),
-    48: ("O*",),
-    60: ("A5",),
-    120: ("I*",),
-}
 
 
 # ---------------------------------------------------------------------------

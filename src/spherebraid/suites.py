@@ -381,7 +381,7 @@ def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
         )
     yield "Q8/restriction-onto-Z4", lambda: restriction("dicyclic", 2, "Z4")
     for q in (6, 8):
-        name = f"Q{2 * q}" if (q // 2) & (q // 2 - 1) == 0 else f"Dic{2 * q}"
+        name = groups.dicyclic_name(2 * q)
         yield f"Dic{4 * q}/restriction-onto-{name}", (
             lambda q=q, name=name: restriction("dicyclic", q, name)
         )

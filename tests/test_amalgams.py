@@ -12,9 +12,11 @@ from spherebraid.amalgams import (
     k1_prime,
     k2,
     k2_prime,
+    named_amalgam,
     straight_gluing,
     to_semidirect,
 )
+from spherebraid.amalgams import _presentation_with_identification
 from spherebraid.groups import (
     aut_from_gen_images,
     hom_from_gen_images,
@@ -57,6 +59,44 @@ class TestStraightGluing:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             straight_gluing("dicdih", 4)
+
+    @pytest.mark.parametrize("q", [1, 3, 5, 7])
+    def test_rejects_odd_dicdic_parameter(self, q):
+        with pytest.raises(ValueError) as exc:
+            straight_gluing("dicdic", q)
+        assert str(exc.value) == "dicdic gluing needs an even parameter"
+
+
+class TestNamedAmalgam:
+    @pytest.mark.parametrize("tag,build", [
+        ("k1", k1), ("k2", k2), ("k1p", k1_prime), ("k2p", k2_prime),
+        ("zz:3", lambda: straight_gluing("zz", 3)),
+        ("dicz:3", lambda: straight_gluing("dicz", 3)),
+        ("dicdic:4", lambda: straight_gluing("dicdic", 4)),
+    ])
+    def test_tags(self, tag, build):
+        assert named_amalgam(tag) == build()
+
+    @pytest.mark.parametrize("tag,message", [
+        ("dicdic:3", "dicdic gluing needs an even parameter"),
+        ("dicdih:4", "unknown amalgam tag 'dicdih:4'"),
+        ("zz", "unknown amalgam tag 'zz' (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)"),
+    ])
+    def test_rejects_bad_tags(self, tag, message):
+        with pytest.raises(ValueError) as exc:
+            named_amalgam(tag)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["dicyclic", "dihedral"])
+    def test_identification_presentation_is_both_factors_and_the_gluing(self, kind):
+        # x, y present the factor; so do a, b; x^2 = a^2, y = b and x = a glue them.
+        x4 = (1, 1, 1, 1, -2, -2) if kind == "dicyclic" else (1, 1, 1, 1)
+        a4 = (3, 3, 3, 3, -4, -4) if kind == "dicyclic" else (3, 3, 3, 3)
+        squares = () if kind == "dicyclic" else ((2, 2), (4, 4))
+        want = {x4, a4, (2, 1, -2, 1), (4, 3, -4, 3), (1, 1, -3, -3), (2, -4), (1, -3)}
+        want |= set(squares)
+        pres = _presentation_with_identification(kind)
+        assert pres.ngens == 4 and set(pres.relators) == want
 
 
 class TestNormalForm:

@@ -21,7 +21,7 @@ from spherebraid.classifier import (
     project_to_mcg,
     witness,
 )
-from spherebraid import oracle, suites
+from spherebraid import groups, oracle, suites
 from spherebraid.groups import (
     _index_two_cyclic,
     action_catalog,
@@ -332,6 +332,33 @@ class TestProjection:
         assert by_shape(enumerate_vtilde(6), "S4 *_{A4} S4").status == "open"
         assert by_shape(enumerate_vtilde(8), "Dih8 *_{Dih4} Dih8 [K2']").status == "realized"
         assert by_shape(enumerate_vtilde(14), "Dih8 *_{Dih4} Dih8 [K2']").status == "open"
+
+
+def _family_switch(desc):
+    """The table of a descriptor by a switch over its family, calling
+    ``make_group`` through the module so a patched cache is seen."""
+    if desc.family == "Z":
+        return groups.make_group("cyclic", desc.param)
+    if desc.family == "Dic":
+        return groups.make_group("dicyclic", desc.param)
+    if desc.family == "Dih":
+        return groups.make_group("dihedral", desc.param)
+    if desc.family == "V4":
+        return groups.make_group("klein")
+    return groups.make_group(desc.family)
+
+
+class TestDescTables:
+    def test_every_printed_group_resolves_to_its_family_table(self, monkeypatch):
+        descs = {d for n in range(4, 201) for recs in (enumerate_all(n), enumerate_vtilde(n))
+                 for r in recs for d in ((r.factor,) if r.factor else (*r.factors, r.amalgamated))}
+        # A private cache, emptied after each descriptor: the tables reach
+        # order 800, and holding all of them takes about 0.8 GB.
+        fresh = lru_cache(maxsize=None)(groups.make_group.__wrapped__)
+        monkeypatch.setattr(groups, "make_group", fresh)
+        for desc in sorted(descs):
+            assert desc.table() is _family_switch(desc), desc
+            fresh.cache_clear()
 
 
 class TestOneRecordPerClass:

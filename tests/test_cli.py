@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -16,6 +17,22 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def assert_csv_is_json_row(capsys, *argv):
+    """The CSV form of a command without a table is a header and one row
+    holding its JSON payload's fields, nested values as compact JSON."""
+    _, out = run(capsys, "--format", "csv", *argv)
+    _, jout = run(capsys, "--format", "json", *argv)
+    assert len(out.splitlines()) == 2
+    (row,) = csv.DictReader(out.splitlines())
+    payload = json.loads(jout)
+    assert set(row) == set(payload)
+    for key, value in payload.items():
+        if isinstance(value, (list, dict)):
+            assert row[key] == json.dumps(value, sort_keys=True, separators=(",", ":"))
+        else:
+            assert row[key] == str(value)
+
+
 class TestQueries:
     def test_order_text(self, capsys):
         code, out = run(capsys, "order", "--n", "6", "--word", "a0")
@@ -32,6 +49,16 @@ class TestQueries:
     def test_central(self, capsys):
         code, out = run(capsys, "central", "--n", "8", "--word", "FT")
         assert code == 0 and "full twist" in out
+
+    @pytest.mark.parametrize("argv", [["order", "--n", "6", "--word", "a0"],
+                                      ["equal", "--n", "6", "FT", "a0^6"],
+                                      ["central", "--n", "8", "--word", "FT"]])
+    def test_csv_one_row(self, capsys, argv):
+        assert_csv_is_json_row(capsys, *argv)
+
+    def test_csv_order_text(self, capsys):
+        code, out = run(capsys, "--format", "csv", "order", "--n", "6", "--word", "a0")
+        assert code == 0 and out.splitlines() == ["n,word,order", "6,1 2 3 4 5,12"]
 
 
 class TestClassify:
@@ -97,8 +124,15 @@ class TestWitnessCommand:
         assert len(claims) == 5 and all(line.startswith("[ok] ") for line in claims)
 
     def test_unknown_class(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "witness", "--n", "4", "--class", "nonsense")
+        code = main(["witness", "--n", "4", "--class", "nonsense"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: no class with shape 'nonsense' at n=4\n"
+
+    @pytest.mark.parametrize("argv", [["--n", "6", "--class", "Dic12 x Z"],
+                                      ["--n", "4", "--class", "T* x Z"]])
+    def test_csv_one_row(self, capsys, argv):
+        assert_csv_is_json_row(capsys, "witness", *argv)
 
 
 class TestVerifyCommand:
@@ -143,8 +177,24 @@ class TestGroupCommand:
         assert json.loads(out)["isomorphic"]
 
     def test_bad_tag(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "group", "order", "wat")
+        code = main(["group", "order", "wat"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: unknown group tag 'wat'\n"
+
+    @pytest.mark.parametrize("tag,order", [("1", 1), ("Z2xZ2", 4), ("klein", 4), ("B3", 12)])
+    def test_printed_names_are_tags(self, capsys, tag, order):
+        code, out = run(capsys, "group", "order", tag)
+        assert code == 0 and out == f"order: {order}\n"
+
+    def test_iso_arity(self, capsys):
+        code = main(["group", "iso", "Q8"])
+        assert code == 2 and capsys.readouterr().err == "error: iso takes exactly two group tags\n"
+
+    @pytest.mark.parametrize("argv", [["order", "O*"], ["aut", "Q8"], ["out", "Q8"],
+                                      ["iso", "Q8", "Dic8"]])
+    def test_csv_one_row(self, capsys, argv):
+        assert_csv_is_json_row(capsys, "group", *argv)
 
 
 class TestAmalgamCommand:
@@ -187,9 +237,10 @@ class TestAmalgamCommand:
         ("zz", "unknown amalgam tag 'zz' (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)"),
     ])
     def test_bad_spec_tags(self, capsys, spec, message):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "amalgam", "build", "--spec", spec)
-        assert exc.value.code == message
+        code = main(["amalgam", "build", "--spec", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("elt,message", [
         ("2:y", "bad generator letter 'y' in '2:y' (factor 2 takes x)"),
@@ -199,15 +250,34 @@ class TestAmalgamCommand:
         ("1:x^1-2", "bad exponent '1-2' in '1:x^1-2'"),
     ])
     def test_bad_elements(self, elt, message):
-        # A clean exit: the message on stderr, exit code 1, no traceback.
+        # A clean exit: the message on stderr, exit code 2, no traceback.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "spherebraid", "amalgam", "mul", "--spec", "zz:3",
              "--elt", "1:x,2:x", "--elt", elt],
             env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr == message + "\n"
+        assert proc.returncode == 2
+        assert proc.stderr == "error: " + message + "\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mul", "--spec", "zz:1", "--elt", "1:x"], "mul takes at least two element expressions"),
+        (["order", "--spec", "zz:1"], "order takes exactly one element expression"),
+    ])
+    def test_arity(self, capsys, argv, message):
+        code = main(["amalgam", *argv])
+        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--spec", "k1"],
+        ["mul", "--spec", "zz:1", "--elt", "1:x", "--elt", "2:x"],
+        ["order", "--spec", "k1", "--elt", "1:x"],
+        ["semidirect", "--spec", "dicz:3"],
+        ["semidirect", "--spec", "k2"],
+        ["k1k2-report"],
+    ])
+    def test_csv_one_row(self, capsys, argv):
+        assert_csv_is_json_row(capsys, "amalgam", *argv)
 
     def test_build_dicdic(self, capsys):
         code, out = run(capsys, "--format", "json", "amalgam", "build", "--spec", "dicdic:4")

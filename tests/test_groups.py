@@ -12,9 +12,11 @@ from spherebraid.groups import (
     aut_from_gen_images,
     center,
     classify_action,
+    dicyclic_name,
     hom_from_gen_images,
     is_isomorphic,
     make_group,
+    named_group,
     outer_group,
     quotient,
     restriction_is_surjective,
@@ -26,6 +28,7 @@ from spherebraid.groups import (
     todd_coxeter,
 )
 from spherebraid.groups import (
+    _PRESENTED,
     _all_subgroup_sets,
     _aut_maps,
     _compose_maps,
@@ -35,6 +38,15 @@ from spherebraid.groups import (
     _is_normal,
     _isomorphisms,
 )
+
+
+def eval_word(G, gen_word):
+    """The element a word over signed generator indices evaluates to."""
+    out = G.identity
+    for x in gen_word:
+        g = G.generators[abs(x) - 1]
+        out = G.mult[out][g if x > 0 else G.inverse[g]]
+    return out
 
 
 # Whole-map helpers and the brute-force outer-class test that the Out table
@@ -101,7 +113,7 @@ class TestGroupAxioms:
     def test_generators_generate(self, name, build):
         G = build()
         assert len(G.closure(G.generators)) == G.order
-        assert all(G.eval_word(G.words[x]) == x for x in range(G.order))
+        assert all(eval_word(G, G.words[x]) == x for x in range(G.order))
 
     @pytest.mark.parametrize("build", [
         lambda: make_group("cyclic", 12),
@@ -145,7 +157,7 @@ class TestCosetEnumeration:
     def test_budget_error_on_free_presentation(self):
         free = GroupPresentation(2, ((1, 2, -1, -2),))  # Z x Z, infinite
         with pytest.raises(CosetBudgetError):
-            todd_coxeter(free, limit=500)
+            todd_coxeter(free)
 
     def test_deterministic(self):
         p = GroupPresentation(2, ((1,) * 4 + (-2, -2), (2, 1, -2, 1)))
@@ -727,7 +739,7 @@ class TestStandardConstructors:
         G = make_group(kind, param)
         pres = G.presentation
         assert pres is not None and pres.ngens == len(G.generators)
-        assert all(G.eval_word(rel) == G.identity for rel in pres.relators)
+        assert all(eval_word(G, rel) == G.identity for rel in pres.relators)
         assert todd_coxeter(pres).order == G.order
 
     @pytest.mark.parametrize("kind,param,error,message", [
@@ -741,3 +753,45 @@ class TestStandardConstructors:
         with pytest.raises(error) as exc:
             make_group(kind, param)
         assert str(exc.value) == message
+
+
+class TestNamedGroup:
+    """Every name the engine prints resolves to the table it names."""
+
+    @pytest.mark.parametrize("G", (
+        [make_group("cyclic", q) for q in range(1, 201)]
+        + [make_group("dicyclic", m) for m in range(2, 51)]
+        + [make_group("dihedral", m) for m in range(3, 101)]
+        + [make_group(kind) for kind in ("T*", "O*", "I*", "A4", "S4", "A5")]
+    ), ids=structure_name)
+    def test_structure_name_round_trip(self, G):
+        assert named_group(structure_name(G)) is G
+
+    @pytest.mark.parametrize("name,build", [
+        ("B3", sphere_three_strand_table), ("klein", lambda: make_group("klein")),
+        ("Z2xZ2", lambda: make_group("klein")), ("1", lambda: make_group("cyclic", 1)),
+        ("Z8", lambda: make_group("cyclic", 8)), ("Dih4", lambda: make_group("dihedral", 2)),
+        ("Q8", lambda: make_group("dicyclic", 2)), ("Dic8", lambda: make_group("dicyclic", 2)),
+        ("Q12", lambda: make_group("dicyclic", 3)), ("Dic12", lambda: make_group("dicyclic", 3)),
+    ])
+    def test_aliases(self, name, build):
+        assert named_group(name) is build()
+
+    @pytest.mark.parametrize("name,message", [
+        ("Dic10", "order 10 is not a multiple of 4 for Dic"),
+        ("Q0", "dicyclic group needs m >= 2 (order 4m)"),
+        ("Z0", "cyclic group needs order >= 1"),
+        ("Zx", "unknown group tag 'Zx'"),
+        ("wat", "unknown group tag 'wat'"),
+    ])
+    def test_rejects_bad_names(self, name, message):
+        with pytest.raises(ValueError) as exc:
+            named_group(name)
+        assert str(exc.value) == message
+
+    def test_presented_orders(self):
+        assert all(make_group(kind).order == order for kind, (order, _) in _PRESENTED.items())
+
+    def test_dicyclic_name(self):
+        assert [dicyclic_name(4 * m) for m in range(2, 9)] == [
+            "Q8", "Dic12", "Q16", "Dic20", "Dic24", "Dic28", "Q32"]
