@@ -8,14 +8,15 @@ groups over an index-2 subgroup); the candidate families are parametrized
 by divisibility conditions in n, with a handful of congruence-gated
 binary-polyhedral entries.  Each type is a generator of ``(shape, i)``
 pairs, a shape being the plain tuple
-``(kind, factor, action, factors, amalgamated, gluing)``; one builder groups
-the deletion indices i by shape and builds each record once.  Each record
+``(kind, factor, action, factors, amalgamated, gluing)``.  Each record
 carries a realization status read from one exception table: realized, open
 (a finite list of undecided strand counts), or not realized (two excluded
-cases).  The mapping-class classes are the images of the braid-group shapes
+cases).  The mapping-class classes are the images of the braid-group records
 under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), listed
-once per isomorphism class, and their statuses are merged over the
-preimages.
+once per isomorphism class; each image takes the union of its preimages'
+indices i and their best status.  One computation per n walks both
+generators once and builds both tables; every public view reads it, and
+only the last n asked is cached.
 
 Where the realization is by an explicit algebraic construction, one table,
 ``_construction(shape, n, i)``, writes the generator words down together
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import oracle, words
 from .groups import FiniteGroupTable, dicyclic_name, named_group
@@ -191,21 +192,6 @@ def _status(shape: tuple, n: int) -> tuple[str, str]:
     return "realized", "realized"
 
 
-def _records(n: int, mcg: bool, found: Iterable[tuple[tuple, int | None]],
-             status: Callable[[tuple], tuple[str, str]]) -> tuple[VcClassRecord, ...]:
-    """Group the indices i by shape and build each record once, in shape
-    order; ``status`` maps a shape to its (status, source tag) pair."""
-    indices: dict[tuple, set[int]] = {}
-    for shape, i in found:
-        seen = indices.setdefault(shape, set())
-        if i is not None:
-            seen.add(i)
-    return tuple(
-        VcClassRecord(shape[0], n, mcg, *shape[1:], tuple(sorted(indices[shape])), *status(shape))
-        for shape in sorted(indices)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of the braid-group families.
 # ---------------------------------------------------------------------------
@@ -262,29 +248,6 @@ def _v2_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
         yield _type2(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*")), None
 
 
-def enumerate_v1(n: int) -> tuple[VcClassRecord, ...]:
-    """The Type I classes: finite-by-Z with the cataloged actions."""
-    _check_n(n)
-    return _records(n, False, _v1_shapes(n), lambda shape: _status(shape, n))
-
-
-def enumerate_v2(n: int) -> tuple[VcClassRecord, ...]:
-    """The Type II classes: amalgams over an index-2 subgroup."""
-    _check_n(n)
-    return _records(n, False, _v2_shapes(n), lambda shape: _status(shape, n))
-
-
-def _shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
-    return chain(_v1_shapes(n), _v2_shapes(n))
-
-
-def enumerate_all(n: int) -> tuple[VcClassRecord, ...]:
-    """Both types in one pass; every Type I shape sorts before every Type II
-    shape, so this is ``enumerate_v1(n) + enumerate_v2(n)``."""
-    _check_n(n)
-    return _records(n, False, _shapes(n), lambda shape: _status(shape, n))
-
-
 # ---------------------------------------------------------------------------
 # Projection to the mapping class group.
 # ---------------------------------------------------------------------------
@@ -336,38 +299,73 @@ def _project(shape: tuple) -> tuple:
     return _type2(_project_desc(a), _project_desc(b), _project_desc(amalgamated), gluing)
 
 
+# ---------------------------------------------------------------------------
+# One computation per n: the braid-group records and their images.
+# ---------------------------------------------------------------------------
+
 _STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
 
 
-@lru_cache(maxsize=None)
-def _vtilde_status(n: int) -> dict:
-    """Merged statuses of the projected shapes: a mapping-class record is
-    realized when any braid-group preimage class is, open when some
-    preimage is open and none realized, excluded otherwise."""
-    merged: dict[tuple, tuple[str, str]] = {}
-    for shape, _ in _shapes(n):
-        key, status = _project(shape), _status(shape, n)
-        if key not in merged or _STATUS_RANK[status[0]] > _STATUS_RANK[merged[key][0]]:
-            merged[key] = status
-    return merged
+@lru_cache(maxsize=1)
+def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRecord, ...], dict]:
+    """The braid-group records at n in shape order, their mapping-class
+    images in shape order, and the image of each braid-group shape, from one
+    walk of the shape generators.  An image takes the union of its
+    preimages' indices i and their best status: realized, else open, else
+    not realized.  Only the last n is cached: callers ask about one n at a
+    time."""
+    _check_n(n)
+    indices: dict[tuple, set[int]] = {}
+    for shape, i in chain(_v1_shapes(n), _v2_shapes(n)):
+        seen = indices.setdefault(shape, set())
+        if i is not None:
+            seen.add(i)
+    records, image_of, preimages = [], {}, {}
+    for shape in sorted(indices):
+        records.append(VcClassRecord(shape[0], n, False, *shape[1:], tuple(sorted(indices[shape])),
+                                     *_status(shape, n)))
+        image_of[shape] = _project(shape)
+        preimages.setdefault(image_of[shape], []).append(records[-1])
+    images = {}
+    for image in sorted(preimages):
+        group = preimages[image]
+        best = max(group, key=lambda record: _STATUS_RANK[record.status])
+        union = sorted(set().union(*(record.admissible_i for record in group)))
+        images[image] = VcClassRecord(image[0], n, True, *image[1:], tuple(union),
+                                      best.status, best.status_ref)
+    image_records = {shape: images[image] for shape, image in image_of.items()}
+    return tuple(records), tuple(images.values()), image_records
 
 
-def project_to_mcg(record: VcClassRecord) -> VcClassRecord:
-    """The image class in the mapping class group, with merged status."""
-    if record.mcg:
-        return record
-    shape = _project(_shape(record))
-    return VcClassRecord(shape[0], record.n, True, *shape[1:], record.admissible_i,
-                         *_vtilde_status(record.n)[shape])
+def enumerate_v1(n: int) -> tuple[VcClassRecord, ...]:
+    """The Type I classes: finite-by-Z with the cataloged actions."""
+    return tuple(record for record in _classification(n)[0] if record.kind == "I")
+
+
+def enumerate_v2(n: int) -> tuple[VcClassRecord, ...]:
+    """The Type II classes: amalgams over an index-2 subgroup."""
+    return tuple(record for record in _classification(n)[0] if record.kind == "II")
+
+
+def enumerate_all(n: int) -> tuple[VcClassRecord, ...]:
+    """Both types; every Type I shape sorts before every Type II shape, so
+    this is ``enumerate_v1(n) + enumerate_v2(n)``."""
+    return _classification(n)[0]
 
 
 def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
-    """The mapping-class-group classes: the images of the braid-group shapes
+    """The mapping-class-group classes: the images of the braid-group records
     under the central quotient, each with the indices i of its preimages and
-    the status merged over them."""
-    _check_n(n)
-    return _records(n, True, ((_project(shape), i) for shape, i in _shapes(n)),
-                    _vtilde_status(n).__getitem__)
+    their best status."""
+    return _classification(n)[1]
+
+
+def project_to_mcg(record: VcClassRecord) -> VcClassRecord:
+    """The image class in the mapping class group, with the image's status
+    and the record's own indices i."""
+    if record.mcg:
+        return record
+    return _classification(record.n)[2][_shape(record)]._replace(admissible_i=record.admissible_i)
 
 
 # ---------------------------------------------------------------------------

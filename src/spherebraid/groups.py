@@ -586,7 +586,6 @@ def _is_normal(G: FiniteGroupTable, elems: frozenset[int]) -> bool:
     return all(G.conj(g, x) in elems for g in G.generators for x in elems)
 
 
-@lru_cache(maxsize=None)
 def _all_subgroup_sets(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:
     """Every subgroup, grown from the trivial one by joins with cyclic
     subgroups of prime-power order.
@@ -745,7 +744,6 @@ def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[tuple[in
     yield from choose(0)
 
 
-@lru_cache(maxsize=None)
 def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
     """Screen on the order histograms, then search: a found isomorphism is the proof."""
     if G.order_histogram() != H.order_histogram():

@@ -364,8 +364,7 @@ def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
         == "omega"
     )
 
-    def restriction(tag_g, param_g, sub_name) -> bool:
-        G = make_group(tag_g, param_g)
+    def restriction(G, sub_name) -> bool:
         subs = [h for h in groups.subgroups(G) if h.name == sub_name]
         return bool(subs) and all(
             groups.restriction_is_surjective(G, h.elements) for h in subs
@@ -373,19 +372,19 @@ def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
 
     for q in range(1, 7):
         yield f"Z{4 * q}/restriction-onto-Z{2 * q}", (
-            lambda q=q: restriction("cyclic", 4 * q, f"Z{2 * q}")
+            lambda q=q: restriction(make_group("cyclic", 4 * q), f"Z{2 * q}")
         )
     for q in range(3, 7):
         yield f"Dic{4 * q}/restriction-onto-Z{2 * q}", (
-            lambda q=q: restriction("dicyclic", q, f"Z{2 * q}")
+            lambda q=q: restriction(make_group("dicyclic", q), f"Z{2 * q}")
         )
-    yield "Q8/restriction-onto-Z4", lambda: restriction("dicyclic", 2, "Z4")
+    yield "Q8/restriction-onto-Z4", lambda: restriction(q8, "Z4")
     for q in (6, 8):
         name = groups.dicyclic_name(2 * q)
         yield f"Dic{4 * q}/restriction-onto-{name}", (
-            lambda q=q, name=name: restriction("dicyclic", q, name)
+            lambda q=q, name=name: restriction(make_group("dicyclic", q), name)
         )
-    yield "O*/restriction-onto-T*", lambda: restriction("O*", None, "T*")
+    yield "O*/restriction-onto-T*", lambda: restriction(make_group("O*"), "T*")
 
 
 def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:

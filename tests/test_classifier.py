@@ -17,11 +17,10 @@ from spherebraid.classifier import (
     enumerate_v1,
     enumerate_v2,
     enumerate_vtilde,
-    _records,
     project_to_mcg,
     witness,
 )
-from spherebraid import groups, oracle, suites
+from spherebraid import classifier, groups, oracle, suites
 from spherebraid.groups import (
     _index_two_cyclic,
     action_catalog,
@@ -946,6 +945,32 @@ def reference_vtilde(n):
     return tuple(out)
 
 
+class TestOneComputation:
+    """The five views read one computation per n, and only the last n is kept."""
+
+    def test_one_walk_and_one_projection_per_record(self, monkeypatch):
+        calls = dict.fromkeys(("_v1_shapes", "_v2_shapes", "_project"), 0)
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(classifier, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(classifier, name, counted)
+        classifier._classification.cache_clear()
+        try:
+            enumerate_v1(30)
+            enumerate_v2(30)
+            recs = enumerate_all(30)
+            enumerate_vtilde(30)
+            for r in recs:
+                project_to_mcg(r)
+            assert len(recs) == 78
+            assert calls == {"_v1_shapes": 1, "_v2_shapes": 1, "_project": len(recs)}
+            enumerate_all(31)
+            assert classifier._classification.cache_info().currsize == 1
+        finally:
+            classifier._classification.cache_clear()
+
+
 class TestAgainstReference:
     """Every view equals the reference enumeration, record for record."""
 
@@ -957,10 +982,3 @@ class TestAgainstReference:
         assert recs == reference_all(n)
         assert enumerate_vtilde(n) == reference_vtilde(n)
         assert [project_to_mcg(r) for r in recs] == [reference_project(r) for r in recs]
-
-    def test_builder_sorts_and_merges_indices(self):
-        shape = ("I", GroupDesc("Z", 2), "trivial", None, None, None)
-        (rec,) = _records(6, False, [(shape, 2), (shape, None), (shape, 0), (shape, 2)],
-                          lambda s: ("realized", "realized"))
-        assert rec.admissible_i == (0, 2)
-        assert rec.shape == "Z2 x Z" and not rec.mcg

@@ -61,6 +61,32 @@ class TestQueries:
         assert code == 0 and out.splitlines() == ["n,word,order", "6,1 2 3 4 5,12"]
 
 
+def run_child(*argv) -> subprocess.CompletedProcess:
+    """``python -m spherebraid`` in a child process, its output as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "spherebraid", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
+class TestCsvBytes:
+    """Every CSV row, the last one too, ends in CRLF (the csv module's
+    terminator); nothing else is appended."""
+
+    def test_order(self):
+        proc = run_child("--format", "csv", "order", "--n", "6", "--word", "a0")
+        assert proc.returncode == 0 and proc.stdout == b"n,word,order\r\n6,1 2 3 4 5,12\r\n"
+
+    def test_verify(self):
+        ids = ["three-strand-group-order-12",
+               *(f"dicyclic-{4 * m}-order" for m in range(2, 11)),
+               "quaternion-16-order", "binary-tetrahedral-order-24",
+               "binary-octahedral-order-48", "binary-icosahedral-order-120"]
+        expected = "".join(f"{row}\r\n" for row in ["id,passed", *(f"{i},True" for i in ids)])
+        proc = run_child("--format", "csv", "verify", "--suite", "presentation")
+        assert proc.returncode == 0 and proc.stdout == expected.encode()
+
+
 class TestClassify:
     def test_text_lists_records(self, capsys):
         code, out = run(capsys, "classify", "--n", "5")
@@ -251,14 +277,9 @@ class TestAmalgamCommand:
     ])
     def test_bad_elements(self, elt, message):
         # A clean exit: the message on stderr, exit code 2, no traceback.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spherebraid", "amalgam", "mul", "--spec", "zz:3",
-             "--elt", "1:x,2:x", "--elt", elt],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_child("amalgam", "mul", "--spec", "zz:3", "--elt", "1:x,2:x", "--elt", elt)
         assert proc.returncode == 2
-        assert proc.stderr == "error: " + message + "\n"
+        assert proc.stderr == f"error: {message}\n".encode()
 
     @pytest.mark.parametrize("argv,message", [
         (["mul", "--spec", "zz:1", "--elt", "1:x"], "mul takes at least two element expressions"),

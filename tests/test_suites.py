@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from spherebraid import classifier
+from spherebraid import classifier, groups, suites
 from spherebraid.suites import _SUITES, SUITE_IDS, default_range, run_suite
 
 
@@ -69,3 +71,24 @@ class TestConstructionChecks:
         assert [c.check_id for c in after.checks] == [c.check_id for c in before.checks]
         assert [c.check_id for c in after.checks if not c.passed] == [
             f"n={n}/swap-y-to-x" for n in (4, 6, 8)]
+
+
+class TestAutoutBuildsNoTable:
+    def test_no_coset_enumeration_once_the_groups_exist(self, monkeypatch):
+        # A private make_group cache, so earlier tests cannot have built the
+        # tables under other keys; suites imports make_group by name.
+        fresh = lru_cache(maxsize=None)(groups.make_group.__wrapped__)
+        monkeypatch.setattr(groups, "make_group", fresh)
+        monkeypatch.setattr(suites, "make_group", fresh)
+        for name in (*groups._PRESENTED, "B3"):
+            groups.named_group(name)
+        calls = []
+        todd_coxeter = groups.todd_coxeter
+
+        def counted(pres):
+            calls.append(pres)
+            return todd_coxeter(pres)
+
+        monkeypatch.setattr(groups, "todd_coxeter", counted)
+        assert run_suite("autout").passed
+        assert calls == []
