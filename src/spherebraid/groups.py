@@ -500,6 +500,13 @@ _FAMILIES = {
 
 
 @lru_cache(maxsize=None)
+def _presented_table(kind: str) -> FiniteGroupTable:
+    """One coset enumeration per presented kind, whatever ``make_group``'s
+    arguments were: its cache keys ``(kind)`` and ``(kind, None)`` apart."""
+    return todd_coxeter(_PRESENTED[kind][1])
+
+
+@lru_cache(maxsize=None)
 def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     """Build a standard group table by family tag.
 
@@ -511,7 +518,7 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     coset enumeration, so every table carries its presentation.
     """
     if kind in _PRESENTED:
-        return todd_coxeter(_PRESENTED[kind][1])
+        return _presented_table(kind)
     if kind not in _FAMILIES:
         raise ValueError(f"unknown group family {kind!r}")
     _, scale, least, message = _FAMILIES[kind]

@@ -15,7 +15,9 @@ P^-1).  Each letter thus multiplies at most three factors.  The induced
 *outer* action is faithful on the quotient of the braid group by its order-2
 center, so a word represents the identity or the full twist exactly when its
 automorphism is inner.  One pipeline decides every n >= 3, the finite
-three-strand group included.
+three-strand group included.  For orders, the cycle type of the word's
+permutation refutes finiteness before any power is built; only a torsion
+cycle type, of order p, gets the pure power w^p built and decided.
 
 Centrality is decided in stages, each sound: the word is cyclically reduced
 (centrality is invariant under conjugation), then one pass over its letters
@@ -46,7 +48,7 @@ from operator import neg
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
-from .words import BraidWord, StrandMismatchError, _reduce, identity, permutation
+from .words import BraidWord, Permutation, StrandMismatchError, _reduce, identity, permutation
 
 __all__ = [
     "FreeWord",
@@ -59,7 +61,6 @@ __all__ = [
     "equals",
     "is_trivial",
     "is_central",
-    "torsion_order_candidates",
     "order_of",
     "commute",
     "verify_finite_subgroup",
@@ -388,30 +389,28 @@ def is_central(w: BraidWord) -> bool:
     return central_value(w) is not None
 
 
-@lru_cache(maxsize=None)
-def torsion_order_candidates(n: int) -> tuple[int, ...]:
-    """All possible finite element orders: the divisors of 2n, 2(n-1), 2(n-2)."""
-    cands: set[int] = set()
-    for m in (2 * n, 2 * (n - 1), 2 * (n - 2)):
-        cands.update(d for d in range(1, m + 1) if m % d == 0)
-    return tuple(sorted(cands))
+def _torsion_cycle_length(p: Permutation) -> int | None:
+    """The permutation's order if it has a torsion cycle type, else None (see order_of)."""
+    cycles = p.cycles()
+    lengths = {len(c) for c in cycles}
+    if len(lengths) > 1 or (cycles and p.n - sum(map(len, cycles)) > 2):
+        return None
+    return lengths.pop() if cycles else 1
 
 
 def order_of(w: BraidWord) -> Order:
     """The order of the element represented by the word.
 
-    If p is the order of the word's permutation, w^p is pure, and the only
-    pure torsion is the identity and the full twist; so the order of w is p,
-    2p, or infinite.  When neither p nor 2p is among the torsion order
-    candidates (Murasugi's list is complete), the order is infinite; the rest
-    is settled by the centrality test on the pure power (itself screened by
-    linking numbers, which catch almost every infinite-order element cheaply).
+    A torsion element is conjugate to a power of alpha_0, alpha_1 or alpha_2
+    (Murasugi), whose permutations are an n-cycle, an (n-1)-cycle and one
+    fixed point, and an (n-2)-cycle and two.  So a permutation other than
+    the identity with two cycle lengths or more than two fixed points proves
+    infinite order before any power is built.  Otherwise, with p its order,
+    w^p is pure; the only pure torsion is the identity and the full twist,
+    so the order is p, 2p or infinite, and the centrality of w^p decides.
     """
-    if not w.letters:
-        return Order.finite(1)
-    p = permutation(w).order()
-    cands = torsion_order_candidates(w.n)
-    if p not in cands and 2 * p not in cands:
+    p = _torsion_cycle_length(permutation(w))
+    if p is None:
         return INFINITE
     cv = central_value(w ** p)
     if cv == 0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -182,10 +183,7 @@ class Permutation:
         return all(v == k for k, v in enumerate(self.images, start=1))
 
     def order(self) -> int:
-        d = 1
-        for c in self.cycles():
-            d = _lcm(d, len(c))
-        return d
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least element."""
@@ -204,12 +202,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def permutation(w: BraidWord) -> Permutation:

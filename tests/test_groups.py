@@ -1,8 +1,10 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
+from spherebraid import groups
 from spherebraid.groups import (
     CosetBudgetError,
     GroupPresentation,
@@ -741,6 +743,23 @@ class TestStandardConstructors:
         assert pres is not None and pres.ngens == len(G.generators)
         assert all(eval_word(G, rel) == G.identity for rel in pres.relators)
         assert todd_coxeter(pres).order == G.order
+
+    def test_one_coset_enumeration_per_presented_kind(self, monkeypatch):
+        # Private caches, so tables that earlier tests built do not count.
+        for name in ("make_group", "_presented_table"):
+            fresh = lru_cache(maxsize=None)(getattr(groups, name).__wrapped__)
+            monkeypatch.setattr(groups, name, fresh)
+        calls = []
+        todd_coxeter = groups.todd_coxeter
+
+        def counted(pres):
+            calls.append(pres)
+            return todd_coxeter(pres)
+
+        monkeypatch.setattr(groups, "todd_coxeter", counted)
+        for kind in _PRESENTED:
+            assert groups.make_group(kind) is groups.make_group(kind, None)
+        assert calls == [pres for _, pres in _PRESENTED.values()]
 
     @pytest.mark.parametrize("kind,param,error,message", [
         ("cyclic", 0, ValueError, "cyclic group needs order >= 1"),

@@ -21,7 +21,6 @@ from spherebraid.oracle import (
     is_inner,
     is_trivial,
     order_of,
-    torsion_order_candidates,
     verify_finite_subgroup,
 )
 from spherebraid.words import alpha, alpha_prime, delta_comm, full_twist, half_twist, identity, sigma, word
@@ -300,6 +299,27 @@ class TestThreeStrandsAgainstTable:
         assert not equals(sigma(3, 1), sigma(3, 2))
 
 
+def torsion_order_candidates(n):
+    """Murasugi's list of finite orders: the divisors of 2n, 2(n-1) and 2(n-2)."""
+    return sorted({d for m in (2 * n, 2 * (n - 1), 2 * (n - 2))
+                   for d in range(1, m + 1) if m % d == 0})
+
+
+def order_by_candidates(w):
+    """The order by the candidate list, then the full power: the reference path.
+
+    With p the permutation's order, the order is p, 2p or infinite; it is
+    infinite when neither p nor 2p is a candidate, and otherwise the
+    centrality of w^p decides.
+    """
+    p = W.permutation(w).order()
+    cands = torsion_order_candidates(w.n)
+    if p not in cands and 2 * p not in cands:
+        return Order(None)
+    cv = central_value(w ** p)
+    return Order(None) if cv is None else Order.finite(p if cv == 0 else 2 * p)
+
+
 class TestOrder:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_torsion_orders(self, n):
@@ -327,8 +347,6 @@ class TestOrder:
     @pytest.mark.parametrize("n", (5, 6))
     def test_torsion_census_through_the_oracle(self, n):
         # Every candidate order is attained by an explicit torsion power.
-        import math
-
         for d in torsion_order_candidates(n):
             i = next(
                 i for i in (0, 1, 2) if (2 * (n - i)) % d == 0
@@ -344,6 +362,57 @@ class TestOrder:
                 o = order_of(random_word(rng, n, 10))
                 if o.is_finite:
                     assert o.value in cands
+
+
+class TestCycleTypeStage:
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_refutes_no_power_of_alpha(self, n):
+        """alpha_i^r passes with its permutation's order, for i = 0, 1, 2 and
+        1 <= r <= 2(n-i).
+
+        The powers of alpha_2 that are not pure fix exactly two points, so a
+        mutant stage that allows only one fixed point refutes them and fails
+        here.
+        """
+        for i in (0, 1, 2):
+            a = W.permutation(alpha(n, i)).images
+            images = tuple(range(1, n + 1))
+            for r in range(1, 2 * (n - i) + 1):
+                images = tuple(a[k - 1] for k in images)
+                perm = W.Permutation(images)
+                assert oracle._torsion_cycle_length(perm) == perm.order(), (i, r)
+
+    def test_refutes_mixed_lengths_and_many_fixed_points(self):
+        for letters in ([1], [1, 2], [1, 3, 4], [1, 2, 4]):
+            assert oracle._torsion_cycle_length(W.permutation(word(6, letters))) is None
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_agrees_with_the_candidate_list_and_full_power(self, n, monkeypatch):
+        # Random words, and conjugates of torsion powers so that finite
+        # orders of every cycle type occur; a word the stage refutes must
+        # not reach central_value.
+        rng = random.Random(100 + n)
+        cases = [random_word(rng, n, 12) for _ in range(30)]
+        for _ in range(30):
+            u, i = random_word(rng, n, 6), rng.randrange(3)
+            cases.append(u * alpha(n, i) ** rng.randint(1, 2 * (n - i)) * u.inv())
+        expected = [order_by_candidates(w) for w in cases]
+        decided = []
+        screened = central_value
+
+        def counted(w):
+            decided.append(w)
+            return screened(w)
+
+        monkeypatch.setattr(oracle, "central_value", counted)
+        for w, want in zip(cases, expected):
+            before = len(decided)
+            assert order_of(w) == want, w.letters
+            if oracle._torsion_cycle_length(W.permutation(w)) is None:
+                assert len(decided) == before
+        # Every cycle type in S_4 is that of a torsion element.
+        assert (len(decided) < len(cases)) == (n > 4)
+        assert any(o.is_finite and o.value > 2 for o in expected)
 
 
 class TestCommute:
