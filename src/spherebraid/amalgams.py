@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 from .groups import (
     FiniteGroupTable,
     GroupPresentation,
-    _aut_maps,
+    automorphisms,
     hom_from_gen_images,
     make_group,
     structure_name,
@@ -241,7 +241,7 @@ def find_extension(spec: AmalgamSpec) -> tuple[int, ...] | None:
     or None when the gluing admits no such extension."""
     if spec.g1 is not spec.g2 and spec.g1 != spec.g2:
         raise ValueError("extension search expects identical factor tables")
-    for m in _aut_maps(spec.g1):
+    for m in automorphisms(spec.g1).labels:
         if all(m[spec.i1[x]] == spec.i2[x] for x in range(spec.f.order)):
             return m
     return None
@@ -258,7 +258,7 @@ def to_semidirect(spec: AmalgamSpec, extension: Sequence[int]) -> SemidirectForm
     ext = tuple(extension)
     if not all(ext[spec.i1[x]] == spec.i2[x] for x in range(spec.f.order)):
         raise ValueError("extension does not restrict to the gluing isomorphism")
-    if ext not in _aut_maps(spec.g1):
+    if ext not in automorphisms(spec.g1).labels:
         raise ValueError("extension is not an automorphism of the factor")
     t = spec.mul(spec.embed(1, spec.t1), spec.inv(spec.embed(2, ext[spec.t1])))
     if spec.element_order(t).is_finite:
@@ -474,7 +474,7 @@ def amalgam_iso(
             for f in range(spec_a.f.order)
         ):
             raise ValueError(f"theta{k} does not intertwine the embeddings")
-        if thetas[k - 1] not in _aut_maps(spec_a.factor(k)):
+        if thetas[k - 1] not in automorphisms(spec_a.factor(k)).labels:
             raise ValueError(f"theta{k} is not an automorphism")
 
     def phi(e: AmalgamElement) -> AmalgamElement:

@@ -254,6 +254,8 @@ def _main(argv: list[str] | None = None) -> int:
             ans = groups.is_isomorphic(g, h)
             print(_render({"isomorphic": ans}, fmt, [f"isomorphic: {ans}"]))
             return 0
+        if len(args.tags) != 1:
+            raise ValueError(f"{args.action} takes exactly one group tag")
         table = groups.named_group(args.tags[0])
         if args.action == "order":
             print(_render({"order": table.order}, fmt, [f"order: {table.order}"]))
@@ -273,6 +275,8 @@ def _main(argv: list[str] | None = None) -> int:
         return 0
 
     # args.command == "amalgam"
+    if args.elements and args.action not in ("mul", "order"):
+        raise ValueError(f"{args.action} takes no element expressions")
     if args.action == "k1k2-report":
         rep = amalgams.distinguish_k1_k2()
         payload = {

@@ -2,13 +2,14 @@
 Explicit finite groups: coset enumeration, multiplication tables, subgroup
 lattices, automorphism groups, and isomorphism testing.
 
-Everything at play here is tiny (order at most 200), so the algorithms are
-deliberately elementary: HLT-style coset enumeration with deterministic scan
-order for presented groups, one greedy generation walk for subgroup closure
-and default generators, and generator-image backtracking for isomorphisms
-and automorphisms.  The isomorphism test screens on the order histogram
-alone; the search decides.  Tables are immutable once built and safe to
-share.
+Everything at play here is small (subgroup lattices of order at most 200,
+tables and automorphism groups of order at most 2,000), so the algorithms
+are deliberately elementary: HLT-style coset enumeration with deterministic
+scan order for presented groups, one greedy generation walk for subgroup
+closure and default generators, and one generator-image backtracking search
+for isomorphisms and automorphisms.  The isomorphism test screens on the
+order histogram alone; the search decides.  Tables are immutable once built
+and safe to share.
 
 Standard groups come from two constructors.  The cyclic, dihedral and
 dicyclic families share one builder on the elements x^a y^b.  The six fixed
@@ -21,9 +22,11 @@ calls a dicyclic group of 2-power order generalised quaternion.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
 order, each join walking on from the subgroup already known.  Aut and Out
-come from one coset walk over the automorphisms, keyed by their generator
-images; Out keeps one representative map per Inn-coset as its ``labels``,
-and outer-class questions (``same_semidirect_class``) are read off its table.
+come from the isomorphism search itself, keyed by generator images; a key
+already in a found Inn-coset is skipped unextended, and Aut is the union of
+those cosets.  Out keeps one representative map per coset as its
+``labels``, and outer-class questions (``same_semidirect_class``) are read
+off its table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 __all__ = [
     "CosetBudgetError",
@@ -73,9 +76,8 @@ class CosetBudgetError(RuntimeError):
 
 
 class SubgroupBudgetError(RuntimeError):
-    """Group order exceeds a budget: the brute-force subgroup and automorphism
-    searches, or the table size of an explicit family or an automorphism
-    group."""
+    """Group order exceeds a budget: the brute-force subgroup search, or the
+    table size of an explicit family or an automorphism group."""
 
 
 @dataclass(frozen=True)
@@ -717,26 +719,34 @@ def aut_from_gen_images(G: FiniteGroupTable, images: Sequence[int]) -> tuple[int
     return phi
 
 
-def _isomorphisms(G: FiniteGroupTable, H: FiniteGroupTable) -> Iterator[tuple[int, ...]]:
-    """Every isomorphism G -> H, in lexicographic order of the images of
-    greedy generators g_1..g_k of G.
+def _isomorphisms(
+    G: FiniteGroupTable, H: FiniteGroupTable, skip: Container[tuple[int, ...]] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism G -> H whose images of the distinguished generators
+    (of the identity, for a table without generators) are not in ``skip``,
+    in lexicographic order of those images.
 
     Images are chosen depth first.  An isomorphism preserves the order of
     every element and of every product, so h_i is kept only when it has the
     order of g_i and ord(g_j g_i) = ord(h_j h_i) for every earlier j (g_i g_j
-    is conjugate to g_j g_i, so its order adds nothing).  Each complete
-    choice is then extended and checked to be a bijective homomorphism,
-    which is the proof.
+    is conjugate to g_j g_i, so its order adds nothing).  A complete choice
+    is looked up in ``skip``, which the caller may grow between yields, and
+    otherwise extended and checked to be a bijective homomorphism, which is
+    the proof.  Every element indexed before g_i is a word in g_1..g_(i-1)
+    on the family, coset-enumerated and greedy-generated tables, so there
+    this order is also the sorted order of the whole maps.
     """
     if G.order != H.order:
         return
-    gens = _greedy_closure(G.mult, G.identity, range(G.order))[0]
+    gens = G.generators or (G.identity,)
     go, ho = G.element_orders, H.element_orders
     pools = [[h for h in range(H.order) if ho[h] == go[g]] for g in gens]
     images: list[int] = []
 
     def choose(i: int) -> Iterator[tuple[int, ...]]:
         if i == len(gens):
+            if tuple(images) in skip:
+                return
             phi = _extend_map(G, H, gens, images)
             if phi is not None and len(set(phi)) == G.order:
                 yield phi
@@ -781,7 +791,8 @@ def _index_two_cyclic(G: FiniteGroupTable) -> tuple[int, int] | None:
 
 @lru_cache(maxsize=None)
 def structure_name(G: FiniteGroupTable) -> str:
-    """A human name for the isomorphism class (order at most 200)."""
+    """A human name for the isomorphism class: a catalog name, the abelian
+    invariants, or ``G<order>?``."""
     n = G.order
     if n == 1:
         return "1"
@@ -812,46 +823,38 @@ def structure_name(G: FiniteGroupTable) -> str:
 
 
 @lru_cache(maxsize=None)
-def _aut_maps(G: FiniteGroupTable) -> tuple[tuple[int, ...], ...]:
-    if G.order > SUBGROUP_ORDER_BUDGET:
-        raise SubgroupBudgetError(f"order {G.order} exceeds automorphism budget")
-    return tuple(sorted(_isomorphisms(G, G)))
-
-
-def _compose_maps(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    """Apply f first, then g."""
-    return tuple(g[f[x]] for x in range(len(f)))
-
-
-@lru_cache(maxsize=None)
 def _aut_cosets(G: FiniteGroupTable, inner: bool) -> tuple[FiniteGroupTable, dict]:
     """Aut(G) (``inner`` false) or Out(G) (``inner`` true) on coset
     representatives, with the coset index of every automorphism's key.
 
     Each automorphism is keyed by its images of the distinguished generators
-    (for the trivial group, of the identity).  The automorphisms are walked
-    in sorted order, and the first one of each coset of the inner
-    automorphisms (or of the identity alone) is its representative: its key
-    conjugated by every g is keyed to the new coset.  Representatives
-    multiply by composing them on the generator images (apply the row's map
-    first), and ``labels`` holds the representative maps.  Raises
-    :class:`SubgroupBudgetError` before building a table of order past
-    ``FAMILY_ORDER_BUDGET``.
+    (for the trivial group, of the identity).  The search of
+    ``_isomorphisms`` runs in lexicographic order of the keys and skips every
+    key already in a coset of the inner automorphisms, so the first
+    automorphism of each coset is its Out representative: its key
+    conjugated by every g is keyed to the new coset.  Aut is the union of
+    these cosets, its maps in sorted order.  Representatives multiply by
+    composing them on the generator images (apply the row's map first), and
+    ``labels`` holds the representative maps.  Raises
+    :class:`SubgroupBudgetError` as soon as the cosets found pass
+    ``FAMILY_ORDER_BUDGET`` elements of the table.
     """
     gens = G.generators or (G.identity,)
-    conjugators = range(G.order) if inner else (G.identity,)
+    # One conjugator per inner automorphism.
+    conjugators = tuple({tuple(G.conj(g, y) for y in gens): g for g in range(G.order)}.values())
+    coset_size = 1 if inner else len(conjugators)
     coset_of: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
-    for a in _aut_maps(G):
-        key = tuple(a[g] for g in gens)
-        if key not in coset_of:
-            coset_of.update((tuple(G.conj(g, y) for y in key), len(reps)) for g in conjugators)
-            reps.append(a)
-    if len(reps) > FAMILY_ORDER_BUDGET:
-        raise SubgroupBudgetError(
-            f"order {len(reps)} of the automorphism group exceeds table budget "
-            f"{FAMILY_ORDER_BUDGET}"
-        )
+    for a in _isomorphisms(G, G, coset_of):
+        if (len(reps) + 1) * coset_size > FAMILY_ORDER_BUDGET:
+            raise SubgroupBudgetError(
+                f"order of the automorphism group exceeds table budget {FAMILY_ORDER_BUDGET}"
+            )
+        coset_of.update((tuple(G.conj(g, a[y]) for y in gens), len(reps)) for g in conjugators)
+        reps.append(a)
+    if not inner:
+        reps = sorted(tuple(G.conj(g, y) for y in a) for a in reps for g in conjugators)
+        coset_of = {tuple(a[y] for y in gens): i for i, a in enumerate(reps)}
     mult = [[coset_of[tuple(b[a[g]] for g in gens)] for b in reps] for a in reps]
     return _finish_table(len(reps), mult, (), None, labels=tuple(reps)), coset_of
 
@@ -941,8 +944,7 @@ def restriction_is_surjective(G: FiniteGroupTable, sub: frozenset[int]) -> bool:
     order = sorted(sub)
     index = {e: i for i, e in enumerate(order)}
     restrictions: set[tuple[int, ...]] = set()
-    for m in _aut_maps(G):
+    for m in automorphisms(G).labels:
         if all(m[e] in sub for e in sub):
             restrictions.add(tuple(index[m[e]] for e in order))
-    H = subgroup_table(G, sub)
-    return len(restrictions) == len(_aut_maps(H))
+    return len(restrictions) == automorphisms(subgroup_table(G, sub)).order

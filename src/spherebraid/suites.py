@@ -324,7 +324,7 @@ def _finite_lattices_checks(lo: int, hi: int) -> Iterator[Check]:
 
 def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
     q8 = make_group("dicyclic", 2)
-    yield "Q8/aut-order-24", lambda: len(groups._aut_maps(q8)) == 24
+    yield "Q8/aut-order-24", lambda: groups.automorphisms(q8).order == 24
     yield "Q8/out-is-symmetric-3", (
         lambda: groups.structure_name(groups.outer_group(q8)) == "Dih6"
     )
@@ -337,19 +337,20 @@ def _autout_checks(lo: int, hi: int) -> Iterator[Check]:
         lambda: groups.structure_name(groups.quotient(make_group("T*"), groups.center(make_group("T*"))))
         == "A4"
     )
-    yield "Z6/aut-order-2", lambda: len(groups._aut_maps(make_group("cyclic", 6))) == 2
+    yield "Z6/aut-order-2", lambda: groups.automorphisms(make_group("cyclic", 6)).order == 2
 
     def quatact_partition() -> bool:
         cat = groups.action_catalog(q8)
         a, b = cat["alpha"], cat["beta"]
-        a2 = groups._compose_maps(a, a)
+        # Products apply the left factor first.
+        a2 = tuple(a[x] for x in a)
         reps = {
             "id": tuple(range(8)),
             "alpha": a,
             "alpha2": a2,
             "beta": b,
-            "ab": groups._compose_maps(a, b),
-            "a2b": groups._compose_maps(a2, b),
+            "ab": tuple(b[x] for x in a),
+            "a2b": tuple(b[x] for x in a2),
         }
         tags = {name: groups.classify_action(q8, m) for name, m in reps.items()}
         return (

@@ -347,22 +347,44 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert code == 2 and ("budget" in err or "letters" in err)
 
-    @pytest.mark.parametrize("action,tag", [("out", "Dih400"), ("subgroups", "Z300"),
-                                            ("aut", "Z250")])
+    @pytest.mark.parametrize("action,tag", [("subgroups", "Z300")])
     def test_group_budget_error_clean_exit(self, capsys, action, tag):
         code = main(["--format", "json", "group", action, tag])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: order ") and "budget" in captured.err
 
+    @pytest.mark.parametrize("action,tag,answer", [("out", "Dih400", "order: 80 (Z20 x Z2 x Z2)"),
+                                                   ("aut", "Z250", "order: 100 (Z100)")],
+                             ids=["out-Dih400", "aut-Z250"])
+    def test_automorphisms_past_the_lattice_budget(self, capsys, action, tag, answer):
+        code = main(["group", action, tag])
+        assert code == 0 and capsys.readouterr().out == answer + "\n"
+
     def test_automorphism_table_budget_clean_exit(self, capsys):
-        # |Aut(Dih118)| = 59 * 58 = 3422: the maps are found, but no
+        # |Aut(Dih118)| = 59 * 58 = 3422: the search stops once the cosets
+        # of the 118 inner automorphisms found pass the budget, so no
         # 3422 x 3422 table is built.
         code = main(["group", "aut", "Dih118"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == ("error: order 3422 of the automorphism group exceeds "
+        assert captured.err == ("error: order of the automorphism group exceeds "
                                 "table budget 2000\n")
+
+    @pytest.mark.parametrize("argv", [["out", "Q8", "wat"], ["order", "Z4", "Z8"],
+                                      ["subgroups", "Q8", "Z4"], ["aut", "S4", "S4"]])
+    def test_group_extra_tags(self, capsys, argv):
+        code = main(["group", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {argv[0]} takes exactly one group tag\n"
+
+    @pytest.mark.parametrize("action", ["build", "semidirect", "k1k2-report"])
+    def test_amalgam_elements_where_none_are_read(self, capsys, action):
+        code = main(["amalgam", action, "--spec", "k1", "--elt", "1:x"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {action} takes no element expressions\n"
 
     @pytest.mark.parametrize("argv", [["group", "order", "Z100000"],
                                       ["amalgam", "build", "--spec", "zz:600"]])

@@ -32,8 +32,6 @@ from spherebraid.groups import (
 from spherebraid.groups import (
     _PRESENTED,
     _all_subgroup_sets,
-    _aut_maps,
-    _compose_maps,
     _extend_map,
     _finish_table,
     _greedy_closure,
@@ -53,6 +51,32 @@ def eval_word(G, gen_word):
 
 # Whole-map helpers and the brute-force outer-class test that the Out table
 # replaced, kept here as references.
+def _unpruned_isomorphisms(G, H):
+    """Reference search: every order-preserving tuple of images of greedy
+    generators, each extended and checked, with no pruning on the orders of
+    products."""
+    if G.order != H.order:
+        return
+    gens = _greedy_closure(G.mult, G.identity, range(G.order))[0]
+    pools = [[h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
+             for g in gens]
+    for images in itertools.product(*pools):
+        phi = _extend_map(G, H, gens, images)
+        if phi is not None and len(set(phi)) == G.order:
+            yield phi
+
+
+@lru_cache(maxsize=None)
+def _aut_maps(G):
+    """Every automorphism as a whole map, in sorted order."""
+    return tuple(sorted(_unpruned_isomorphisms(G, G)))
+
+
+def _compose_maps(f, g):
+    """Apply f first, then g."""
+    return tuple(g[x] for x in f)
+
+
 def _inner_maps(G):
     """The conjugation maps x -> g x g^-1, as whole maps."""
     return frozenset(tuple(G.conj(g, x) for x in range(G.order)) for g in range(G.order))
@@ -343,6 +367,12 @@ class TestClassifyAction:
         rep = action_catalog(G)["nu~" if kind == "dihedral" else "nu"]
         assert same_semidirect_class(G, aut_from_gen_images(G, (x, G.mult[x][y])), rep)
 
+    def test_largest_type_one_factor(self):
+        # Dic800, the factor of Dic800 x|nu Z at n = 200, is past the order
+        # of any subgroup lattice.
+        G = named_group("Dic800")
+        assert classify_action(G, action_catalog(G)["nu"]) == "nu"
+
     def test_tetrahedral_nontrivial(self):
         ts = make_group("T*")
         assert classify_action(ts, action_catalog(ts)["omega"]) == "omega"
@@ -434,20 +464,6 @@ class TestIndexTwoRestriction:
         assert is_isomorphic(subgroup_table(G, h.elements), make_group("T*"))
 
 
-def _unpruned_isomorphisms(G, H):
-    """Reference search: every order-preserving tuple of generator images,
-    each extended and checked, with no pruning on the orders of products."""
-    if G.order != H.order:
-        return
-    gens = _greedy_closure(G.mult, G.identity, range(G.order))[0]
-    pools = [[h for h in range(H.order) if H.element_orders[h] == G.element_orders[g]]
-             for g in gens]
-    for images in itertools.product(*pools):
-        phi = _extend_map(G, H, gens, images)
-        if phi is not None and len(set(phi)) == G.order:
-            yield phi
-
-
 CATALOG = (
     [("B3", sphere_three_strand_table())]
     + [(f"Z{q}", make_group("cyclic", q)) for q in range(1, 65)]
@@ -470,7 +486,7 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("name,G", CATALOG, ids=[c[0] for c in CATALOG])
     def test_aut_maps_match_unpruned_search(self, name, G):
-        assert _aut_maps(G) == tuple(sorted(_unpruned_isomorphisms(G, G)))
+        assert automorphisms(G).labels == _aut_maps(G)
 
     def test_same_order_pairs_cover_the_hard_cases(self):
         names = {(a, b) for a, _, b, _ in SAME_ORDER_PAIRS}
@@ -637,6 +653,45 @@ class TestAgainstWholeTableReferences:
     @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
     def test_subgroup_lattice_matches_all_cyclic_joins(self, name, G):
         assert _all_subgroup_sets(G) == _subgroup_sets_reference(G)
+
+
+def _aut_cosets_reference(G, inner):
+    """Reference Aut (``inner`` false) or Out (``inner`` true): every
+    automorphism walked in sorted order, the first of each coset its
+    representative, keyed by its generator images."""
+    gens = G.generators or (G.identity,)
+    conjugators = range(G.order) if inner else (G.identity,)
+    coset_of, reps = {}, []
+    for a in _aut_maps(G):
+        key = tuple(a[g] for g in gens)
+        if key not in coset_of:
+            coset_of.update((tuple(G.conj(g, y) for y in key), len(reps)) for g in conjugators)
+            reps.append(a)
+    mult = [[coset_of[tuple(b[a[g]] for g in gens)] for b in reps] for a in reps]
+    return _finish_table(len(reps), mult, (), None, labels=tuple(reps))
+
+
+AUT_TABLE_NAMES = (
+    [f"Z{q}" for q in range(1, 25)]
+    + [f"Dih{2 * m}" for m in range(2, 25)]
+    + [f"Dic{4 * m}" for m in range(2, 13)]
+    + ["Dic64", "Dih64", "klein", "B3", "T*", "O*", "I*", "A4", "S4", "A5"]
+)
+
+
+class TestAutTablesAgainstWholeMapWalk:
+    """The Aut and Out tables, built on the search that skips keyed
+    generator images, equal the tables of the walk over every automorphism
+    as a whole map in sorted order."""
+
+    @pytest.mark.parametrize("name", AUT_TABLE_NAMES)
+    def test_aut_and_out_tables_match(self, name):
+        G = named_group(name)
+        for table, inner in ((automorphisms(G), False), (outer_group(G), True)):
+            ref = _aut_cosets_reference(G, inner)
+            assert (table.order, table.mult, table.labels) == (ref.order, ref.mult, ref.labels)
+            assert (table.words, table.generators, table.inverse) == (
+                ref.words, ref.generators, ref.inverse)
 
 
 # The explicit builders the families and the rotation groups had before

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -336,23 +337,15 @@ class TestOrder:
 
     @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
     def test_torsion_census(self, n):
-        candidates = set(torsion_order_candidates(n))
-        witnessed = set()
+        # alpha_i has order m = 2(n - i), so alpha_i^k has order m / gcd(m, k),
+        # and these orders are exactly the candidate list.
+        reached = set()
         for i in (0, 1, 2):
             m = 2 * (n - i)
             for k in range(1, m + 1):
-                witnessed.add(m // __import__("math").gcd(m, k))
-        assert witnessed == candidates
-
-    @pytest.mark.parametrize("n", (5, 6))
-    def test_torsion_census_through_the_oracle(self, n):
-        # Every candidate order is attained by an explicit torsion power.
-        for d in torsion_order_candidates(n):
-            i = next(
-                i for i in (0, 1, 2) if (2 * (n - i)) % d == 0
-            )
-            k = 2 * (n - i) // d
-            assert order_of(alpha(n, i) ** k) == Order.finite(d)
+                assert order_of(alpha(n, i) ** k) == Order.finite(m // gcd(m, k)), (i, k)
+                reached.add(m // gcd(m, k))
+        assert reached == set(torsion_order_candidates(n))
 
     def test_random_orders_land_in_candidates(self):
         rng = random.Random(9)
