@@ -29,9 +29,10 @@ from typing import NamedTuple, Sequence
 from .groups import (
     FiniteGroupTable,
     GroupPresentation,
-    automorphisms,
+    aut_from_gen_images,
     hom_from_gen_images,
     make_group,
+    outer_group,
     structure_name,
     todd_coxeter,
 )
@@ -237,14 +238,33 @@ class SemidirectForm:
 
 
 def find_extension(spec: AmalgamSpec) -> tuple[int, ...] | None:
-    """An automorphism of the (common) factor table carrying i1 to i2,
-    or None when the gluing admits no such extension."""
+    """The least automorphism (as a map) of the common factor table carrying
+    i1 to i2, or None when the gluing admits no such extension.
+
+    Every automorphism is an inner one after an Out representative, so the
+    candidates are those compositions; the restriction to the image of i1
+    is checked before a whole map is built."""
     if spec.g1 is not spec.g2 and spec.g1 != spec.g2:
         raise ValueError("extension search expects identical factor tables")
-    for m in automorphisms(spec.g1).labels:
-        if all(m[spec.i1[x]] == spec.i2[x] for x in range(spec.f.order)):
-            return m
-    return None
+    G, i1, i2 = spec.g1, spec.i1, spec.i2
+    matches = {
+        tuple(G.conj(g, y) for y in a)
+        for a in outer_group(G).labels
+        for g in range(G.order)
+        if all(G.conj(g, a[i1[x]]) == i2[x] for x in range(spec.f.order))
+    }
+    return min(matches, default=None)
+
+
+def _is_automorphism(G: FiniteGroupTable, m: tuple[int, ...]) -> bool:
+    """Whether the map m is a permutation of G that extends its own images of
+    the distinguished generators (which proves it an automorphism)."""
+    if sorted(m) != list(range(G.order)):
+        return False
+    try:
+        return aut_from_gen_images(G, [m[g] for g in G.generators]) == m
+    except ValueError:
+        return False
 
 
 def to_semidirect(spec: AmalgamSpec, extension: Sequence[int]) -> SemidirectForm:
@@ -258,7 +278,7 @@ def to_semidirect(spec: AmalgamSpec, extension: Sequence[int]) -> SemidirectForm
     ext = tuple(extension)
     if not all(ext[spec.i1[x]] == spec.i2[x] for x in range(spec.f.order)):
         raise ValueError("extension does not restrict to the gluing isomorphism")
-    if ext not in automorphisms(spec.g1).labels:
+    if not _is_automorphism(spec.g1, ext):
         raise ValueError("extension is not an automorphism of the factor")
     t = spec.mul(spec.embed(1, spec.t1), spec.inv(spec.embed(2, ext[spec.t1])))
     if spec.element_order(t).is_finite:
@@ -474,7 +494,7 @@ def amalgam_iso(
             for f in range(spec_a.f.order)
         ):
             raise ValueError(f"theta{k} does not intertwine the embeddings")
-        if thetas[k - 1] not in automorphisms(spec_a.factor(k)).labels:
+        if not _is_automorphism(spec_a.factor(k), thetas[k - 1]):
             raise ValueError(f"theta{k} is not an automorphism")
 
     def phi(e: AmalgamElement) -> AmalgamElement:

@@ -943,8 +943,12 @@ def restriction_is_surjective(G: FiniteGroupTable, sub: frozenset[int]) -> bool:
     preserving it (checked by direct search)."""
     order = sorted(sub)
     index = {e: i for i, e in enumerate(order)}
-    restrictions: set[tuple[int, ...]] = set()
-    for m in automorphisms(G).labels:
-        if all(m[e] in sub for e in sub):
-            restrictions.add(tuple(index[m[e]] for e in order))
-    return len(restrictions) == automorphisms(subgroup_table(G, sub)).order
+    # Every automorphism of G is an inner one after an Out representative.
+    restrictions = {
+        tuple(index[G.conj(g, a[e])] for e in order)
+        for a in outer_group(G).labels
+        for g in range(G.order)
+        if all(G.conj(g, a[e]) in sub for e in sub)
+    }
+    # The Out walk keys every automorphism of the subgroup to its coset.
+    return len(restrictions) == len(_aut_cosets(subgroup_table(G, sub), True)[1])

@@ -19,6 +19,7 @@ from spherebraid.amalgams import (
 from spherebraid.amalgams import _presentation_with_identification
 from spherebraid.groups import (
     aut_from_gen_images,
+    automorphisms,
     hom_from_gen_images,
     is_isomorphic,
     make_group,
@@ -232,6 +233,52 @@ class TestSemidirect:
         bad = aut_from_gen_images(G, (G.inv(x), y))
         with pytest.raises(ValueError):
             to_semidirect(spec, bad)
+
+
+class TestExtensionsPastTheAutTableBudget:
+    """Dic200 has 4,000 automorphisms, past the 2,000-element table budget of
+    ``automorphisms``; the extension search and the automorphism checks of
+    ``to_semidirect`` and ``amalgam_iso`` do not build that table."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return straight_gluing("dicz", 50)
+
+    @staticmethod
+    def non_automorphism(spec, m):
+        # Swap two elements outside the amalgamated image: the restriction
+        # to the gluing survives, the homomorphism property does not.
+        image = set(spec.i1)
+        a, b = [x for x in range(len(m)) if x not in image][:2]
+        bad = list(m)
+        bad[a], bad[b] = bad[b], bad[a]
+        return tuple(bad)
+
+    def test_semidirect(self, spec):
+        form = to_semidirect(spec, find_extension(spec))
+        assert form.signs.count(1) == form.signs.count(-1) == 100
+
+    def test_to_semidirect_rejects_a_non_automorphism(self, spec):
+        bad = self.non_automorphism(spec, find_extension(spec))
+        with pytest.raises(ValueError, match="extension is not an automorphism"):
+            to_semidirect(spec, bad)
+
+    def test_amalgam_iso_rejects_a_non_automorphism(self, spec):
+        ident = tuple(range(spec.g1.order))
+        with pytest.raises(ValueError, match="theta1 is not an automorphism"):
+            amalgam_iso(spec, spec, self.non_automorphism(spec, ident), ident)
+
+
+@pytest.mark.parametrize("tag", [
+    "k1", "k2", "k1p", "k2p", "zz:1", "zz:3", "zz:6", "dicz:2", "dicz:5", "dicdic:4", "dicdic:6",
+])
+def test_find_extension_is_the_least_matching_automorphism(tag):
+    spec = named_amalgam(tag)
+    matches = [
+        m for m in automorphisms(spec.g1).labels
+        if all(m[spec.i1[x]] == spec.i2[x] for x in range(spec.f.order))
+    ]
+    assert find_extension(spec) == min(matches, default=None)
 
 
 class TestGluingClasses:

@@ -248,6 +248,17 @@ class TestAmalgamCommand:
                         "--spec", "dicz:3")
         assert code == 0 and json.loads(out)["semidirect"]
 
+    @pytest.mark.parametrize("q", (42, 50))
+    def test_semidirect_past_the_aut_table_budget(self, capsys, q):
+        # |Aut(Dic_4q)| = 2q phi(2q) passes the 2,000-element table budget
+        # (2,016 and 4,000); the extension is found without that table.
+        code, out = run(capsys, "amalgam", "semidirect", "--spec", f"dicz:{q}")
+        assert code == 0
+        assert out == (
+            f"semidirect: {{'semidirect': True, 'inverting_elements': {2 * q}, "
+            f"'centralizing_elements': {2 * q}}}\n"
+        )
+
     def test_k2_no_semidirect(self, capsys):
         code, out = run(capsys, "--format", "json", "amalgam", "semidirect",
                         "--spec", "k2")

@@ -453,6 +453,16 @@ class TestIndexTwoRestriction:
         h = next(x for x in subgroups(G) if x.name == "T*")
         assert restriction_is_surjective(G, h.elements)
 
+    @pytest.mark.parametrize("m", (59, 100))
+    def test_dihedral_past_the_aut_table_budget(self, m):
+        # |Aut(Dih_2m)| = m phi(m) is 3,422 and 4,000: past the table budget
+        # of automorphisms(), which the restriction check does not read.
+        G = make_group("dihedral", m)
+        with pytest.raises(groups.SubgroupBudgetError):
+            automorphisms(G)
+        h = next(x for x in subgroups(G) if x.name == f"Z{m}")
+        assert restriction_is_surjective(G, h.elements)
+
     def test_quaternion16_over_quaternion8_fails(self):
         G = make_group("dicyclic", 4)
         h = next(x for x in subgroups(G) if x.name == "Q8")
