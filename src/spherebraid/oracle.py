@@ -11,13 +11,15 @@ x_n = (x_1 ... x_{n-1})^-1.  The recurrence carries P, the image of
 x_1 ... x_{n-1}, so x_n maps to P^-1.  Only sigma_{n-1}^{+-1} moves P: with
 a the image of x_{n-1}, sigma_{n-1} sends P to a^-1 (and x_{n-1} to
 a P^-1 a^-1), and sigma_{n-1}^-1 sends P to P a^-1 P^-1 (and x_{n-1} to
-P^-1).  Each letter thus multiplies at most three factors.  The induced
-*outer* action is faithful on the quotient of the braid group by its order-2
-center, so a word represents the identity or the full twist exactly when its
+P^-1).  So every letter is one conjugation.  The induced *outer* action is
+faithful on the quotient of the braid group by its order-2 center, so a
+word represents the identity or the full twist exactly when its
 automorphism is inner.  One pipeline decides every n >= 3, the finite
-three-strand group included.  For orders, the cycle type of the word's
-permutation refutes finiteness before any power is built; only a torsion
-cycle type, of order p, gets the pure power w^p built and decided.
+three-strand group included.  For orders, a word's cyclic core is written
+as r^m with r its primitive root, and the order of r^m is read off that of
+r; the cycle type of r's permutation refutes finiteness before any power is
+built, and only a torsion cycle type, of order p, gets the pure power r^p
+built and decided.
 
 Centrality is decided in stages, each sound: the word is cyclically reduced
 (centrality is invariant under conjugation), then one pass over its letters
@@ -43,12 +45,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import neg
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
 from .words import BraidWord, Permutation, StrandMismatchError, _reduce, identity, permutation
+from .words import _LETTER_BUDGET
 
 __all__ = [
     "FreeWord",
@@ -71,8 +74,9 @@ FreeWord = tuple[int, ...]
 # Free-group images of a word can grow exponentially in its length (pseudo-
 # Anosov-type elements); past this total the computation aborts with an
 # error rather than exhausting memory.  Everything in the identity suites
-# and the witness sweep stays orders of magnitude below it.
-IMAGE_BUDGET = 2_000_000
+# and the witness sweep stays orders of magnitude below it.  It is the
+# parser's bound on the letters of a word.
+IMAGE_BUDGET = _LETTER_BUDGET
 
 
 class OracleBudgetError(RuntimeError):
@@ -98,42 +102,65 @@ class FreeAutomorphism:
         return len(self.images)
 
 
+def _fconj(a: FreeWord, b: FreeWord, a_inv: FreeWord | None = None) -> FreeWord:
+    """a b a^-1, free-reduced; ``a_inv`` is a^-1 when the caller already has it.
+
+    The k letters that cancel where a meets b, and the j letters that cancel
+    where b meets a^-1 (b ends with the last j letters of a), are counted
+    first.  When they leave some of b between them, the product is a less
+    its last k letters, the rest of b, and the inverse of a less its last j
+    letters, so only that part of a is inverted.  Otherwise b cancels
+    completely and the parts are reduced in turn.
+    """
+    la, lb = len(a), len(b)
+    k = j = 0
+    while k < la and k < lb and a[la - 1 - k] == -b[k]:
+        k += 1
+    while j < la and j < lb and a[la - 1 - j] == b[lb - 1 - j]:
+        j += 1
+    if k + j < lb:
+        tail = _finv(a[: la - j]) if a_inv is None else a_inv[j:]
+        return a[: la - k] + b[k : lb - j] + tail
+    return _reduce(a, b[: lb - j], _finv(a[: la - j]))
+
+
 def _artin_steps(
-    letters: Sequence[int], imgs: list, cat: Callable, inv: Callable
+    letters: Sequence[int], imgs: list, p, conj: Callable, inv: Callable
 ) -> Iterator[int]:
     """Apply the braid letters, left to right, to the basis images in place.
 
-    ``cat`` multiplies and ``inv`` inverts in the target group, so the one
-    recurrence serves free words and matrices alike.  Beside the images it
-    carries P = phi(x_1 ... x_{n-1}), so the image of the missing generator
-    x_n is P^-1.  A letter sigma_k with k < n-1 fixes P; with a = phi(x_{n-1}),
-    sigma_{n-1} sends x_{n-1} to a P^-1 a^-1 and P to a^-1, and sigma_{n-1}^-1
-    sends x_{n-1} to P^-1 and P to P a^-1 P^-1.  So each letter multiplies at
-    most three factors, whatever n is.  Each letter replaces exactly one image,
-    and the step yields len(new) - len(displaced), the change in the total
-    image length.
+    ``conj(a, b)`` is a b a^-1 (``conj(a, b, a_inv)`` when the step needs
+    a^-1 anyway) and ``inv`` inverts in the target group, so the one recurrence
+    serves free words and matrices alike.  Beside the images it carries
+    P = phi(x_1 ... x_{n-1}), passed in as ``p``, so the image of the missing
+    generator x_n is P^-1.  Every letter is one conjugation: with a and b
+    the images of x_i and x_{i+1}, sigma_i sends x_i to a b a^-1 and
+    sigma_i^-1 sends x_{i+1} to b^-1 a b; with a = phi(x_{n-1}), sigma_{n-1}
+    sends x_{n-1} to a P^-1 a^-1 and P to a^-1, and sigma_{n-1}^-1 sends
+    x_{n-1} to P^-1 and P to P a^-1 P^-1.  Each letter replaces exactly one
+    image, and the step yields len(new) - len(displaced), the change in the
+    total image length.
     """
     last = len(imgs)
-    p = cat(*imgs)
     for x in letters:
         i = abs(x)
         a = imgs[i - 1]
         if i < last:
             b = imgs[i]
             if x > 0:
-                new, old = cat(a, b, inv(a)), b
+                new, old = conj(a, b), b
                 imgs[i - 1], imgs[i] = new, a
             else:
-                new, old = cat(inv(b), a, b), a
+                new, old = conj(inv(b), a, b), a
                 imgs[i - 1], imgs[i] = b, new
         else:
             old = a
             if x > 0:
-                p_next = inv(a)
-                new, p = cat(a, inv(p), p_next), p_next
+                a_inv = inv(a)
+                new, p = conj(a, inv(p), a_inv), a_inv
             else:
                 new = inv(p)
-                p = cat(p, inv(a), new)
+                p = conj(p, inv(a), new)
             imgs[i - 1] = new
         yield len(new) - len(old)
 
@@ -152,7 +179,7 @@ def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     """
     imgs: list[FreeWord] = [(j,) for j in range(1, w.n)]
     total = len(imgs)
-    for step in _artin_steps(w.letters, imgs, _reduce, _finv):
+    for step in _artin_steps(w.letters, imgs, tuple(range(1, w.n)), _fconj, _finv):
         total += step
         if total > budget:
             raise OracleBudgetError(
@@ -253,20 +280,16 @@ def _linking_class(w: BraidWord) -> int | None:
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     if strand_at != list(range(n + 1)):
         return None
-    for eps in (0, 1):
-        e = [[d[j][k] // 2 - eps for k in range(n + 1)] for j in range(n + 1)]
-        t = e[1][2] + e[1][3] - e[2][3]
-        if t % 2:
-            continue
-        c = [0] * (n + 1)
-        c[1] = t // 2
-        for j in range(2, n + 1):
-            c[j] = e[1][j] - c[1]
-        if all(
-            e[j][k] == c[j] + c[k] for j in range(1, n + 1) for k in range(j + 1, n + 1)
-        ):
-            return 2 * eps
-    return None
+    # c_1 = (d_12/2 + d_13/2 - d_23/2 - eps) / 2 must be an integer, which
+    # fixes eps; then c_j = d_1j/2 - eps - c_1, and every other pair checks.
+    t = (d[1][2] + d[1][3] - d[2][3]) // 2
+    eps = t % 2
+    c1 = (t - eps) // 2
+    c = [0, c1] + [d[1][j] // 2 - eps - c1 for j in range(2, n + 1)]
+    ok = all(
+        d[j][k] // 2 - eps == c[j] + c[k] for j in range(2, n + 1) for k in range(j + 1, n + 1)
+    )
+    return 2 * eps if ok else None
 
 
 # The trace screen maps the free group to SL2(F_p), p = 2^31 - 1, sending x_j
@@ -292,6 +315,10 @@ def _mat_mul(m: Matrix, *ms: Matrix) -> Matrix:
 def _mat_inv(m: Matrix) -> Matrix:
     a, b, c, d = m
     return d, -b % SL2_PRIME, -c % SL2_PRIME, a
+
+
+def _mat_conj(a: Matrix, b: Matrix, a_inv: Matrix | None = None) -> Matrix:
+    return _mat_mul(a, b, _mat_inv(a) if a_inv is None else a_inv)
 
 
 def _traces(ms: Sequence[Matrix]) -> tuple[int, ...]:
@@ -323,7 +350,7 @@ def _traces_could_be_central(w: BraidWord) -> bool:
     """
     basis, traces = _sl2_basis(w.n)
     imgs = list(basis)
-    for _ in _artin_steps(w.letters, imgs, _mat_mul, _mat_inv):
+    for _ in _artin_steps(w.letters, imgs, _mat_mul(*basis), _mat_conj, _mat_inv):
         pass
     return _traces(imgs) == traces
 
@@ -398,26 +425,46 @@ def _torsion_cycle_length(p: Permutation) -> int | None:
     return lengths.pop() if cycles else 1
 
 
+def _root_length(c: Sequence[int]) -> int:
+    """The length of the primitive root r of the word c = r^m (0 for the empty word).
+
+    That is the least divisor k of |c| with c[k:] == c[:-k]: a period of c
+    that divides its length.
+    """
+    m = len(c)
+    for k in range(1, m):
+        if m % k == 0 and c[k:] == c[: m - k]:
+            return k
+    return m
+
+
 def order_of(w: BraidWord) -> Order:
     """The order of the element represented by the word.
 
-    A torsion element is conjugate to a power of alpha_0, alpha_1 or alpha_2
-    (Murasugi), whose permutations are an n-cycle, an (n-1)-cycle and one
-    fixed point, and an (n-2)-cycle and two.  So a permutation other than
-    the identity with two cycle lengths or more than two fixed points proves
-    infinite order before any power is built.  Otherwise, with p its order,
-    w^p is pure; the only pure torsion is the identity and the full twist,
-    so the order is p, 2p or infinite, and the centrality of w^p decides.
+    The word is conjugate to its cyclic core c, written as r^m with r its
+    primitive root; r has order o exactly when r^m has order o / gcd(o, m),
+    and r of infinite order makes r^m infinite.  So only r is decided, and
+    the exact check meets |r^p| letters instead of |w^p|.  A torsion element
+    is conjugate to a power of alpha_0, alpha_1 or alpha_2 (Murasugi), whose
+    permutations are an n-cycle, an (n-1)-cycle and one fixed point, and an
+    (n-2)-cycle and two.  So a permutation of r other than the identity with
+    two cycle lengths or more than two fixed points proves infinite order
+    before any power is built.  Otherwise, with p its order, r^p is pure;
+    the only pure torsion is the identity and the full twist, so the order
+    of r is p, 2p or infinite, and the centrality of r^p decides.
     """
-    p = _torsion_cycle_length(permutation(w))
+    c = _cyclic_core(w).letters
+    k = _root_length(c)
+    m = len(c) // k if k else 1
+    r = BraidWord(w.n, c[:k])
+    p = _torsion_cycle_length(permutation(r))
     if p is None:
         return INFINITE
-    cv = central_value(w ** p)
-    if cv == 0:
-        return Order.finite(p)
-    if cv == 2:
-        return Order.finite(2 * p)
-    return INFINITE
+    cv = central_value(r ** p)
+    if cv is None:
+        return INFINITE
+    o = p if cv == 0 else 2 * p
+    return Order.finite(o // gcd(o, m))
 
 
 def commute(w1: BraidWord, w2: BraidWord) -> bool:

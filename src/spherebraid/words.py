@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import eq, neg
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -76,6 +79,11 @@ class StrandMismatchError(WordError):
     """Two words from braid groups with different strand counts were mixed."""
 
 
+# The most letters a parsed word may collect, and the most letters the
+# oracle lets the free-group images of a word reach (``oracle.IMAGE_BUDGET``).
+_LETTER_BUDGET = 2_000_000
+
+
 def _reduce(*parts: Sequence[int]) -> tuple[int, ...]:
     """Free-reduce the concatenation of free-reduced parts (signed letters).
 
@@ -92,6 +100,33 @@ def _reduce(*parts: Sequence[int]) -> tuple[int, ...]:
             k += 1
         out.extend(part[k:] if k else part)
     return tuple(out)
+
+
+def _check_letters(n: int, letters: tuple) -> None:
+    """Raise WordError naming the first letter that is not a generator index for n strands.
+
+    The whole tuple is checked by builtins; the per-letter loop runs only to
+    name the culprit.
+    """
+    if letters and not (
+        all(map(isinstance, letters, repeat(int)))
+        and min(letters) > -n
+        and max(letters) < n
+        and 0 not in letters
+    ):
+        for x in letters:
+            if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
+                raise WordError(f"letter {x!r} out of range for n={n}")
+
+
+def _has_cancelling_pair(letters: Sequence[int]) -> bool:
+    """Whether some letter is followed by its inverse."""
+    return any(map(eq, letters, map(neg, letters[1:])))
+
+
+def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Free-reduce a tuple of letters; one that is already reduced is returned as it is."""
+    return _reduce(*zip(letters)) if _has_cancelling_pair(letters) else letters
 
 
 def _power_parts(letters: tuple[int, ...], e: int) -> list[tuple[int, ...]]:
@@ -116,12 +151,9 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise WordError(f"strand count must be at least 3, got {self.n}")
-        for x in self.letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.n - 1:
-                raise WordError(f"letter {x!r} out of range for n={self.n}")
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise WordError("letters are not free-reduced")
+        _check_letters(self.n, self.letters)
+        if _has_cancelling_pair(self.letters):
+            raise WordError("letters are not free-reduced")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if not isinstance(other, BraidWord):
@@ -146,10 +178,8 @@ class BraidWord:
 def word(n: int, letters: Iterable[int] = ()) -> BraidWord:
     """Build a word on n strands, free-reducing the given letters."""
     letters = tuple(letters)
-    for x in letters:
-        if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
-            raise WordError(f"letter {x!r} out of range for n={n}")
-    return BraidWord(n, _reduce(*[(x,) for x in letters]))
+    _check_letters(n, letters)
+    return BraidWord(n, _free_reduce(letters))
 
 
 def identity(n: int) -> BraidWord:
@@ -513,12 +543,47 @@ def std_element(name: NamedElement | str, n: int) -> BraidWord:
     return builder(n, *name.params)
 
 
+@lru_cache(maxsize=1024)
+def _std_element(name: NamedElement, n: int) -> BraidWord:
+    """:func:`std_element`, cached: catalog words are immutable, and texts repeat their atoms."""
+    return std_element(name, n)
+
+
+# Every pattern is ASCII-only: a digit or a space outside ASCII is malformed.
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?)"
-    r"(?:\^(?P<exp>-?\d+))?\s*"
+    r"(?:\^(?P<exp>-?\d+))?\s*",
+    re.ASCII,
 )
-_CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*")
-_SPACE = re.compile(r"\s*")
+# A run of plain integers, none of them raised to a power.
+_INTS = re.compile(r"\s*(-?\d+(?![\d^])(?:\s+-?\d+(?![\d^]))*)\s*", re.ASCII)
+_CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*", re.ASCII)
+_SPACE = re.compile(r"\s*", re.ASCII)
+
+
+def _generator_indices(tokens: Sequence[str], n: int) -> tuple[int, ...]:
+    """The integers written by the tokens, each checked as a generator index."""
+    ks = tuple(map(int, tokens))
+    if min(ks) <= -n or max(ks) >= n or 0 in ks:
+        k = next(k for k in ks if k == 0 or abs(k) > n - 1)
+        raise WordError(f"generator index {k} out of range for n={n}")
+    return ks
+
+
+def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
+    """The letters of the named element a token match names."""
+    name, args = m.group("name"), m.group("args")
+    params = []
+    at = m.start("args")
+    for arg in args.split(",") if args else ():
+        try:
+            if not arg.isascii():
+                raise ValueError
+            params.append(int(arg))
+        except ValueError:
+            raise WordError(f"bad argument {arg!r} to {name} at position {at}") from None
+        at += len(arg) + 1
+    return _std_element(NamedElement(name, tuple(params)), n).letters
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
@@ -527,59 +592,63 @@ def parse_braid(text: str, n: int) -> BraidWord:
     Accepts whitespace-separated signed integers (``"1 2 -3"``), or the named
     element DSL with ``*`` concatenation, ``^e`` powers and parenthesised
     groups with a power, e.g. ``"a0^4"``, ``"delta(2,0) * D^-1"``,
-    ``"(1 -2)^18 * FT"``.  Plain integers may be mixed in.  The letters of
-    all atoms are collected as parts and free-reduced once; a group is
-    reduced when it closes and then repeated.
+    ``"(1 -2)^18 * FT"``.  Plain integers may be mixed in; a run of them is
+    read in one match.  The letters of all atoms are collected as parts and
+    free-reduced once; a group is reduced when it closes and then repeated.
+    The parts may hold at most 2,000,000 letters: an atom or group whose
+    power would pass that is an error, raised before the power is built.
     """
     identity(n)  # a bad strand count is reported before any token
     groups: list[list[tuple[int, ...]]] = [[]]  # parts of each open group
+    sizes = [0]  # letters in the parts of each open group
     opened: list[int] = []  # text position of each open parenthesis
+    star = None  # text position of a '*' still waiting for its right operand
     pos = 0
     expect_atom = True
     while pos < len(text):
         start = _SPACE.match(text, pos).end()  # type: ignore[union-attr]
         c = text[start : start + 1]
         if c == "*" and not expect_atom:
-            pos = start + 1
-            expect_atom = True
+            star, pos, expect_atom = start, start + 1, True
             continue
+        if not c and star is not None:  # nothing but spaces after a '*'
+            break
         if c == "(":
             opened.append(start)
             groups.append([])
-            pos = start + 1
-            expect_atom = True
+            sizes.append(0)
+            star, pos, expect_atom = None, start + 1, True
             continue
         if c == ")":
             if not opened:
                 raise WordError(f"unbalanced ')' at position {start}")
+            if star is not None:
+                raise WordError(f"dangling '*' at position {star}")
             m = _CLOSE.match(text, start)
-            opened.pop()
-            letters = _reduce(*groups.pop())
+            start = opened.pop()
+            sizes.pop()
+            letters, exp = _reduce(*groups.pop()), m.group("exp")  # type: ignore[union-attr]
+        elif m := _INTS.match(text, pos):
+            letters, exp = _free_reduce(_generator_indices(m.group(1).split(), n)), None
         else:
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
                 raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
             if m.group("int") is not None:
-                k = int(m.group("int"))
-                if k == 0 or abs(k) > n - 1:
-                    raise WordError(f"generator index {k} out of range for n={n}")
-                letters = (k,)
+                letters = _generator_indices((m.group("int"),), n)
             else:
-                name, args = m.group("name"), m.group("args")
-                params = []
-                at = m.start("args")
-                for arg in args.split(",") if args else ():
-                    try:
-                        params.append(int(arg))
-                    except ValueError:
-                        raise WordError(
-                            f"bad argument {arg!r} to {name} at position {at}"
-                        ) from None
-                    at += len(arg) + 1
-                letters = std_element(NamedElement(name, tuple(params)), n).letters
-        pos = m.end()
-        expect_atom = False
-        groups[-1] += _power_parts(letters, int(m.group("exp") or 1))
+                letters = _named_atom(m, n)
+            exp = m.group("exp")
+        e = int(exp or 1)
+        count = len(letters) * abs(e)
+        if sum(sizes) + count > _LETTER_BUDGET:
+            raise WordError(f"word passes {_LETTER_BUDGET:,} letters at position {start}")
+        if count:
+            sizes[-1] += count
+            groups[-1] += _power_parts(letters, e)
+        star, pos, expect_atom = None, m.end(), False  # type: ignore[union-attr]
+    if star is not None:
+        raise WordError(f"dangling '*' at position {star}")
     if opened:
         raise WordError(f"unbalanced '(' at position {opened[-1]}")
     return BraidWord(n, _reduce(*groups[0]))

@@ -38,6 +38,10 @@ class TestQueries:
         code, out = run(capsys, "order", "--n", "6", "--word", "a0")
         assert code == 0 and out.strip() == "order: 12"
 
+    def test_order_of_an_integer_run(self, capsys):
+        code, out = run(capsys, "order", "--n", "10", "--word", "1 2 3 4 5 6 7 8 9")
+        assert code == 0 and out.strip() == "order: 20"
+
     def test_order_infinite_json(self, capsys):
         code, out = run(capsys, "--format", "json", "order", "--n", "4", "--word", "1 1")
         assert code == 0 and json.loads(out)["order"] == "infinite"
@@ -327,6 +331,17 @@ class TestErrorHandling:
         code = main(["order", "--n", "4", "--word", "A(1 2)"])
         err = capsys.readouterr().err
         assert code == 2 and err == "error: bad argument '1 2' to A at position 2\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 *", "dangling '*' at position 2"),
+        ("D^99999999", "word passes 2,000,000 letters at position 0"),
+        ("\u0661", "malformed token at '\u0661'"),
+    ])
+    def test_malformed_word_clean_exit(self, capsys, text, message):
+        code = main(["order", "--n", "4", "--word", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_reversed_suite_range(self, capsys):
         code = main(["--format", "json", "verify", "--suite", "torsion", "--n", "6..4"])

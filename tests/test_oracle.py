@@ -106,8 +106,10 @@ def sl2_reference(w):
 
 
 def sl2_images(w):
-    imgs = list(oracle._sl2_basis(w.n)[0])
-    for _ in oracle._artin_steps(w.letters, imgs, oracle._mat_mul, oracle._mat_inv):
+    basis = oracle._sl2_basis(w.n)[0]
+    imgs = list(basis)
+    p = oracle._mat_mul(*basis)
+    for _ in oracle._artin_steps(w.letters, imgs, p, oracle._mat_conj, oracle._mat_inv):
         pass
     return tuple(imgs)
 
@@ -154,31 +156,50 @@ class TestArtinRecurrenceAgainstReference:
         assert outcomes == {True, False}
         assert all(_traces_could_be_central(w) for w in ws[-5:])
 
-    def test_each_letter_multiplies_at_most_three_factors(self):
+    def test_one_conjugation_per_letter(self):
         n = 40
         w = last_heavy_word(random.Random(40), n, 120)
-        factors = []
+        calls = []
 
-        def cat(*parts):
-            factors.append(len(parts))
-            return W._reduce(*parts)
+        def conj(*args):
+            calls.append(len(args))
+            return oracle._fconj(*args)
 
         imgs = [(j,) for j in range(1, n)]
         ref = list(imgs)
-        total, seen, per_letter = len(imgs), 0, []
-        steps = oracle._artin_steps(w.letters, imgs, cat, oracle._finv)
+        total, per_letter = len(imgs), []
+        steps = oracle._artin_steps(w.letters, imgs, tuple(range(1, n)), conj, oracle._finv)
         reference = artin_steps_reference(w.letters, ref, W._reduce, oracle._finv)
         for step, _ in zip(steps, reference):
-            per_letter.append(factors[seen:])
-            seen = len(factors)
+            per_letter.append(len(calls))
             total += step
             assert imgs == ref
             assert total == sum(map(len, imgs))
-        assert len(per_letter) == len(w)
-        # The first letter's count starts with the initial P = cat(*imgs).
-        assert per_letter[0][0] == n - 1
-        per_letter[0] = per_letter[0][1:]
-        assert all(sum(counts) <= 3 for counts in per_letter)
+        assert per_letter == list(range(1, len(w) + 1))
+        # A step that needs the conjugator's inverse anyway hands it in:
+        # every inverse letter, and sigma_{n-1}, whose a^-1 is the new P.
+        handed_in = sum(x < 0 or x == n - 1 for x in w.letters)
+        assert 0 < handed_in < len(w)
+        assert calls.count(3) == handed_in
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fconj_matches_the_reduced_product(self, n):
+        # b is drawn to cancel against a at either end, or completely.
+        rng = random.Random(2300 + n)
+        shapes = set()
+        for _ in range(300):
+            a = random_word(rng, n, 8).letters
+            suffix = a[len(a) - rng.randint(0, len(a)):]
+            b = random_word(rng, n, 6).letters
+            b = rng.choice([b, W._reduce(b, suffix), W._reduce(oracle._finv(suffix), b),
+                            suffix, oracle._finv(suffix)])
+            if not (a and b):
+                continue
+            want = W._reduce(a, b, oracle._finv(a))
+            assert oracle._fconj(a, b) == want, (a, b)
+            assert oracle._fconj(a, b, oracle._finv(a)) == want, (a, b)
+            shapes.add((a[-1] == -b[0], a[-1] == b[-1]))
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 class TestIsInner:
@@ -406,6 +427,57 @@ class TestCycleTypeStage:
         # Every cycle type in S_4 is that of a torsion element.
         assert (len(decided) < len(cases)) == (n > 4)
         assert any(o.is_finite and o.value > 2 for o in expected)
+
+
+def whole_power_order_of(w):
+    """order_of before the root stage: the cycle type of w, then the power w^p."""
+    p = oracle._torsion_cycle_length(W.permutation(w))
+    if p is None:
+        return Order(None)
+    cv = central_value(w ** p)
+    return Order(None) if cv is None else Order.finite(p if cv == 0 else 2 * p)
+
+
+class TestRootStage:
+    """The order of a power r^m is read off the order of its primitive root r."""
+
+    def test_root_length(self):
+        assert oracle._root_length(()) == 0
+        assert oracle._root_length((1,)) == 1
+        assert oracle._root_length((1, -2) * 7) == 2
+        assert oracle._root_length((1, 2, 1) * 4) == 3
+        assert oracle._root_length((1, 2, 1, 2, 1)) == 5  # period 2 does not divide 5
+        assert oracle._root_length((1, 2) * 3 + (1, 2, 3)) == 9
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_agrees_with_the_whole_power(self, n):
+        rng = random.Random(2300 + n)
+        roots = [alpha(n, i) for i in (0, 1, 2)]
+        roots += [alpha(n, i) ** rng.randint(2, 2 * (n - i) - 1) for i in (0, 1, 2)]
+        roots += [delta_comm(n, r, i) for i in (0, 1, 2) for r in range(2, n - i + 1)
+                  if (n - i) % r == 0][:3]
+        roots += [random_word(rng, n, 6) for _ in range(3)]
+        if n == 4:
+            roots.append(word(4, [1, -2]))
+        finite = 0
+        for r in roots:
+            for m in range(1, 7):
+                g = random_word(rng, n, 5)
+                w = g * r ** m * g.inv()
+                want = whole_power_order_of(w)
+                assert order_of(w) == want, (r.letters, m)
+                finite += want.is_finite
+        assert finite > len(roots)
+
+    def test_hard_powers_screen_only_the_root(self, monkeypatch):
+        # (1 -2)^k: the root 1 -2 is a 3-cycle on three strands, so the
+        # trace screen meets (1 -2)^3 and never the power of w itself.
+        screened = []
+        monkeypatch.setattr(oracle, "_traces_could_be_central",
+                            lambda v: screened.append(v) or _traces_could_be_central(v))
+        for k in range(14, 21):
+            assert order_of(word(4, [1, -2] * k)) == Order(None)
+        assert [len(v) for v in screened] == [6] * 7
 
 
 class TestCommute:
@@ -645,6 +717,32 @@ def parity_split_value(w):
     return 0 if W.exponent_sum(forget_strands(w, (1, 2, 3))) % 4 == 0 else 2
 
 
+def two_class_linking(w):
+    """The linking class solved once for each of eps = 0 and eps = 1."""
+    n = w.n
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    strand_at = list(range(n + 1))
+    for x in w.letters:
+        i = abs(x)
+        a, b = sorted((strand_at[i], strand_at[i + 1]))
+        d[a][b] += 1 if x > 0 else -1
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    if strand_at != list(range(n + 1)):
+        return None
+    for eps in (0, 1):
+        e = [[d[j][k] // 2 - eps for k in range(n + 1)] for j in range(n + 1)]
+        t = e[1][2] + e[1][3] - e[2][3]
+        if t % 2:
+            continue
+        c = [0] * (n + 1)
+        c[1] = t // 2
+        for j in range(2, n + 1):
+            c[j] = e[1][j] - c[1]
+        if all(e[j][k] == c[j] + c[k] for j in range(1, n + 1) for k in range(j + 1, n + 1)):
+            return 2 * eps
+    return None
+
+
 class TestLinkingClass:
     """The linking class of a central word says which central element it is."""
 
@@ -676,6 +774,45 @@ class TestLinkingClass:
         for w in words:
             if not W.permutation(w).is_identity():
                 assert _linking_class(w) is None
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_agrees_with_the_two_class_solver_on_pure_words(self, n):
+        # Random products of band generators, which mostly lie in neither
+        # class, and products whose crossing counts lie in a class without
+        # the word being central: blocks of one strand around all the others
+        # in a shuffled order, commutators of band generators, and FT.
+        rng = random.Random(2320 + n)
+
+        def band():
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            return W.band_generator(n, i, j)
+
+        values, not_central = [], 0
+        for trial in range(40):
+            w = identity(n)
+            for _ in range(rng.randint(1, 5)):
+                if trial % 2 == 0:
+                    w = w * band() ** rng.choice([1, -1, 2, -2])
+                elif rng.random() < 0.5:
+                    a, b = band(), band()
+                    w = w * a * b * a.inv() * b.inv()
+                else:
+                    j = rng.randint(1, n)
+                    others = [k for k in range(1, n + 1) if k != j]
+                    rng.shuffle(others)
+                    block = identity(n)
+                    for k in others:
+                        block = block * W.band_generator(n, min(j, k), max(j, k))
+                    w = w * block ** rng.choice([1, -1])
+            if trial % 4 == 1:
+                w = w * full_twist(n)
+            assert W.permutation(w).is_identity()
+            values.append(_linking_class(w))
+            assert values[-1] == two_class_linking(w), w.letters
+            not_central += values[-1] is not None and central_value(w) is None
+        assert {0, 2} <= set(values)
+        # On three strands every pure braid is central.
+        assert (None in values) == (not_central > 0) == (n > 3)
 
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_twist_apart_without_the_free_group(self, n, monkeypatch):

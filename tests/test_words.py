@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,8 +145,13 @@ ATOMS_N6 = ("1", "-2", "3", "-4", "5", "a0", "a1", "a2", "D", "FT", "O1", "O2", 
             "rho(2)", "delta(2,0)", "delta(3,0)", "xi(0)", "lam(2)", "A(1,3)", "A(2,6)", "zeta")
 
 
+# Runs of plain integers: a power binds to the last integer only, and a run
+# may hold a cancelling pair.
+RUNS_N6 = ("1 2", "-2 3 -4", "5 -5 1", "4  -1\t2", "3 4 5 1 2")
+
+
 def dsl_terms():
-    atom = st.sampled_from(ATOMS_N6)
+    atom = st.sampled_from(ATOMS_N6 + RUNS_N6)
     power = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
     return st.tuples(atom, power).map("".join)
 
@@ -152,6 +159,221 @@ def dsl_terms():
 def dsl_text():
     return st.lists(st.tuples(dsl_terms(), st.sampled_from((" ", " * ", "*", "  "))),
                     max_size=10).map(lambda ts: "".join(t + sep for t, sep in ts).rstrip(" *"))
+
+
+def dsl_group_text():
+    """DSL text with nested groups, some right after an integer: ``2 -3(1 a0)^2``."""
+    def grouped(inner):
+        lead = st.sampled_from(("", "1", "2 -3", "a0 ", "4 *", "5 -5 "))
+        power = st.sampled_from(("", "^2", "^-1", "^0"))
+        return st.tuples(lead, inner, power, dsl_text()).map(
+            lambda t: f"{t[0]}({t[1]}){t[2]} {t[3]}".rstrip())
+    return st.recursive(dsl_text(), grouped, max_leaves=4)
+
+
+# The token patterns of the one-token-per-integer parser, which let \d and \s
+# match outside ASCII.
+_UNICODE_TOKEN = re.compile(
+    r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?)"
+    r"(?:\^(?P<exp>-?\d+))?\s*"
+)
+_UNICODE_CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*")
+_UNICODE_SPACE = re.compile(r"\s*")
+
+
+def token_parse(text, n):
+    """The parser that matched one token per integer, without the letter bound."""
+    W.identity(n)
+    groups = [[]]
+    opened = []
+    pos = 0
+    expect_atom = True
+    while pos < len(text):
+        start = _UNICODE_SPACE.match(text, pos).end()
+        c = text[start : start + 1]
+        if c == "*" and not expect_atom:
+            pos = start + 1
+            expect_atom = True
+            continue
+        if c == "(":
+            opened.append(start)
+            groups.append([])
+            pos = start + 1
+            expect_atom = True
+            continue
+        if c == ")":
+            if not opened:
+                raise WordError(f"unbalanced ')' at position {start}")
+            m = _UNICODE_CLOSE.match(text, start)
+            opened.pop()
+            letters = W._reduce(*groups.pop())
+        else:
+            m = _UNICODE_TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
+            if m.group("int") is not None:
+                k = int(m.group("int"))
+                if k == 0 or abs(k) > n - 1:
+                    raise WordError(f"generator index {k} out of range for n={n}")
+                letters = (k,)
+            else:
+                name, args = m.group("name"), m.group("args")
+                params = []
+                at = m.start("args")
+                for arg in args.split(",") if args else ():
+                    try:
+                        params.append(int(arg))
+                    except ValueError:
+                        raise WordError(
+                            f"bad argument {arg!r} to {name} at position {at}"
+                        ) from None
+                    at += len(arg) + 1
+                letters = W.std_element(W.NamedElement(name, tuple(params)), n).letters
+        pos = m.end()
+        expect_atom = False
+        groups[-1] += W._power_parts(letters, int(m.group("exp") or 1))
+    if opened:
+        raise WordError(f"unbalanced '(' at position {opened[-1]}")
+    return BraidWord(n, W._reduce(*groups[0]))
+
+
+def parse_outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except WordError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestIntegerRuns:
+    """A run of integers read in one match parses as one token per integer did."""
+
+    @given(dsl_group_text())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_token_parser(self, text):
+        assert parse_braid(text, 6) == token_parse(text, 6)
+
+    @given(dsl_group_text(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_errors_match_the_token_parser(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        mutated = text[:at] + data.draw(st.sampled_from("*()+^x9-0 ,")) + text[at:]
+        got, want = parse_outcome(parse_braid, mutated, 6), parse_outcome(token_parse, mutated, 6)
+        dangling = re.fullmatch(r"WordError: dangling '\*' at position (\d+)", str(got))
+        if dangling:
+            # The token parser let the '*' pass; only spaces follow it, then ')' or the end.
+            star = int(dangling.group(1))
+            assert mutated[star] == "*" and mutated[star + 1 :].lstrip()[:1] in ("", ")")
+        else:
+            assert got == want, mutated
+
+    @pytest.mark.parametrize("text,letters", [
+        ("1 2(3 -4)^2", (1, 2, 3, -4, 3, -4)), ("1 2^3 4", (1, 2, 2, 2, 4)),
+        ("1-2 3", (1, -2, 3)), ("1 2a0", (1, 2, *range(1, 30))), ("1 -1 2", (2,)),
+        ("3 1 -1 -3", ()), ("1 23^2 4", (1, 23, 23, 4)), ("-12 -2^-2", (-12, 2, 2)),
+        ("29 1(2)", (29, 1, 2)),
+    ])
+    def test_run_boundaries(self, text, letters):
+        assert parse_braid(text, 30).letters == letters == token_parse(text, 30).letters
+
+    @pytest.mark.parametrize("text,k", [("12 -1", 12), ("1 2 0", 0), ("1 -2 -6 7", -6)])
+    def test_first_index_out_of_range_is_named(self, text, k):
+        with pytest.raises(WordError, match=f"^generator index {k} out of range for n=6$"):
+            parse_braid(text, 6)
+
+
+class TestMalformedText:
+    @pytest.mark.parametrize("text,position", [
+        ("1 *", 2), ("1 *  ", 2), ("(1 *)", 3), ("a0 * (2 * )^2", 8), ("1 (2 * 3 *)", 9),
+    ])
+    def test_dangling_star(self, text, position):
+        with pytest.raises(WordError, match=rf"^dangling '\*' at position {position}$"):
+            parse_braid(text, 4)
+
+    def test_star_before_a_group_is_not_dangling(self):
+        assert parse_braid("1 * (2)", 4).letters == (1, 2)
+        assert parse_braid("1 * ()^3", 4).letters == (1,)
+
+    @pytest.mark.parametrize("text", [
+        "\u0661", "1 \u0662", "a0^\u0662", "(1)^\u0663", "A(\u0661,2)", "\uff11",
+        "1\u00a02",
+    ])
+    def test_digits_and_spaces_outside_ascii(self, text):
+        with pytest.raises(WordError):
+            parse_braid(text, 4)
+
+    @pytest.mark.parametrize("text,position", [
+        ("D^99999999", 0), ("1 (1 2)^1000001", 2), ("a0^-1000000 1", 0),
+        ("1 ((2)^1000 3)^1999", 2),
+    ])
+    def test_letter_bound(self, text, position):
+        message = f"^word passes 2,000,000 letters at position {position}$"
+        with pytest.raises(WordError, match=message):
+            parse_braid(text, 4)
+
+    def test_letter_bound_counts_every_open_group(self, monkeypatch):
+        monkeypatch.setattr(W, "_LETTER_BUDGET", 10)
+        assert len(parse_braid("(1 2)^3 (1 2)^2", 4)) == 10
+        assert len(parse_braid("((1 2)^2 3)^2", 4)) == 10
+        assert len(parse_braid("1 -1 1 -1 1 -1 1 -1 1 -1", 4)) == 0
+        with pytest.raises(WordError, match="at position 16$"):
+            parse_braid("(1 2)^3 (1 2)^2 3", 4)
+        with pytest.raises(WordError, match="at position 11$"):
+            parse_braid("1 2 3 (1 2 (3 1 2 3 1)^2)", 4)
+        # Eight letters outside the group and three inside pass the bound.
+        with pytest.raises(WordError, match="at position 17$"):
+            parse_braid("1 2 3 1 2 3 1 2 (1 2 3)", 4)
+
+    def test_one_figure_bounds_words_and_images(self):
+        from spherebraid import oracle
+
+        assert oracle.IMAGE_BUDGET == W._LETTER_BUDGET == 2_000_000
+
+
+def per_letter_check(n, letters):
+    """The per-letter validation of BraidWord before builtins checked the whole tuple."""
+    for x in letters:
+        if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
+            raise WordError(f"letter {x!r} out of range for n={n}")
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            raise WordError("letters are not free-reduced")
+
+
+def check_outcome(f, *args):
+    try:
+        f(*args)
+    except WordError as exc:
+        return str(exc)
+    return None
+
+
+def odd_letters(n):
+    return st.lists(st.sampled_from(
+        (0, 1, -1, 2, -2, n - 1, 1 - n, n, -n, True, False, 1.0, "1", None)), max_size=8)
+
+
+class TestBraidWordChecks:
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), odd_letters(n))))
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_message_as_the_per_letter_check(self, args):
+        n, letters = args
+        letters = tuple(letters)
+        want = check_outcome(per_letter_check, n, letters)
+        assert check_outcome(BraidWord, n, letters) == want
+        if want is None:
+            assert BraidWord(n, letters).letters == letters
+
+    @pytest.mark.parametrize("letters,message", [
+        ((1, 2, -2), "letters are not free-reduced"),
+        ((1, 4, -1, 1), "letter 4 out of range for n=4"),
+        ((True, -1), "letters are not free-reduced"),
+        ((1, "1"), "letter '1' out of range for n=4"),
+        ((2, 1.0, 0), "letter 1.0 out of range for n=4"),
+        ((-4,), "letter -4 out of range for n=4"),
+    ])
+    def test_first_bad_letter_is_named(self, letters, message):
+        with pytest.raises(WordError, match=f"^{re.escape(message)}$"):
+            BraidWord(4, letters)
 
 
 class TestParseOnce:
