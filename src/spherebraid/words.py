@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from math import lcm
 from operator import eq, neg
@@ -543,12 +542,6 @@ def std_element(name: NamedElement | str, n: int) -> BraidWord:
     return builder(n, *name.params)
 
 
-@lru_cache(maxsize=1024)
-def _std_element(name: NamedElement, n: int) -> BraidWord:
-    """:func:`std_element`, cached: catalog words are immutable, and texts repeat their atoms."""
-    return std_element(name, n)
-
-
 # Every pattern is ASCII-only: a digit or a space outside ASCII is malformed.
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\((?P<args>[^)]*)\))?)"
@@ -583,7 +576,7 @@ def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
         except ValueError:
             raise WordError(f"bad argument {arg!r} to {name} at position {at}") from None
         at += len(arg) + 1
-    return _std_element(NamedElement(name, tuple(params)), n).letters
+    return std_element(NamedElement(name, tuple(params)), n).letters
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
