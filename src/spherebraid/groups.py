@@ -153,41 +153,53 @@ class FiniteGroupTable:
 
 
 def _greedy_closure(
-    mult: Sequence[Sequence[int]],
-    identity: int,
-    candidates: Iterable[int],
-    start: tuple[Sequence[int], Iterable[int]] | None = None,
+    mult: Sequence[Sequence[int]], identity: int, candidates: Iterable[int]
 ) -> tuple[tuple[int, ...], frozenset[int]]:
     """Generators and elements of the subgroup the candidates generate: each
     candidate not yet reached, in the order given, becomes a generator, and
-    the walk over right multiplication by the generators is extended.
-
-    ``start`` is a subgroup already known, as the (generators, elements)
-    pair this function returns; the walk goes on from it.  The elements
-    reached are closed under the earlier generators, so only the new
-    generator is applied to them, and every element found is walked with
-    all generators."""
-    known_gens, known = start if start is not None else ((), (identity,))
-    gens = list(known_gens)
-    reached = set(known)
+    the walk over right multiplication by the generators is extended."""
+    gens: list[int] = []
+    reached: frozenset[int] = frozenset([identity])
     for c in candidates:
-        if c in reached:
-            continue
-        gens.append(c)
-        stack = []
-        for x in list(reached):
-            y = mult[x][c]
+        if c not in reached:
+            gens.append(c)
+            reached = _adjoin(mult, gens, reached)  # type: ignore[assignment]
+    return tuple(gens), reached
+
+
+def _adjoin(
+    mult: Sequence[Sequence[int]],
+    gens: Sequence[int],
+    known: frozenset[int],
+    stop: frozenset[int] = frozenset(),
+) -> frozenset[int] | None:
+    """The subgroup generated by ``known`` and ``gens[-1]``, where ``known``
+    is a subgroup closed under ``gens[:-1]``; None as soon as the walk
+    reaches an element of ``stop`` outside ``known``.
+
+    The elements of ``known`` are closed under the earlier generators, so
+    only the new generator is applied to them, and every element found is
+    walked with all generators."""
+    new = gens[-1]
+    reached = set(known)
+    stack = []
+    for x in known:
+        y = mult[x][new]
+        if y not in reached:
+            if y in stop:
+                return None
+            reached.add(y)
+            stack.append(y)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = mult[x][g]
             if y not in reached:
+                if y in stop:
+                    return None
                 reached.add(y)
                 stack.append(y)
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = mult[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-    return tuple(gens), frozenset(reached)
+    return frozenset(reached)
 
 
 def _bfs_words(
@@ -596,32 +608,43 @@ def _is_normal(G: FiniteGroupTable, elems: frozenset[int]) -> bool:
 
 
 def _all_subgroup_sets(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:
-    """Every subgroup, grown from the trivial one by joins with cyclic
-    subgroups of prime-power order.
+    """Every subgroup, each reached once, by canonical augmentation (McKay,
+    J. Algorithms 26, 1998) over the roots r_0, ..., r_{R-1}: one generator
+    for each cyclic subgroup of prime-power order.
 
-    Each element is a product of powers of itself of prime-power order, so
-    every subgroup is reached by a chain of such joins.  A join walks on from
-    the subgroup already known and its recorded generators.
+    Every element is a product of powers of itself of prime-power order, so
+    a subgroup H is generated by the roots it contains.  H's canonical chain
+    starts from the trivial group, and each step joins the lowest-index root
+    of H outside the subgroup reached so far.  The indices along the chain
+    strictly increase, and no step reaches a root of lower index outside its
+    parent.  So the walk records the index m(K) of the root that made each
+    subgroup K (-1 for the trivial group), joins K only with the roots r_j,
+    j > m(K), outside K, and stops a join as soon as it reaches a root r_i
+    with i < j: that root lies outside K, so the join is not canonical and
+    is reached from its own canonical parent.  The canonical chain of every
+    subgroup survives both cuts, and every other path is stopped.
     """
     if G.order > SUBGROUP_ORDER_BUDGET:
         raise SubgroupBudgetError(f"order {G.order} exceeds subgroup budget {SUBGROUP_ORDER_BUDGET}")
-    # One generator for each cyclic subgroup of prime-power order.
-    roots = {G.closure([x]): x for x, k in enumerate(G.element_orders) if _is_prime_power(k)}
-    trivial = frozenset([G.identity])
-    subs = {trivial: ((), trivial)}
-    frontier = list(subs.values())
-    while frontier:
-        new = []
-        for known in frontier:
-            for x in roots.values():
-                if x in known[1]:
-                    continue
-                join = _greedy_closure(G.mult, G.identity, (x,), known)
-                if join[1] not in subs:
-                    subs[join[1]] = join
-                    new.append(join)
-        frontier = new
-    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+    roots = list(
+        {G.closure([x]): x for x, k in enumerate(G.element_orders) if _is_prime_power(k)}.values()
+    )
+    earlier = [frozenset(roots[:j]) for j in range(len(roots))]
+    found = []
+    stack: list[tuple[tuple[int, ...], frozenset[int], int]] = [
+        ((), frozenset([G.identity]), -1)
+    ]
+    while stack:
+        gens, known, m = stack.pop()
+        found.append(known)
+        for j in range(m + 1, len(roots)):
+            if roots[j] in known:
+                continue
+            join_gens = gens + (roots[j],)
+            join = _adjoin(G.mult, join_gens, known, earlier[j])
+            if join is not None:
+                stack.append((join_gens, join, j))
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def _is_prime_power(k: int) -> bool:

@@ -552,15 +552,50 @@ _TOKEN = re.compile(
 _INTS = re.compile(r"\s*(-?\d+(?![\d^])(?:\s+-?\d+(?![\d^]))*)\s*", re.ASCII)
 _CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*", re.ASCII)
 _SPACE = re.compile(r"\s*", re.ASCII)
+# A signed integer, its sign and its digits past the leading zeros apart.
+_SIGNED = re.compile(r"(-?)0*(\d+)", re.ASCII)
 
 
-def _generator_indices(tokens: Sequence[str], n: int) -> tuple[int, ...]:
-    """The integers written by the tokens, each checked as a generator index."""
-    ks = tuple(map(int, tokens))
-    if min(ks) <= -n or max(ks) >= n or 0 in ks:
-        k = next(k for k in ks if k == 0 or abs(k) > n - 1)
-        raise WordError(f"generator index {k} out of range for n={n}")
-    return ks
+def _generator_indices(m: re.Match, group: str | int, n: int) -> tuple[int, ...]:
+    """The integers written in one group of a token match, each checked as a
+    generator index.
+
+    int() refuses more than 4,300 digits.  So when a token fails to read or
+    to check, the tokens are read again one by one past their leading zeros;
+    one that int() still refuses is out of range, named by its position."""
+    try:
+        ks = tuple(map(int, m.group(group).split()))
+        if min(ks) > -n and max(ks) < n and 0 not in ks:
+            return ks
+    except ValueError:
+        pass
+    out = []
+    for t in _SIGNED.finditer(m.group(group)):
+        try:
+            k = int(t.group(1) + t.group(2))
+        except ValueError:
+            at = m.start(group) + t.start()
+            raise WordError(f"generator index at position {at} out of range for n={n}") from None
+        if k == 0 or abs(k) > n - 1:
+            raise WordError(f"generator index {k} out of range for n={n}")
+        out.append(k)
+    return tuple(out)
+
+
+def _exponent(text: str | None) -> int:
+    """The power a '^' writes, 1 without one.  A power with more digits, past
+    its leading zeros, than the letter bound has is read as one past the
+    bound: any atom with letters raised to it passes the bound, and int()
+    refuses more than 4,300 digits."""
+    if text is None:
+        return 1
+    try:
+        return int(text)
+    except ValueError:
+        sign, digits = _SIGNED.fullmatch(text).groups()  # type: ignore[union-attr]
+        if len(digits) > len(str(_LETTER_BUDGET)):
+            return _LETTER_BUDGET + 1
+        return int(sign + digits)
 
 
 def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
@@ -590,6 +625,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
     free-reduced once; a group is reduced when it closes and then repeated.
     The parts may hold at most 2,000,000 letters: an atom or group whose
     power would pass that is an error, raised before the power is built.
+    Text of spaces only is the identity.
     """
     identity(n)  # a bad strand count is reported before any token
     groups: list[list[tuple[int, ...]]] = [[]]  # parts of each open group
@@ -604,7 +640,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
         if c == "*" and not expect_atom:
             star, pos, expect_atom = start, start + 1, True
             continue
-        if not c and star is not None:  # nothing but spaces after a '*'
+        if not c:  # nothing but spaces left
             break
         if c == "(":
             opened.append(start)
@@ -622,17 +658,17 @@ def parse_braid(text: str, n: int) -> BraidWord:
             sizes.pop()
             letters, exp = _reduce(*groups.pop()), m.group("exp")  # type: ignore[union-attr]
         elif m := _INTS.match(text, pos):
-            letters, exp = _free_reduce(_generator_indices(m.group(1).split(), n)), None
+            letters, exp = _free_reduce(_generator_indices(m, 1, n)), None
         else:
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
                 raise WordError(f"malformed token at {text[pos:pos + 20]!r}")
             if m.group("int") is not None:
-                letters = _generator_indices((m.group("int"),), n)
+                letters = _generator_indices(m, "int", n)
             else:
                 letters = _named_atom(m, n)
             exp = m.group("exp")
-        e = int(exp or 1)
+        e = _exponent(exp)
         count = len(letters) * abs(e)
         if sum(sizes) + count > _LETTER_BUDGET:
             raise WordError(f"word passes {_LETTER_BUDGET:,} letters at position {start}")

@@ -336,6 +336,9 @@ class TestErrorHandling:
         ("1 *", "dangling '*' at position 2"),
         ("D^99999999", "word passes 2,000,000 letters at position 0"),
         ("\u0661", "malformed token at '\u0661'"),
+        ("( ", "unbalanced '(' at position 0"),
+        ("1 " + "9" * 5000, "generator index at position 2 out of range for n=4"),
+        ("a0^" + "9" * 5000, "word passes 2,000,000 letters at position 0"),
     ])
     def test_malformed_word_clean_exit(self, capsys, text, message):
         code = main(["order", "--n", "4", "--word", text])

@@ -665,6 +665,49 @@ class TestAgainstWholeTableReferences:
         assert _all_subgroup_sets(G) == _subgroup_sets_reference(G)
 
 
+def _tau(m):
+    """The number of divisors of m."""
+    return sum(1 for d in range(1, m + 1) if m % d == 0)
+
+
+def _sigma(m):
+    """The sum of the divisors of m."""
+    return sum(d for d in range(1, m + 1) if m % d == 0)
+
+
+# Every family table up to the subgroup-lattice order of 200, with its number
+# of subgroups: Z_m has one per divisor of m; Dih_2m adds, for each divisor d
+# of m, the m/d dihedral subgroups of order 2d; Dic_4m has the cyclic
+# subgroups of Z_2m and, for each divisor d of m, m/d dicyclic ones of
+# order 4d.
+FAMILY_LATTICES = (
+    [(f"Z{m}", _tau(m)) for m in range(1, 201)]
+    + [(f"Dih{2 * m}", _tau(m) + _sigma(m)) for m in range(2, 101)]
+    + [(f"Dic{4 * m}", _tau(2 * m) + _sigma(m)) for m in range(2, 51)]
+)
+
+
+class TestCanonicalLattice:
+    """The canonical walk reaches every subgroup, and each one once."""
+
+    @pytest.mark.parametrize("family", ["Z", "Dih", "Dic"])
+    def test_family_subgroup_counts_and_no_set_twice(self, family):
+        wrong = []
+        for name, count in FAMILY_LATTICES:
+            if name.rstrip("0123456789") == family:
+                sets = _all_subgroup_sets(named_group(name))
+                if not len(set(sets)) == len(sets) == count:
+                    wrong.append((name, len(set(sets)), len(sets), count))
+        assert wrong == []
+
+    @pytest.mark.parametrize("name", ["klein", "B3", "T*", "O*", "I*", "A4", "S4", "A5"])
+    def test_fixed_tables_no_set_twice(self, name):
+        G = sphere_three_strand_table() if name == "B3" else named_group(name)
+        sets = _all_subgroup_sets(G)
+        assert len(set(sets)) == len(sets)
+        assert all(G.closure(s) == s for s in sets)
+
+
 def _aut_cosets_reference(G, inner):
     """Reference Aut (``inner`` false) or Out (``inner`` true): every
     automorphism walked in sorted order, the first of each coset its

@@ -182,7 +182,8 @@ _UNICODE_SPACE = re.compile(r"\s*")
 
 
 def token_parse(text, n):
-    """The parser that matched one token per integer, without the letter bound."""
+    """The parser that matched one token per integer, without the letter
+    bound.  Like parse_braid, it ends where only spaces are left."""
     W.identity(n)
     groups = [[]]
     opened = []
@@ -191,6 +192,8 @@ def token_parse(text, n):
     while pos < len(text):
         start = _UNICODE_SPACE.match(text, pos).end()
         c = text[start : start + 1]
+        if not c:
+            break
         if c == "*" and not expect_atom:
             pos = start + 1
             expect_atom = True
@@ -322,6 +325,46 @@ class TestMalformedText:
         # Eight letters outside the group and three inside pass the bound.
         with pytest.raises(WordError, match="at position 17$"):
             parse_braid("1 2 3 1 2 3 1 2 (1 2 3)", 4)
+
+    @pytest.mark.parametrize("text", ["", " ", "   ", "\t\n "])
+    def test_only_spaces_is_the_identity(self, text):
+        assert parse_braid(text, 4) == W.identity(4)
+
+    @pytest.mark.parametrize("text,message", [
+        ("( ", "unbalanced '(' at position 0"), ("1 ((2)  ", "unbalanced '(' at position 2"),
+        ("1 * ", "dangling '*' at position 2"),
+    ])
+    def test_spaces_after_an_open_group_or_a_star(self, text, message):
+        with pytest.raises(WordError, match=f"^{re.escape(message)}$"):
+            parse_braid(text, 4)
+
+    # int() refuses more than 4,300 digits by default.
+    LONG = "9" * 5000
+
+    @pytest.mark.parametrize("text,position", [
+        (LONG, 0), (f"1 -{LONG}", 2), (f"a0 {LONG}^2", 3), (f"1 2 {LONG} 9", 4),
+    ])
+    def test_long_generator_index_is_out_of_range(self, text, position):
+        message = f"^generator index at position {position} out of range for n=4$"
+        with pytest.raises(WordError, match=message):
+            parse_braid(text, 4)
+
+    @pytest.mark.parametrize("text,position", [
+        (f"1^{LONG}", 0), (f"a0^-{LONG}", 0), (f"1 (2)^{LONG}", 2), (f"D^{LONG} ()", 0),
+    ])
+    def test_long_exponent_passes_the_letter_bound(self, text, position):
+        message = f"^word passes 2,000,000 letters at position {position}$"
+        with pytest.raises(WordError, match=message):
+            parse_braid(text, 4)
+
+    @pytest.mark.parametrize("text", [f"()^{LONG}", f"()^-{LONG}", f"(1 -1)^{LONG} 2 -2"])
+    def test_long_exponent_of_an_empty_atom_is_the_identity(self, text):
+        assert parse_braid(text, 4) == W.identity(4)
+
+    def test_leading_zeros_past_the_digit_limit_are_read(self):
+        zeros = "0" * 5000
+        assert parse_braid(f"{zeros}1 -{zeros}3", 4).letters == (1, -3)
+        assert parse_braid(f"a0^{zeros}2", 4) == parse_braid("a0^2", 4)
 
     def test_one_figure_bounds_words_and_images(self):
         from spherebraid import oracle
