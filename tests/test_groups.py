@@ -676,10 +676,10 @@ def _sigma(m):
 
 
 # Every family table up to the subgroup-lattice order of 200, with its number
-# of subgroups: Z_m has one per divisor of m; Dih_2m adds, for each divisor d
-# of m, the m/d dihedral subgroups of order 2d; Dic_4m has the cyclic
-# subgroups of Z_2m and, for each divisor d of m, m/d dicyclic ones of
-# order 4d.
+# of subgroups.  Z_m has one per divisor of m.  Dih_2m = <x, y> has those of
+# <x> = Z_m and, for each divisor d of m, m/d of order 2d that hold a
+# reflection.  Dic_4m = <x, y> has those of <x> = Z_2m and, for each divisor
+# d of m, m/d of order 4d that are not in <x>.
 FAMILY_LATTICES = (
     [(f"Z{m}", _tau(m)) for m in range(1, 201)]
     + [(f"Dih{2 * m}", _tau(m) + _sigma(m)) for m in range(2, 101)]
