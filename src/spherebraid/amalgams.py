@@ -486,6 +486,8 @@ def amalgam_iso(
     The induced map sends an embedded factor element to the embedding of its
     theta-image; it is verified to be multiplicative on all pairs of
     embedded factor elements and bijective on the syllable-length-2 ball.
+    The map is tabulated once on that ball, which holds every product of two
+    embedded factor elements.
     """
     thetas = (tuple(theta1), tuple(theta2))
     for k in (1, 2):
@@ -497,28 +499,31 @@ def amalgam_iso(
         if not _is_automorphism(spec_a.factor(k), thetas[k - 1]):
             raise ValueError(f"theta{k} is not an automorphism")
 
-    def phi(e: AmalgamElement) -> AmalgamElement:
-        # Map the normal form piecewise: the head stays in F, and each
-        # transversal letter goes to the embedding of its theta-image.
+    # Map each normal form piecewise: the head stays in F, and each
+    # transversal letter goes to the embedding of its theta-image.
+    letter = {k: spec_b.embed(k, thetas[k - 1][spec_a.transversal(k)]) for k in (1, 2)}
+    phi: dict[AmalgamElement, AmalgamElement] = {}
+    for e in spec_a.ball(2):
         out = spec_b.from_f(e.head)
         for k in e.syllables:
-            out = spec_b.mul(out, spec_b.embed(k, thetas[k - 1][spec_a.transversal(k)]))
-        return out
+            out = spec_b.mul(out, letter[k])
+        phi[e] = out
 
-    gens = [(k, g) for k in (1, 2) for g in range(spec_a.factor(k).order)]
+    embedded = [
+        (spec_a.embed(k, g), spec_b.embed(k, thetas[k - 1][g]))
+        for k in (1, 2)
+        for g in range(spec_a.factor(k).order)
+    ]
     checked = 0
     ok = True
-    for k1_, g1_ in gens:
-        u = spec_a.embed(k1_, g1_)
-        pu = phi(u)
-        if pu != spec_b.embed(k1_, thetas[k1_ - 1][g1_]):
+    for u, theta_u in embedded:
+        pu = phi[u]
+        if pu != theta_u:
             ok = False
-        for k2_, g2_ in gens:
-            v = spec_a.embed(k2_, g2_)
-            if phi(spec_a.mul(u, v)) != spec_b.mul(pu, phi(v)):
+        for v, _ in embedded:
+            if phi[spec_a.mul(u, v)] != spec_b.mul(pu, phi[v]):
                 ok = False
             checked += 1
-    ball_a = spec_a.ball(2)
-    images = {phi(e) for e in ball_a}
-    ball_bij = len(images) == len(ball_a) and images == set(spec_b.ball(2))
+    images = set(phi.values())
+    ball_bij = len(images) == len(phi) and images == set(spec_b.ball(2))
     return IsoCertificate(ok, checked, ball_bij)

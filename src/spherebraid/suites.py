@@ -406,14 +406,19 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
             )
 
         def assoc_ok(spec=spec) -> bool:
-            # Every triple is checked; each pairwise product is made once.
+            # Every triple (a, b, c) of ball(1) is compared, by lookup: each
+            # pairwise product is made once, and so is each product of a
+            # distinct pairwise product with an element of ball(1), either side.
             ball1 = spec.ball(1)
             prod = [[spec.mul(a, b) for b in ball1] for a in ball1]
+            middle = {x for row in prod for x in row}
+            right = {x: [spec.mul(x, c) for c in ball1] for x in middle}
+            left = {y: [spec.mul(a, y) for a in ball1] for y in middle}
             return all(
-                spec.mul(prod[i][j], c) == spec.mul(a, prod[j][k])
-                for i, a in enumerate(ball1)
+                right[prod[i][j]][k] == left[prod[j][k]][i]
+                for i in range(len(ball1))
                 for j in range(len(ball1))
-                for k, c in enumerate(ball1)
+                for k in range(len(ball1))
             )
 
         def inverse_ok(spec=spec) -> bool:

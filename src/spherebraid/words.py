@@ -20,6 +20,7 @@ on the command line.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
@@ -599,17 +600,24 @@ def _exponent(text: str | None) -> int:
 
 
 def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
-    """The letters of the named element a token match names."""
+    """The letters of the named element a token match names.
+
+    Each argument is read as generator indices are: ASCII spaces around an
+    optional '-' and ASCII digits.  Leading zeros are dropped before int(),
+    which refuses more than 4,300 digits; an argument it still refuses is
+    bad, and the message shows its first 20 characters."""
     name, args = m.group("name"), m.group("args")
     params = []
     at = m.start("args")
     for arg in args.split(",") if args else ():
+        t = _SIGNED.fullmatch(arg.strip(string.whitespace))
         try:
-            if not arg.isascii():
+            if t is None:
                 raise ValueError
-            params.append(int(arg))
+            params.append(int(t.group(1) + t.group(2)))
         except ValueError:
-            raise WordError(f"bad argument {arg!r} to {name} at position {at}") from None
+            shown = f"{arg[:20]!r}..." if len(arg) > 20 else repr(arg)
+            raise WordError(f"bad argument {shown} to {name} at position {at}") from None
         at += len(arg) + 1
     return std_element(NamedElement(name, tuple(params)), n).letters
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherebraid.amalgams import (
     AmalgamElement,
+    IsoCertificate,
     amalgam_iso,
     build_amalgam,
     distinguish_k1_k2,
@@ -342,36 +345,82 @@ class TestGluingClasses:
         assert structure_name(k1_prime().f) == "Z2 x Z2"
 
 
+def per_pair_iso(spec_a, spec_b, theta1, theta2):
+    """The certificate of amalgam_iso as it was made pair by pair, mapping
+    every element afresh (the checks on the thetas left out)."""
+    thetas = (tuple(theta1), tuple(theta2))
+
+    def phi(e):
+        out = spec_b.from_f(e.head)
+        for k in e.syllables:
+            out = spec_b.mul(out, spec_b.embed(k, thetas[k - 1][spec_a.transversal(k)]))
+        return out
+
+    gens = [(k, g) for k in (1, 2) for g in range(spec_a.factor(k).order)]
+    checked = 0
+    ok = True
+    for k1_, g1_ in gens:
+        u = spec_a.embed(k1_, g1_)
+        pu = phi(u)
+        if pu != spec_b.embed(k1_, thetas[k1_ - 1][g1_]):
+            ok = False
+        for k2_, g2_ in gens:
+            v = spec_a.embed(k2_, g2_)
+            if phi(spec_a.mul(u, v)) != spec_b.mul(pu, phi(v)):
+                ok = False
+            checked += 1
+    ball_a = spec_a.ball(2)
+    images = {phi(e) for e in ball_a}
+    ball_bij = len(images) == len(ball_a) and images == set(spec_b.ball(2))
+    return IsoCertificate(ok, checked, ball_bij)
+
+
+def fourth_gluing(kind):
+    """The fourth gluing of the order-16 factors of a kind and the factor
+    automorphism psi carrying the first gluing to it."""
+    G = make_group(kind, 4)
+    F = make_group(kind, 2)
+    x, y = G.generators
+    x2 = G.mul(x, x)
+    i1 = hom_from_gen_images(F, G, (x2, y))
+    i2_four = hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
+    return build_amalgam(G, G, F, i1, i2_four), aut_from_gen_images(G, (x, G.mul(x2, y)))
+
+
+def iso_cases():
+    """(spec_a, spec_b, theta1, theta2) for the identity, the first gluing
+    onto the fourth, and the dihedral analog."""
+    ident = tuple(range(k1().g1.order))
+    spec4, psi = fourth_gluing("dicyclic")
+    spec4p, psip = fourth_gluing("dihedral")
+    return {
+        "identity": (k1(), k1(), ident, ident),
+        "first-equals-fourth": (k1(), spec4, ident, psi),
+        "dihedral": (k1_prime(), spec4p, tuple(range(k1_prime().g1.order)), psip),
+    }
+
+
 class TestAmalgamIso:
-    def test_identity_thetas(self):
-        spec = k1()
-        ident = tuple(range(spec.g1.order))
-        cert = amalgam_iso(spec, spec, ident, ident)
+    @pytest.mark.parametrize("case", ["identity", "first-equals-fourth", "dihedral"])
+    def test_matches_the_per_pair_certificate(self, case):
+        args = iso_cases()[case]
+        cert = amalgam_iso(*args)
+        assert cert == per_pair_iso(*args)
         assert cert.ok and cert.ball_bijective
+        assert cert.checked_products == (256 if case == "dihedral" else 1024)
 
-    def test_first_and_fourth_gluings_isomorphic(self):
-        G = make_group("dicyclic", 4)
-        F = make_group("dicyclic", 2)
-        x, y = G.generators
-        x2 = G.mul(x, x)
-        i1 = hom_from_gen_images(F, G, (x2, y))
-        i2_four = hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
-        spec4 = build_amalgam(G, G, F, i1, i2_four)
-        psi = aut_from_gen_images(G, (x, G.mul(x2, y)))
-        cert = amalgam_iso(k1(), spec4, tuple(range(G.order)), psi)
-        assert cert.ok and cert.ball_bijective
-
-    def test_dihedral_analog(self):
-        G = make_group("dihedral", 4)
-        F = make_group("dihedral", 2)
-        x, y = G.generators
-        x2 = G.mul(x, x)
-        i1 = hom_from_gen_images(F, G, (x2, y))
-        i2_four = hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
-        spec4 = build_amalgam(G, G, F, i1, i2_four)
-        psi = aut_from_gen_images(G, (x, G.mul(x2, y)))
-        cert = amalgam_iso(k1_prime(), spec4, tuple(range(G.order)), psi)
-        assert cert.ok and cert.ball_bijective
+    @pytest.mark.parametrize("case", ["identity", "first-equals-fourth"])
+    def test_broken_target_squares_match_the_per_pair_certificate(self, case):
+        # The thetas are checked against the embeddings only, so a target
+        # whose t_1^2 is replaced by h in F passes them and fails products.
+        spec_a, spec_b, theta1, theta2 = iso_cases()[case]
+        certs = []
+        for h in range(spec_b.f.order):
+            broken = dataclasses.replace(spec_b, sq=(h, spec_b.sq[1]))
+            cert = amalgam_iso(spec_a, broken, theta1, theta2)
+            assert cert == per_pair_iso(spec_a, broken, theta1, theta2)
+            certs.append(cert.ok)
+        assert certs.count(True) == 1 and certs[spec_b.sq[0]]
 
     def test_rejects_non_intertwining(self):
         spec = k1()

@@ -1,8 +1,9 @@
+import dataclasses
 from functools import lru_cache
 
 import pytest
 
-from spherebraid import classifier, groups, suites
+from spherebraid import amalgams, classifier, groups, suites
 from spherebraid.suites import _SUITES, SUITE_IDS, default_range, run_suite
 
 
@@ -92,3 +93,42 @@ class TestAutoutBuildsNoTable:
         monkeypatch.setattr(groups, "todd_coxeter", counted)
         assert run_suite("autout").passed
         assert calls == []
+
+
+def per_triple_associativity(spec):
+    """The associativity check that multiplied out both sides of every triple."""
+    ball1 = spec.ball(1)
+    prod = [[spec.mul(a, b) for b in ball1] for a in ball1]
+    return all(
+        spec.mul(prod[i][j], c) == spec.mul(a, prod[j][k])
+        for i, a in enumerate(ball1)
+        for j in range(len(ball1))
+        for k, c in enumerate(ball1)
+    )
+
+
+class TestAmalgamAssociativity:
+    def test_broken_squares_get_the_per_triple_verdict(self, monkeypatch):
+        # Replace t_1^2 by each element h of F, in the quaternion gluing and
+        # in the dicyclic one at once; most such h break associativity.
+        quaternion, straight = amalgams.k1(), amalgams.straight_gluing
+        dicyclic = straight("dicz", 3)
+        got = {"quaternion-straight": [], "dicyclic-12-over-6": []}
+        want = {"quaternion-straight": [], "dicyclic-12-over-6": []}
+        for h in range(quaternion.f.order):
+            broken_q = dataclasses.replace(quaternion, sq=(h, quaternion.sq[1]))
+            broken_d = dataclasses.replace(
+                dicyclic, sq=(h % dicyclic.f.order, dicyclic.sq[1]))
+            monkeypatch.setattr(amalgams, "k1", lambda s=broken_q: s)
+            monkeypatch.setattr(
+                amalgams, "straight_gluing",
+                lambda kind, q, s=broken_d: s if (kind, q) == ("dicz", 3) else straight(kind, q))
+            verdicts = {c.check_id: c.passed for c in run_suite("amalgams").checks}
+            for name, spec in (("quaternion-straight", broken_q), ("dicyclic-12-over-6", broken_d)):
+                got[name].append(verdicts[f"{name}/associativity"])
+                want[name].append(per_triple_associativity(spec))
+        assert got == want
+        assert want == {
+            "quaternion-straight": [False, True, False, True, False, False, False, False],
+            "dicyclic-12-over-6": [True, False, False, True, False, False, True, False],
+        }

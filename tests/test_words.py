@@ -179,11 +179,15 @@ _UNICODE_TOKEN = re.compile(
 )
 _UNICODE_CLOSE = re.compile(r"\)(?:\^(?P<exp>-?\d+))?\s*")
 _UNICODE_SPACE = re.compile(r"\s*")
+# A named atom's argument, read by the rule of generator indices.
+_ASCII_ARG = re.compile(r"[ \t\n\r\f\v]*-?[0-9]+[ \t\n\r\f\v]*")
 
 
 def token_parse(text, n):
     """The parser that matched one token per integer, without the letter
-    bound.  Like parse_braid, it ends where only spaces are left."""
+    bound.  Like parse_braid, it ends where only spaces are left, and it
+    reads a named atom's arguments as ASCII spaces around an optional '-'
+    and ASCII digits."""
     W.identity(n)
     groups = [[]]
     opened = []
@@ -224,12 +228,9 @@ def token_parse(text, n):
                 params = []
                 at = m.start("args")
                 for arg in args.split(",") if args else ():
-                    try:
-                        params.append(int(arg))
-                    except ValueError:
-                        raise WordError(
-                            f"bad argument {arg!r} to {name} at position {at}"
-                        ) from None
+                    if not _ASCII_ARG.fullmatch(arg):
+                        raise WordError(f"bad argument {arg!r} to {name} at position {at}")
+                    params.append(int(arg))
                     at += len(arg) + 1
                 letters = W.std_element(W.NamedElement(name, tuple(params)), n).letters
         pos = m.end()
@@ -365,6 +366,19 @@ class TestMalformedText:
         zeros = "0" * 5000
         assert parse_braid(f"{zeros}1 -{zeros}3", 4).letters == (1, -3)
         assert parse_braid(f"a0^{zeros}2", 4) == parse_braid("a0^2", 4)
+        assert parse_braid(f"A({zeros}1, {zeros}3)", 4) == W.band_generator(4, 1, 3)
+        assert parse_braid(f"ap({zeros}2)", 4) == W.alpha_prime(4, 2)
+        with pytest.raises(SideConditionError, match="got -2$"):
+            parse_braid(f"ap(-{zeros}2)", 4)
+
+    @pytest.mark.parametrize("text,shown,name,position", [
+        (f"A(1,{LONG})", "9" * 20, "A", 4), (f"a0 * A( {LONG} ,2)", " " + "9" * 19, "A", 7),
+        (f"delta(-{LONG})", "-" + "9" * 19, "delta", 6),
+    ])
+    def test_long_atom_argument_is_bad_and_shortened(self, text, shown, name, position):
+        message = f"^bad argument {re.escape(repr(shown))}\\.\\.\\. to {name} at position {position}$"
+        with pytest.raises(WordError, match=message):
+            parse_braid(text, 4)
 
     def test_one_figure_bounds_words_and_images(self):
         from spherebraid import oracle
@@ -450,12 +464,19 @@ class TestParseOnce:
 
     @pytest.mark.parametrize("text,arg,name,position", [
         ("A(1 2)", "1 2", "A", 2), ("a0 * delta(2,x)", "x", "delta", 13),
-        ("(1 A(1,))^2", "", "A", 7),
+        ("(1 A(1,))^2", "", "A", 7), ("A(1,0_3)", "0_3", "A", 4),
+        ("A( 1 ,+3)", "+3", "A", 6), ("A(1,- 3)", "- 3", "A", 4), ("ap(_1)", "_1", "ap", 3),
+        ("A(1,3\u00a0)", "3\u00a0", "A", 4), ("A(1,\u0663)", "\u0663", "A", 4),
     ])
     def test_bad_atom_argument(self, text, arg, name, position):
         with pytest.raises(WordError) as exc:
             parse_braid(text, 4)
         assert str(exc.value) == f"bad argument {arg!r} to {name} at position {position}"
+        assert parse_outcome(token_parse, text, 4) == f"WordError: {exc.value}"
+
+    @pytest.mark.parametrize("text", ["A( 1 , 3 )", "A(\t1,3\n)", "A(01,003)", "A(1,3)"])
+    def test_atom_argument_with_spaces_and_zeros(self, text):
+        assert parse_braid(text, 4) == token_parse(text, 4) == W.band_generator(4, 1, 3)
 
     def test_malformed_inside_group(self):
         with pytest.raises(WordError, match="malformed"):
