@@ -37,7 +37,10 @@ check again on the full budget.  A word whose 2(n-1)|w| reaches the full
 budget skips the first pass and goes to the screen first.
 
 Free words are plain tuples of signed generator indices; only the
-automorphism type gets a dataclass wrapper.
+automorphism type gets a dataclass wrapper.  Inside the Artin action each
+image travels as the pair (w, w^-1), so inverting is a swap and a
+conjugation is cut from slices of the two pairs; the automorphism keeps
+the forward images only.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import neg
+from operator import itemgetter, neg
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
@@ -70,6 +73,9 @@ __all__ = [
 ]
 
 FreeWord = tuple[int, ...]
+# A free word with its inverse: the Artin recurrence inverts by swapping.
+FreePair = tuple[FreeWord, FreeWord]
+_swap = itemgetter(1, 0)
 
 # Free-group images of a word can grow exponentially in its length (pseudo-
 # Anosov-type elements); past this total the computation aborts with an
@@ -102,44 +108,50 @@ class FreeAutomorphism:
         return len(self.images)
 
 
-def _fconj(a: FreeWord, b: FreeWord, a_inv: FreeWord | None = None) -> FreeWord:
-    """a b a^-1, free-reduced; ``a_inv`` is a^-1 when the caller already has it.
+def _fconj(a: FreePair, b: FreePair) -> FreePair:
+    """(a b a^-1, a b^-1 a^-1), free-reduced, from the pairs (a, a^-1) and (b, b^-1).
 
-    The k letters that cancel where a meets b, and the j letters that cancel
-    where b meets a^-1 (b ends with the last j letters of a), are counted
-    first.  When they leave some of b between them, the product is a less
-    its last k letters, the rest of b, and the inverse of a less its last j
-    letters, so only that part of a is inverted.  Otherwise b cancels
-    completely and the parts are reduced in turn.
+    The k letters that cancel where a meets b are the common prefix of a^-1
+    and b, and the j letters that cancel where b meets a^-1 are the common
+    prefix of a^-1 and b^-1.  When they leave some of b between them, the
+    product is a less its last k letters, the rest of b, and a^-1 less its
+    first j letters; its inverse is cut from the same four words, so nothing
+    is reversed.  Otherwise b cancels completely, the parts are reduced in
+    turn and the product is inverted once.
     """
+    a, ai = a
+    b, bi = b
     la, lb = len(a), len(b)
+    m = la if la < lb else lb
     k = j = 0
-    while k < la and k < lb and a[la - 1 - k] == -b[k]:
+    while k < m and ai[k] == b[k]:
         k += 1
-    while j < la and j < lb and a[la - 1 - j] == b[lb - 1 - j]:
+    while j < m and ai[j] == bi[j]:
         j += 1
     if k + j < lb:
-        tail = _finv(a[: la - j]) if a_inv is None else a_inv[j:]
-        return a[: la - k] + b[k : lb - j] + tail
-    return _reduce(a, b[: lb - j], _finv(a[: la - j]))
+        return (
+            a[: la - k] + b[k : lb - j] + ai[j:],
+            a[: la - j] + bi[j : lb - k] + ai[k:],
+        )
+    w = _reduce(a, b[: lb - j], ai[j:])
+    return w, _finv(w)
 
 
 def _artin_steps(
     letters: Sequence[int], imgs: list, p, conj: Callable, inv: Callable
-) -> Iterator[int]:
+) -> Iterator[tuple]:
     """Apply the braid letters, left to right, to the basis images in place.
 
-    ``conj(a, b)`` is a b a^-1 (``conj(a, b, a_inv)`` when the step needs
-    a^-1 anyway) and ``inv`` inverts in the target group, so the one recurrence
-    serves free words and matrices alike.  Beside the images it carries
-    P = phi(x_1 ... x_{n-1}), passed in as ``p``, so the image of the missing
-    generator x_n is P^-1.  Every letter is one conjugation: with a and b
-    the images of x_i and x_{i+1}, sigma_i sends x_i to a b a^-1 and
-    sigma_i^-1 sends x_{i+1} to b^-1 a b; with a = phi(x_{n-1}), sigma_{n-1}
-    sends x_{n-1} to a P^-1 a^-1 and P to a^-1, and sigma_{n-1}^-1 sends
-    x_{n-1} to P^-1 and P to P a^-1 P^-1.  Each letter replaces exactly one
-    image, and the step yields len(new) - len(displaced), the change in the
-    total image length.
+    ``conj(a, b)`` is a b a^-1 and ``inv`` inverts in the target group, so
+    the one recurrence serves free words, carried with their inverses, and
+    matrices alike.  Beside the images it carries P = phi(x_1 ... x_{n-1}),
+    passed in as ``p``, so the image of the missing generator x_n is P^-1.
+    Every letter is one conjugation: with a and b the images of x_i and
+    x_{i+1}, sigma_i sends x_i to a b a^-1 and sigma_i^-1 sends x_{i+1} to
+    b^-1 a b; with a = phi(x_{n-1}), sigma_{n-1} sends x_{n-1} to a P^-1 a^-1
+    and P to a^-1, and sigma_{n-1}^-1 sends x_{n-1} to P^-1 and P to
+    P a^-1 P^-1.  Each letter replaces exactly one image, and the step
+    yields the pair (new image, displaced image).
     """
     last = len(imgs)
     for x in letters:
@@ -151,18 +163,17 @@ def _artin_steps(
                 new, old = conj(a, b), b
                 imgs[i - 1], imgs[i] = new, a
             else:
-                new, old = conj(inv(b), a, b), a
+                new, old = conj(inv(b), a), a
                 imgs[i - 1], imgs[i] = b, new
         else:
             old = a
             if x > 0:
-                a_inv = inv(a)
-                new, p = conj(a, inv(p), a_inv), a_inv
+                new, p = conj(a, inv(p)), inv(a)
             else:
                 new = inv(p)
-                p = conj(p, inv(a), new)
+                p = conj(p, inv(a))
             imgs[i - 1] = new
-        yield len(new) - len(old)
+        yield new, old
 
 
 def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
@@ -172,22 +183,25 @@ def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     a homomorphism of braid words into automorphisms.  The image of the
     missing generator x_n is P^-1, where P = phi(x_1 ... x_{n-1}) is carried
     along: sigma_{n-1} sends P to a^-1 and sigma_{n-1}^-1 sends it to
-    P a^-1 P^-1, with a = phi(x_{n-1}), and every other letter fixes it.  P is
-    the reduced product of the images, so it is never longer than their
-    total.  That total is kept as a running sum of each letter's change;
-    raises :class:`OracleBudgetError` when it passes ``budget``.
+    P a^-1 P^-1, with a = phi(x_{n-1}), and every other letter fixes it.
+    Every image, P's too, is carried with its inverse, so inverting is a
+    swap.  P is the reduced product of the images, so it is never longer
+    than their total.  That total, of forward images only, is kept as a
+    running sum of each letter's change; raises :class:`OracleBudgetError`
+    when it passes ``budget``.
     """
-    imgs: list[FreeWord] = [(j,) for j in range(1, w.n)]
+    imgs: list[FreePair] = [((j,), (-j,)) for j in range(1, w.n)]
+    p = tuple(range(1, w.n))
     total = len(imgs)
-    for step in _artin_steps(w.letters, imgs, tuple(range(1, w.n)), _fconj, _finv):
-        total += step
+    for new, old in _artin_steps(w.letters, imgs, (p, _finv(p)), _fconj, _swap):
+        total += len(new[0]) - len(old[0])
         if total > budget:
             raise OracleBudgetError(
                 f"free-group images passed {budget} letters after "
                 f"{len(w.letters)}-letter input; the word is far from any "
                 "short normal form and no verdict was reached"
             )
-    return FreeAutomorphism(tuple(imgs))
+    return FreeAutomorphism(tuple(img for img, _ in imgs))
 
 
 def _strip_ends(w: Sequence[int]) -> int:
@@ -225,8 +239,9 @@ def is_inner(a: FreeAutomorphism) -> FreeWord | None:
     else:
         return None
     g = _reduce(u, (1,) * k if k >= 0 else (-1,) * (-k))
+    g_inv = _finv(g)
     for j in range(1, a.rank + 1):
-        if a.images[j - 1] != _reduce(g, (j,), _finv(g)):
+        if a.images[j - 1] != _reduce(g, (j,), g_inv):
             return None
     return g
 
@@ -317,8 +332,8 @@ def _mat_inv(m: Matrix) -> Matrix:
     return d, -b % SL2_PRIME, -c % SL2_PRIME, a
 
 
-def _mat_conj(a: Matrix, b: Matrix, a_inv: Matrix | None = None) -> Matrix:
-    return _mat_mul(a, b, _mat_inv(a) if a_inv is None else a_inv)
+def _mat_conj(a: Matrix, b: Matrix) -> Matrix:
+    return _mat_mul(a, b, _mat_inv(a))
 
 
 def _traces(ms: Sequence[Matrix]) -> tuple[int, ...]:
@@ -478,9 +493,11 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
     in order, to ``gens``.  All relators are checked with the word-problem
     oracle, which certifies a surjection from the target onto the generated
     subgroup.  Its kernel is a subgroup of the target, and by Cauchy's
-    theorem a nontrivial one contains an element of prime order; so the map
-    is injective once every element of prime order has a nontrivial braid as
-    its image.  Only the table's element orders and words are read.
+    theorem a nontrivial one contains an element of prime order.  The kernel
+    meets a subgroup of prime order in all of it or in the identity alone,
+    so the map is injective once one element of every subgroup of prime
+    order has a nontrivial braid as its image.  Only the table's element
+    orders, words and products are read.
     """
     if target.presentation is None:
         raise ValueError("target table carries no presentation")
@@ -501,9 +518,18 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
     for rel in pres.relators:
         if not is_trivial(evaluate(rel)):
             return False
-    # Cauchy: a nontrivial kernel holds an element of prime order.
+    # Cauchy: a nontrivial kernel holds an element of prime order, and one
+    # element of a subgroup of prime order lies outside the kernel only if
+    # all of them do, so the first one met is checked and its powers skipped.
+    covered: set[int] = set()
     for e, k in enumerate(target.element_orders):
         prime = k > 1 and all(k % d for d in range(2, isqrt(k) + 1))
-        if prime and is_trivial(evaluate(target.words[e])):
+        if not prime or e in covered:
+            continue
+        if is_trivial(evaluate(target.words[e])):
             return False
+        x = e
+        while x != target.identity:
+            covered.add(x)
+            x = target.mul(x, e)
     return True

@@ -162,31 +162,38 @@ class TestArtinRecurrenceAgainstReference:
         calls = []
 
         def conj(*args):
-            calls.append(len(args))
+            calls.append(args)
             return oracle._fconj(*args)
 
-        imgs = [(j,) for j in range(1, n)]
-        ref = list(imgs)
-        total, per_letter = len(imgs), []
-        steps = oracle._artin_steps(w.letters, imgs, tuple(range(1, n)), conj, oracle._finv)
+        imgs = [((j,), (-j,)) for j in range(1, n)]
+        ref = [(j,) for j in range(1, n)]
+        p = tuple(range(1, n))
+        total, per_letter, carried = len(imgs), [], 0
+        steps = oracle._artin_steps(w.letters, imgs, (p, oracle._finv(p)), conj, oracle._swap)
         reference = artin_steps_reference(w.letters, ref, W._reduce, oracle._finv)
-        for step, _ in zip(steps, reference):
+        product = W._reduce(*ref)
+        for x, (new, old), _ in zip(w.letters, steps, reference):
             per_letter.append(len(calls))
-            total += step
-            assert imgs == ref
-            assert total == sum(map(len, imgs))
+            assert len(calls[-1]) == 2
+            # P enters the step for sigma_{n-1}^{+-1} as a conjugation argument:
+            # sigma_{n-1} conjugates P^-1 by a, sigma_{n-1}^-1 conjugates a^-1 by P.
+            if abs(x) == n - 1:
+                pair = calls[-1][1][::-1] if x > 0 else calls[-1][0]
+                assert pair == (product, oracle._finv(product))
+                carried += 1
+            assert [img for img, _ in imgs] == ref
+            assert all(inv == oracle._finv(img) for img, inv in imgs)
+            total += len(new[0]) - len(old[0])
+            assert total == sum(map(len, ref))
+            product = W._reduce(*ref)
         assert per_letter == list(range(1, len(w) + 1))
-        # A step that needs the conjugator's inverse anyway hands it in:
-        # every inverse letter, and sigma_{n-1}, whose a^-1 is the new P.
-        handed_in = sum(x < 0 or x == n - 1 for x in w.letters)
-        assert 0 < handed_in < len(w)
-        assert calls.count(3) == handed_in
+        assert 0 < carried < len(w)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_fconj_matches_the_reduced_product(self, n):
         # b is drawn to cancel against a at either end, or completely.
         rng = random.Random(2300 + n)
-        shapes = set()
+        shapes, complete = set(), 0
         for _ in range(300):
             a = random_word(rng, n, 8).letters
             suffix = a[len(a) - rng.randint(0, len(a)):]
@@ -196,10 +203,12 @@ class TestArtinRecurrenceAgainstReference:
             if not (a and b):
                 continue
             want = W._reduce(a, b, oracle._finv(a))
-            assert oracle._fconj(a, b) == want, (a, b)
-            assert oracle._fconj(a, b, oracle._finv(a)) == want, (a, b)
+            got = oracle._fconj((a, oracle._finv(a)), (b, oracle._finv(b)))
+            assert got == (want, oracle._finv(want)), (a, b)
             shapes.add((a[-1] == -b[0], a[-1] == b[-1]))
+            complete += b in (suffix, oracle._finv(suffix))
         assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+        assert complete > 0
 
 
 class TestIsInner:
@@ -606,6 +615,12 @@ class TestForgettingTorsion:
         assert equals(got, full_twist(3))
 
 
+def binary_tetrahedral_gens():
+    d = W.delta_b6()
+    x = W.gamma_b6() ** 4  # order-3 part of the order-6 generator
+    return [d, x * d * x.inv(), x]
+
+
 class TestVerifyFiniteSubgroup:
     @pytest.mark.parametrize("n,i", [(5, 0), (5, 2), (6, 0), (6, 2)])
     def test_standard_dicyclic_copy(self, n, i):
@@ -613,9 +628,7 @@ class TestVerifyFiniteSubgroup:
         assert verify_finite_subgroup(gens, make_group("dicyclic", n - i))
 
     def test_binary_tetrahedral_copy_on_six_strands(self):
-        g, d = W.gamma_b6(), W.delta_b6()
-        x = g ** 4  # order-3 part of the order-6 generator
-        assert verify_finite_subgroup([d, x * d * x.inv(), x], make_group("T*"))
+        assert verify_finite_subgroup(binary_tetrahedral_gens(), make_group("T*"))
 
     def test_generator_order_failure(self):
         assert not verify_finite_subgroup([sigma(4, 1)], make_group("cyclic", 2))
@@ -642,6 +655,20 @@ class TestVerifyFiniteSubgroup:
     def test_relators_hold_but_the_kernel_is_nontrivial(self, gens, kind, param):
         # Only the injectivity check can refuse these maps.
         assert not verify_finite_subgroup(gens, make_group(kind, param))
+
+    @pytest.mark.parametrize("gens,kind,param,subgroups", [
+        ([alpha_prime(6, 0), half_twist(6)], "dicyclic", 6, 2),
+        (binary_tetrahedral_gens(), "T*", None, 5),
+    ], ids=["Dic24", "T*"])
+    def test_one_check_per_subgroup_of_prime_order(self, gens, kind, param, subgroups, monkeypatch):
+        target = make_group(kind, param)
+        # Elements of prime order p fall into subgroups of p - 1 each.
+        primes = [k for k in set(target.element_orders) if k > 1 and all(k % d for d in range(2, k))]
+        assert sum(target.element_orders.count(p) // (p - 1) for p in primes) == subgroups
+        checked = []
+        monkeypatch.setattr(oracle, "is_trivial", lambda w: checked.append(w) or is_trivial(w))
+        assert verify_finite_subgroup(gens, target)
+        assert len(checked) == len(target.presentation.relators) + subgroups
 
 
 class TestBudget:

@@ -229,7 +229,8 @@ def token_parse(text, n):
                 at = m.start("args")
                 for arg in args.split(",") if args else ():
                     if not _ASCII_ARG.fullmatch(arg):
-                        raise WordError(f"bad argument {arg!r} to {name} at position {at}")
+                        shown = f"{arg[:20]!r}..." if len(arg) > 20 else repr(arg)
+                        raise WordError(f"bad argument {shown} to {name} at position {at}")
                     params.append(int(arg))
                     at += len(arg) + 1
                 letters = W.std_element(W.NamedElement(name, tuple(params)), n).letters
