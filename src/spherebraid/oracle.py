@@ -53,8 +53,8 @@ from operator import itemgetter, neg
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
-from .words import BraidWord, Permutation, StrandMismatchError, _reduce, identity, permutation
-from .words import _LETTER_BUDGET
+from .words import BraidWord, Permutation, StrandMismatchError, _reduce, permutation
+from .words import _LETTER_BUDGET, _valid_word
 
 __all__ = [
     "FreeWord",
@@ -373,7 +373,8 @@ def _traces_could_be_central(w: BraidWord) -> bool:
 def _cyclic_core(w: BraidWord) -> BraidWord:
     """The word with the letters that cancel between its ends stripped: a conjugate."""
     k = _strip_ends(w.letters)
-    return BraidWord(w.n, w.letters[k : len(w.letters) - k]) if k else w
+    # A middle slice of a valid word.
+    return _valid_word(w.n, w.letters[k : len(w.letters) - k]) if k else w
 
 
 def _acts_innerly(w: BraidWord) -> bool:
@@ -423,7 +424,8 @@ def equals(w1: BraidWord, w2: BraidWord) -> bool:
 
 
 def is_trivial(w: BraidWord) -> bool:
-    return equals(w, identity(w.n))
+    # The empty word on the strand count w was made with.
+    return equals(w, _valid_word(w.n, ()))
 
 
 def is_central(w: BraidWord) -> bool:
@@ -471,7 +473,7 @@ def order_of(w: BraidWord) -> Order:
     c = _cyclic_core(w).letters
     k = _root_length(c)
     m = len(c) // k if k else 1
-    r = BraidWord(w.n, c[:k])
+    r = _valid_word(w.n, c[:k])  # a prefix of a valid word
     p = _torsion_cycle_length(permutation(r))
     if p is None:
         return INFINITE
@@ -513,7 +515,8 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
         parts[k], parts[-k] = g.letters, g.inv().letters
 
     def evaluate(gen_word: Sequence[int]) -> BraidWord:
-        return BraidWord(n, _reduce(*map(parts.__getitem__, gen_word)))
+        # The reduced product of the generator words and their inverses, all on n strands.
+        return _valid_word(n, _reduce(*map(parts.__getitem__, gen_word)))
 
     for rel in pres.relators:
         if not is_trivial(evaluate(rel)):

@@ -15,6 +15,11 @@ of standard elements (torsion elements, half/full twist, the half-block
 twists, and the various commuting and conjugating elements used by the
 realization constructions), together with a small text DSL for naming them
 on the command line.
+
+Letters are checked once, where they enter: by the ``BraidWord``
+constructor, :func:`word`, :func:`sigma` and the parser's integer tokens
+and catalog atoms.  Products, inverses and powers of valid words, and the
+word the parser returns, are built without checking again.
 """
 
 from __future__ import annotations
@@ -136,21 +141,27 @@ def _power_parts(letters: tuple[int, ...], e: int) -> list[tuple[int, ...]]:
     return [letters] * abs(e)
 
 
+def _check_strands(n: int) -> None:
+    if n < 3:
+        raise WordError(f"strand count must be at least 3, got {n}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A free-reduced word over the Artin generators of the n-strand group.
 
     Instances are immutable and hashable.  Use :func:`word` (or the `*`, `**`
     and `.inv()` operators, which reduce eagerly) rather than the raw
-    constructor unless the letters are already reduced.
+    constructor unless the letters are already reduced.  The constructor
+    checks the strand count and every letter; the operators build their
+    results from valid words without checking again.
     """
 
     n: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise WordError(f"strand count must be at least 3, got {self.n}")
+        _check_strands(self.n)
         _check_letters(self.n, self.letters)
         if _has_cancelling_pair(self.letters):
             raise WordError("letters are not free-reduced")
@@ -160,13 +171,16 @@ class BraidWord:
             return NotImplemented
         if self.n != other.n:
             raise StrandMismatchError(f"cannot multiply words on {self.n} and {other.n} strands")
-        return BraidWord(self.n, _reduce(self.letters, other.letters))
+        # The reduced product of two valid words on n strands.
+        return _valid_word(self.n, _reduce(self.letters, other.letters))
 
     def inv(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-x for x in reversed(self.letters)))
+        # Negating and reversing keeps the letters in range and reduced.
+        return _valid_word(self.n, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "BraidWord":
-        return BraidWord(self.n, _reduce(*_power_parts(self.letters, e)))
+        # The reduced product of copies of the word or of its inverse.
+        return _valid_word(self.n, _reduce(*_power_parts(self.letters, e)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -175,11 +189,29 @@ class BraidWord:
         return " ".join(str(x) for x in self.letters) if self.letters else "<empty>"
 
 
+_new = object.__new__
+_set = object.__setattr__  # the frozen dataclass's own __init__ sets fields this way
+
+
+def _valid_word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """The word on n strands with these letters, built without the constructor's check.
+
+    Only for letters that are generator indices for n strands, free-reduced,
+    and n >= 3, by how they were made; each call says why.
+    """
+    w = _new(BraidWord)
+    _set(w, "n", n)
+    _set(w, "letters", letters)
+    return w
+
+
 def word(n: int, letters: Iterable[int] = ()) -> BraidWord:
     """Build a word on n strands, free-reducing the given letters."""
     letters = tuple(letters)
     _check_letters(n, letters)
-    return BraidWord(n, _free_reduce(letters))
+    _check_strands(n)
+    # Checked just above, and reduced here.
+    return _valid_word(n, _free_reduce(letters))
 
 
 def identity(n: int) -> BraidWord:
@@ -248,7 +280,10 @@ def permutation(w: BraidWord) -> Permutation:
         a, b = pos[i], pos[i + 1]
         im[a], im[b] = i + 1, i
         pos[i], pos[i + 1] = b, a
-    return Permutation(tuple(im[1:]))
+    # Built by swapping the images of 1..n, so a permutation without the check.
+    p = _new(Permutation)
+    _set(p, "images", tuple(im[1:]))
+    return p
 
 
 @dataclass(frozen=True)
@@ -688,4 +723,5 @@ def parse_braid(text: str, n: int) -> BraidWord:
         raise WordError(f"dangling '*' at position {star}")
     if opened:
         raise WordError(f"unbalanced '(' at position {opened[-1]}")
-    return BraidWord(n, _reduce(*groups[0]))
+    # n was checked first, and every part is a checked token or catalog word, reduced.
+    return _valid_word(n, _reduce(*groups[0]))

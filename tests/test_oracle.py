@@ -671,6 +671,34 @@ class TestVerifyFiniteSubgroup:
         assert len(checked) == len(target.presentation.relators) + subgroups
 
 
+class TestNoLetterChecks:
+    """The oracle's words are made from the words it is given, which were
+    checked when they were made, so it checks no letters again."""
+
+    def test_oracle_checks_no_letters_on_words_it_is_given(self, monkeypatch):
+        rng = random.Random(27)
+        ws = [random_word(rng, n, 16) for n in (3, 4, 5, 6, 8) for _ in range(4)]
+        ws += [full_twist(5), alpha(6, 0), alpha(6, 1) ** 5, surface_relation(5), identity(4)]
+        a12, a23 = W.band_generator(4, 1, 2), W.band_generator(4, 2, 3)
+        screened = a12 * a23 * a12.inv() * a23.inv()  # its images outgrow the first pass: the trace screen runs
+        subgroups = [([alpha_prime(5, 2), half_twist(5)], make_group("dicyclic", 3)),
+                     (binary_tetrahedral_gens(), make_group("T*")),
+                     ([alpha(6, 0) ** 4], make_group("cyclic", 6))]
+        derived = [(w, w * w, w ** 2, w.inv()) for w in ws]
+        calls = []
+        real = W._check_letters
+        monkeypatch.setattr(W, "_check_letters", lambda *a: calls.append(a) or real(*a))
+        for w, square, power, inverse in derived:
+            assert equals(square, power)
+            equals(w, inverse)
+            order_of(w)
+            central_value(w)
+        assert order_of(ws[-5]) == Order.finite(2)
+        assert central_value(screened) is None
+        assert [verify_finite_subgroup(g, t) for g, t in subgroups] == [True, True, False]
+        assert calls == []
+
+
 class TestBudget:
     def test_pseudo_anosov_power_aborts_cleanly(self):
         # p FT p^-1 q FT q^-1 is trivial, but cyclic reduction cannot strip

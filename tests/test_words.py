@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherebraid import oracle
 from spherebraid import words as W
+from spherebraid.groups import make_group
 from spherebraid.words import (
     BraidWord,
+    Permutation,
     SideConditionError,
     StrandMismatchError,
     WordError,
@@ -15,6 +18,7 @@ from spherebraid.words import (
     permutation,
     word,
 )
+from test_oracle import binary_tetrahedral_gens
 
 
 def letters(n, max_len=20):
@@ -382,8 +386,6 @@ class TestMalformedText:
             parse_braid(text, 4)
 
     def test_one_figure_bounds_words_and_images(self):
-        from spherebraid import oracle
-
         assert oracle.IMAGE_BUDGET == W._LETTER_BUDGET == 2_000_000
 
 
@@ -432,6 +434,74 @@ class TestBraidWordChecks:
     def test_first_bad_letter_is_named(self, letters, message):
         with pytest.raises(WordError, match=f"^{re.escape(message)}$"):
             BraidWord(4, letters)
+
+
+def strands_and_letters(count):
+    """n in 3..8 with ``count`` letter lists for it."""
+    return st.integers(3, 8).flatmap(
+        lambda n: st.tuples(st.just(n), *[letters(n) for _ in range(count)]))
+
+
+def passes_the_check(w):
+    """Rebuild w through the checking constructor: it must not raise and must compare equal."""
+    assert BraidWord(w.n, w.letters) == w
+    return w
+
+
+def cyclic_core_reference(letters):
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return letters
+
+
+class TestDerivedWordsPassTheCheck:
+    """Words made from valid words skip the constructor's check.  Each must
+    still pass it, and equal the word :func:`word` checks and reduces from
+    the same letters written out."""
+
+    @given(strands_and_letters(2))
+    @settings(max_examples=300, deadline=None)
+    def test_products_inverses_powers_and_cores(self, args):
+        n, a, b = args
+        u, v = word(n, a), word(n, b)
+        assert passes_the_check(u * v) == word(n, u.letters + v.letters)
+        assert passes_the_check(u.inv()) == word(n, inverse(u.letters))
+        for e in range(-3, 4):
+            base = u.letters if e >= 0 else inverse(u.letters)
+            assert passes_the_check(u ** e) == word(n, base * abs(e))
+        core = passes_the_check(oracle._cyclic_core(u))
+        assert core.letters == cyclic_core_reference(u.letters)
+        p = permutation(u)
+        assert Permutation(p.images) == p
+
+    @given(dsl_text())
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_words(self, text):
+        passes_the_check(parse_braid(text, 6))
+
+    @pytest.mark.parametrize("gens,kind,param", [
+        ([W.alpha_prime(5, 2), W.half_twist(5)], "dicyclic", 3),
+        (binary_tetrahedral_gens(), "T*", None),
+    ], ids=["Dic12", "T*"])
+    def test_words_verify_finite_subgroup_evaluates(self, gens, kind, param, monkeypatch):
+        target = make_group(kind, param)
+        n = gens[0].n
+
+        def reference(gen_word):
+            return word(n, [x for k in gen_word
+                            for x in (gens[k - 1].letters if k > 0 else inverse(gens[-k - 1].letters))])
+
+        checked = []
+        real = oracle.is_trivial
+        monkeypatch.setattr(oracle, "is_trivial", lambda w: checked.append(w) or real(w))
+        assert oracle.verify_finite_subgroup(gens, target)
+        relators = target.presentation.relators
+        assert len(checked) > len(relators)
+        for w, rel in zip(checked, relators):
+            assert passes_the_check(w) == reference(rel)
+        elements = {reference(g) for g in target.words}
+        for w in checked[len(relators):]:
+            assert passes_the_check(w) in elements
 
 
 class TestParseOnce:
