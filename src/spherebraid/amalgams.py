@@ -29,7 +29,8 @@ from typing import NamedTuple, Sequence
 from .groups import (
     FiniteGroupTable,
     GroupPresentation,
-    aut_from_gen_images,
+    _extend_map,
+    _is_automorphism,
     hom_from_gen_images,
     make_group,
     outer_group,
@@ -197,14 +198,14 @@ def build_amalgam(
     i2: Sequence[int],
 ) -> AmalgamSpec:
     """Validate embeddings and choose transversals (least element outside
-    the image, so normal forms are deterministic)."""
+    the image, so normal forms are deterministic).  An injective embedding
+    is a homomorphism when it is the map the images of F's generators
+    extend to."""
     for G, emb in ((g1, i1), (g2, i2)):
         if len(set(emb)) != f.order:
             raise ValueError("embedding is not injective")
-        for a in range(f.order):
-            for b in range(f.order):
-                if emb[f.mul(a, b)] != G.mul(emb[a], emb[b]):
-                    raise ValueError("embedding is not a homomorphism")
+        if tuple(emb) != _extend_map(f, G, f.generators, [emb[g] for g in f.generators]):
+            raise ValueError("embedding is not a homomorphism")
         if G.order != 2 * f.order:
             raise ValueError("amalgamated subgroup must have index 2")
     t1 = min(set(range(g1.order)) - set(i1))
@@ -254,17 +255,6 @@ def find_extension(spec: AmalgamSpec) -> tuple[int, ...] | None:
         if all(G.conj(g, a[i1[x]]) == i2[x] for x in range(spec.f.order))
     }
     return min(matches, default=None)
-
-
-def _is_automorphism(G: FiniteGroupTable, m: tuple[int, ...]) -> bool:
-    """Whether the map m is a permutation of G that extends its own images of
-    the distinguished generators (which proves it an automorphism)."""
-    if sorted(m) != list(range(G.order)):
-        return False
-    try:
-        return aut_from_gen_images(G, [m[g] for g in G.generators]) == m
-    except ValueError:
-        return False
 
 
 def to_semidirect(spec: AmalgamSpec, extension: Sequence[int]) -> SemidirectForm:

@@ -2,8 +2,8 @@
 Explicit finite groups: coset enumeration, multiplication tables, subgroup
 lattices, automorphism groups, and isomorphism testing.
 
-Everything at play here is small (subgroup lattices of order at most 200,
-tables and automorphism groups of order at most 2,000), so the algorithms
+Everything at play here is small (every table, and so every subgroup
+lattice and automorphism group, has order at most 2,000), so the algorithms
 are deliberately elementary: HLT-style coset enumeration with deterministic
 scan order for presented groups, one greedy generation walk for subgroup
 closure and default generators, and one generator-image backtracking search
@@ -63,11 +63,13 @@ __all__ = [
     "restriction_is_surjective",
 ]
 
-SUBGROUP_ORDER_BUDGET = 200
 COSET_BUDGET = 100_000
-# The cyclic, dihedral and dicyclic families, and automorphism groups, build
-# their tables outright; one table of order 2000 takes 1-4 s and about
-# 190 MB, and the cost grows with the square of the order.
+# The one bound on a table.  The cyclic, dihedral and dicyclic families, and
+# automorphism groups, build their tables outright; every other table is a
+# subgroup or quotient of one of these or a presented group of order at most
+# 120, so subgroup lattices need no bound of their own.  One table of order
+# 2000 takes 1-4 s and about 190 MB, and the cost grows with the square of
+# the order.
 FAMILY_ORDER_BUDGET = 2_000
 
 
@@ -76,8 +78,8 @@ class CosetBudgetError(RuntimeError):
 
 
 class SubgroupBudgetError(RuntimeError):
-    """Group order exceeds a budget: the brute-force subgroup search, or the
-    table size of an explicit family or an automorphism group."""
+    """A family table or an automorphism group would pass
+    ``FAMILY_ORDER_BUDGET`` elements."""
 
 
 @dataclass(frozen=True)
@@ -624,8 +626,6 @@ def _all_subgroup_sets(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:
     is reached from its own canonical parent.  The canonical chain of every
     subgroup survives both cuts, and every other path is stopped.
     """
-    if G.order > SUBGROUP_ORDER_BUDGET:
-        raise SubgroupBudgetError(f"order {G.order} exceeds subgroup budget {SUBGROUP_ORDER_BUDGET}")
     roots = list(
         {G.closure([x]): x for x, k in enumerate(G.element_orders) if _is_prime_power(k)}.values()
     )
@@ -709,8 +709,11 @@ def _extend_map(
     G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...] | None:
     """The homomorphism G -> H sending gens to images, as the tuple of the
-    images of 0..|G|-1; None when the images conflict or gens do not
-    generate G.  Every edge x -> x g is checked, which is the proof."""
+    images of 0..|G|-1; None when an image is not an element of H, the
+    images conflict, or gens do not generate G.  Every edge x -> x g is
+    checked, which is the proof."""
+    if not all(0 <= h < H.order for h in images):
+        return None
     phi: list[int | None] = [None] * G.order
     phi[G.identity] = H.identity
     stack = [G.identity]
@@ -740,6 +743,14 @@ def aut_from_gen_images(G: FiniteGroupTable, images: Sequence[int]) -> tuple[int
     if phi is None or len(set(phi)) != G.order:
         raise ValueError("generator images do not define an automorphism")
     return phi
+
+
+def _is_automorphism(G: FiniteGroupTable, m: Sequence[int]) -> bool:
+    """Whether the map m is a permutation of G that extends its own images of
+    the distinguished generators, which proves it an automorphism."""
+    m = tuple(m)
+    return sorted(m) == list(range(G.order)) and m == _extend_map(
+        G, G, G.generators, [m[g] for g in G.generators])
 
 
 def _isomorphisms(
@@ -798,7 +809,7 @@ def _abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
     while table.order > 1:
         a = max(range(table.order), key=lambda e: (table.element_orders[e], -e))
         factors.append(table.element_orders[a])
-        table = quotient(table, SubgroupHandle(frozenset(table.closure([a])), True, "", True))
+        table = quotient(table, table.closure([a]))
     return tuple(factors)
 
 
@@ -901,9 +912,8 @@ def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int
     question is answered on the table of ``outer_group(G)``.  Raises
     ``ValueError`` when a or b is not an automorphism of G.
     """
-    for f in (a, b):
-        if len(f) != G.order or tuple(f) != aut_from_gen_images(G, [f[g] for g in G.generators]):
-            raise ValueError("map is not an automorphism of the group")
+    if not (_is_automorphism(G, a) and _is_automorphism(G, b)):
+        raise ValueError("map is not an automorphism of the group")
     out, coset_of = _aut_cosets(G, True)
     gens = G.generators or (G.identity,)
     i, j = (coset_of[tuple(f[g] for g in gens)] for f in (a, b))

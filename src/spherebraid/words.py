@@ -111,16 +111,18 @@ def _check_letters(n: int, letters: tuple) -> None:
     """Raise WordError naming the first letter that is not a generator index for n strands.
 
     The whole tuple is checked by builtins; the per-letter loop runs only to
-    name the culprit.
+    name the culprit.  A ``bool`` is an ``int`` to ``isinstance`` but is not
+    a generator index.
     """
     if letters and not (
         all(map(isinstance, letters, repeat(int)))
+        and not any(map(isinstance, letters, repeat(bool)))
         and min(letters) > -n
         and max(letters) < n
         and 0 not in letters
     ):
         for x in letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
+            if not isinstance(x, int) or isinstance(x, bool) or x == 0 or abs(x) > n - 1:
                 raise WordError(f"letter {x!r} out of range for n={n}")
 
 

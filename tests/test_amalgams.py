@@ -201,6 +201,16 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_amalgam(big, big, small, bad, bad)
 
+    def test_rejects_injective_non_homomorphism(self):
+        # A bijection onto the index-2 image {0, 2, 4, 6} of Z4 in Z8 that
+        # sends the generator right but 2 to 6.
+        big, small = make_group("cyclic", 8), make_group("cyclic", 4)
+        good = hom_from_gen_images(small, big, (2,))
+        with pytest.raises(ValueError, match="^embedding is not a homomorphism$"):
+            build_amalgam(big, big, small, (0, 2, 6, 4), good)
+        with pytest.raises(ValueError, match="^embedding is not a homomorphism$"):
+            build_amalgam(big, big, small, good, (0, 2, 6, 4))
+
     def test_rejects_wrong_index(self):
         big, small = make_group("cyclic", 12), make_group("cyclic", 4)
         emb = hom_from_gen_images(small, big, (3,))

@@ -479,7 +479,7 @@ class TestWitness:
 
     def test_large_dicyclic_gluing_past_the_lattice_order(self):
         # Factors of order 208: faithfulness is decided on the prime-order
-        # elements, with no subgroup lattice and so no lattice order budget.
+        # elements, with no subgroup lattice built.
         rec = by_shape(enumerate_v2(52), "Dic208 *_{Dic104} Dic208")
         assert witness(rec).ok
 

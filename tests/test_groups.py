@@ -190,10 +190,9 @@ class TestCosetEnumeration:
         assert todd_coxeter(p).mult == todd_coxeter(p).mult
 
     def test_subgroup_budget(self):
-        from spherebraid.groups import SubgroupBudgetError
-
-        with pytest.raises(SubgroupBudgetError):
-            subgroups(make_group("cyclic", 201))
+        # The lattice has no order budget of its own: Z201 has tau(201) = 4
+        # subgroups.
+        assert len(subgroups(make_group("cyclic", 201))) == 4
 
 
 class TestStructure:
@@ -310,6 +309,24 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             aut_from_gen_images(q8, (q8.identity, y))
 
+    @pytest.mark.parametrize("call", [
+        lambda q8, bad: aut_from_gen_images(q8, (-1, 1)),
+        lambda q8, bad: hom_from_gen_images(q8, q8, (-1, 1)),
+        lambda q8, bad: aut_from_gen_images(q8, (99, 1)),
+        lambda q8, bad: hom_from_gen_images(q8, q8, (99, 1)),
+        lambda q8, bad: same_semidirect_class(q8, bad, tuple(range(8))),
+        lambda q8, bad: classify_action(q8, bad),
+    ], ids=["aut-negative", "hom-negative", "aut-past-the-order", "hom-past-the-order",
+            "same-semidirect-class", "classify-action"])
+    def test_images_outside_the_group_are_refused(self, call):
+        # A negative image must not wrap round to an element, nor one past
+        # the order raise IndexError.
+        q8 = named_group("Q8")
+        bad = list(range(8))
+        bad[q8.generators[0]] = 99
+        with pytest.raises(ValueError):
+            call(q8, tuple(bad))
+
 
 class TestClassifyAction:
     def test_quaternion_tags(self):
@@ -368,8 +385,7 @@ class TestClassifyAction:
         assert same_semidirect_class(G, aut_from_gen_images(G, (x, G.mult[x][y])), rep)
 
     def test_largest_type_one_factor(self):
-        # Dic800, the factor of Dic800 x|nu Z at n = 200, is past the order
-        # of any subgroup lattice.
+        # Dic800, the factor of Dic800 x|nu Z at n = 200.
         G = named_group("Dic800")
         assert classify_action(G, action_catalog(G)["nu"]) == "nu"
 
@@ -415,7 +431,9 @@ class TestSameSemidirectClass:
         # The identity on the generators, but not on the other elements.
         swapped = list(identity)
         swapped[q8.mult[x][y]], swapped[q8.mult[y][x]] = q8.mult[y][x], q8.mult[x][y]
-        for bad in ((0,) * 8, identity[:4], tuple(swapped)):
+        # The identity, but with an image of a generator outside the group.
+        outside = identity[:x] + (99,) + identity[x + 1:]
+        for bad in ((0,) * 8, identity[:4], tuple(swapped), outside):
             with pytest.raises(ValueError):
                 same_semidirect_class(q8, bad, identity)
             with pytest.raises(ValueError):
@@ -675,8 +693,8 @@ def _sigma(m):
     return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
-# Every family table up to the subgroup-lattice order of 200, with its number
-# of subgroups.  Z_m has one per divisor of m.  Dih_2m = <x, y> has those of
+# Every family table up to order 200, and a few past it, with its number of
+# subgroups.  Z_m has one per divisor of m.  Dih_2m = <x, y> has those of
 # <x> = Z_m and, for each divisor d of m, m/d of order 2d that hold a
 # reflection.  Dic_4m = <x, y> has those of <x> = Z_2m and, for each divisor
 # d of m, m/d of order 4d that are not in <x>.
@@ -684,6 +702,8 @@ FAMILY_LATTICES = (
     [(f"Z{m}", _tau(m)) for m in range(1, 201)]
     + [(f"Dih{2 * m}", _tau(m) + _sigma(m)) for m in range(2, 101)]
     + [(f"Dic{4 * m}", _tau(2 * m) + _sigma(m)) for m in range(2, 51)]
+    + [("Z300", _tau(300)), ("Dih400", _tau(200) + _sigma(200)),
+       ("Dic800", _tau(400) + _sigma(200))]
 )
 
 

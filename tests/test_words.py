@@ -392,7 +392,7 @@ class TestMalformedText:
 def per_letter_check(n, letters):
     """The per-letter validation of BraidWord before builtins checked the whole tuple."""
     for x in letters:
-        if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
+        if not isinstance(x, int) or isinstance(x, bool) or x == 0 or abs(x) > n - 1:
             raise WordError(f"letter {x!r} out of range for n={n}")
     for a, b in zip(letters, letters[1:]):
         if a == -b:
@@ -426,7 +426,7 @@ class TestBraidWordChecks:
     @pytest.mark.parametrize("letters,message", [
         ((1, 2, -2), "letters are not free-reduced"),
         ((1, 4, -1, 1), "letter 4 out of range for n=4"),
-        ((True, -1), "letters are not free-reduced"),
+        ((True, -1), "letter True out of range for n=4"),
         ((1, "1"), "letter '1' out of range for n=4"),
         ((2, 1.0, 0), "letter 1.0 out of range for n=4"),
         ((-4,), "letter -4 out of range for n=4"),
