@@ -310,8 +310,21 @@ def straight_gluing(kind: str, q: int) -> AmalgamSpec:
         images = (big.mul(x, x), y)
     else:
         raise ValueError(f"unknown amalgam tag '{kind}:{q}'")
-    emb = hom_from_gen_images(small, big, images)
-    return build_amalgam(big, big, small, emb, emb)
+    return _glue(big, small, images)
+
+
+def _glue(
+    big: FiniteGroupTable,
+    small: FiniteGroupTable,
+    images: Sequence[int],
+    second: Sequence[int] | None = None,
+) -> AmalgamSpec:
+    """Two copies of ``big`` glued over ``small``, embedded in the first copy
+    by the generator images ``images`` and in the second by ``second``
+    (``images`` again when None)."""
+    i1 = hom_from_gen_images(small, big, images)
+    i2 = i1 if second is None else hom_from_gen_images(small, big, second)
+    return build_amalgam(big, big, small, i1, i2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +337,14 @@ def _glued_spec(factor_kind: str, straight: bool) -> AmalgamSpec:
     F = make_group(factor_kind, 2)
     x, y = G.generators
     x2 = G.mul(x, x)
-    i1 = hom_from_gen_images(F, G, (x2, y))
-    if straight:
-        i2 = i1
-    else:
-        i2 = hom_from_gen_images(F, G, (y, G.mul(x2, y)))
-    return build_amalgam(G, G, F, i1, i2)
+    return _glue(G, F, (x2, y), None if straight else (y, G.mul(x2, y)))
 
 
 @lru_cache(maxsize=None)
 def k1() -> AmalgamSpec:
-    """Order-16 quaternion factors glued identically over the quaternion 8."""
-    return _glued_spec("dicyclic", True)
+    """Order-16 quaternion factors glued identically over the quaternion 8:
+    the straight gluing ``dicdic:4``."""
+    return straight_gluing("dicdic", 4)
 
 
 @lru_cache(maxsize=None)

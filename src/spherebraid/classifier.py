@@ -77,21 +77,6 @@ class GroupDesc(NamedTuple):
             return "Z2xZ2"
         return self.family
 
-    @property
-    def order(self) -> int:
-        return {
-            "Z": self.param,
-            "Dic": 4 * self.param,
-            "Dih": 2 * self.param,
-            "V4": 4,
-            "T*": 24,
-            "O*": 48,
-            "I*": 120,
-            "A4": 12,
-            "S4": 24,
-            "A5": 60,
-        }[self.family]
-
     def table(self) -> FiniteGroupTable:
         """The reference multiplication table for this class."""
         return named_group(str(self))
@@ -286,8 +271,9 @@ def _project(shape: tuple) -> tuple:
     if kind == "I":
         factor = _project_desc(factor, quaternion_to_klein=True)
         action = _ACTION_PROJECTION[action]
-        # Inversion collapses to the identity on the groups of order <= 2.
-        if action == "rho~" and factor.order <= 2:
+        # Inversion collapses to the identity on the groups of order <= 2;
+        # it acts only on cyclic factors, whose parameter is the order.
+        if action == "rho~" and factor.param <= 2:
             action = "trivial"
         # Conjugation by x^k sends y to x^(2k) y in Dih_2m, so for odd m the
         # map (x, y) -> (x, xy) is inner and Dih_2m x|nu~ Z is Dih_2m x Z.

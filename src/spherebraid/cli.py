@@ -232,12 +232,13 @@ def _main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         res = suites.run_suite(args.suite, args.n)
+        checks = [{"id": c.check_id, "passed": c.passed} for c in res.checks]
         payload = {
             "suite": res.suite,
             "n_range": list(res.n_range),
             "passed": res.passed,
-            "checks": [{"id": c.check_id, "passed": c.passed} for c in res.checks],
-            "rows": [{"id": c.check_id, "passed": c.passed} for c in res.checks],
+            "checks": checks,
+            "rows": checks,
         }
         good, bad = res.counts
         lines = [f"suite {res.suite} over n={res.n_range[0]}..{res.n_range[1]}: "

@@ -12,13 +12,14 @@ order histogram alone; the search decides.  Tables are immutable once built
 and safe to share.
 
 Standard groups come from two constructors.  The cyclic, dihedral and
-dicyclic families share one builder on the elements x^a y^b.  The six fixed
-groups (T*, O*, I*, A4, S4, A5) and the Klein group come from coset
-enumeration, so every catalog table carries its presentation.  The catalog
-names are kept here too: ``named_group`` turns every name the engine prints
-(``Z<q>``, ``Dih<2m>``, ``Dic<4m>`` or ``Q<4m>``, ``Z2xZ2``, the fixed
-groups) back into its table, and ``dicyclic_name`` is the one rule that
-calls a dicyclic group of 2-power order generalised quaternion.
+dicyclic families share one builder on the elements x^a y^b, and the Klein
+group is the dihedral table at m = 2.  The six fixed groups (T*, O*, I*, A4,
+S4, A5) come from coset enumeration, so every catalog table carries its
+presentation.  The catalog names are kept here too: ``named_group`` turns
+every name the engine prints (``Z<q>``, ``Dih<2m>``, ``Dic<4m>`` or
+``Q<4m>``, ``Z2xZ2``, the fixed groups) back into its table, and
+``dicyclic_name`` is the one rule that calls a dicyclic group of 2-power
+order generalised quaternion.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
 order, each join walking on from the subgroup already known.  Aut and Out
@@ -437,15 +438,12 @@ _PRES_BINARY_TETRAHEDRAL = GroupPresentation(
     ),
 )
 
+# O* on T*'s generators and a fourth, with T*'s relators and the four that
+# involve the fourth generator.
 _PRES_BINARY_OCTAHEDRAL = GroupPresentation(
     4,
-    (
-        (3, 3, 3),
-        (1, 1, -2, -2),
+    _PRES_BINARY_TETRAHEDRAL.relators + (
         (2, 2, -4, -4),
-        (1, 2, -1, 2),
-        (3, 1, -3, -2),
-        (3, 2, -3, -2, -1),
         (4, 3, -4, 3),
         (4, 1, -4, -1, -2),
         (4, 2, -4, 2),
@@ -470,10 +468,9 @@ _PRES_SPHERE_THREE_STRANDS = GroupPresentation(
 
 # The rotation groups, on permutation generators: A4 on a = (01)(23),
 # b = (02)(13), t = (012); S4 on s = (01), c = (0123); A5 on x = (012),
-# y = (01234).  Klein is the dihedral presentation at m = 2.  Each name maps
-# to (order, presentation); ``structure_name`` reads the orders.
+# y = (01234).  Each name maps to (order, presentation); ``structure_name``
+# reads the orders.  Klein is not here: it is the dihedral table at m = 2.
 _PRESENTED = {
-    "klein": (4, GroupPresentation(2, ((1, 1), (2, 2), (2, 1, -2, 1)))),
     "T*": (24, _PRES_BINARY_TETRAHEDRAL),
     "O*": (48, _PRES_BINARY_OCTAHEDRAL),
     "I*": (120, _PRES_BINARY_ICOSAHEDRAL),
@@ -530,9 +527,12 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     ``dicyclic`` (order 4m, m >= 2), ``klein``, ``T*``, ``O*``, ``I*``,
     ``A4``, ``S4``, ``A5``.  The three index-2 families share one builder
     on x^a y^b and raise :class:`SubgroupBudgetError` past order
-    ``FAMILY_ORDER_BUDGET``.  The six fixed groups and ``klein`` come from
-    coset enumeration, so every table carries its presentation.
+    ``FAMILY_ORDER_BUDGET``; ``klein`` is the dihedral table at m = 2.  The
+    six fixed groups come from coset enumeration, so every table carries
+    its presentation.
     """
+    if kind == "klein":
+        return make_group("dihedral", 2)
     if kind in _PRESENTED:
         return _presented_table(kind)
     if kind not in _FAMILIES:
@@ -562,15 +562,16 @@ def named_group(name: str) -> FiniteGroupTable:
     ``Z<q>``, ``Dih<2m>``, ``Dic<4m>``, ``Q<4m>``, ``Z2xZ2``, ``T*``, ``O*``,
     ``I*``, ``A4``, ``S4``, ``A5``), so also every name ``structure_name``
     gives a cyclic, dihedral, dicyclic or fixed table, plus ``klein`` and
-    ``B3`` (the three-strand sphere braid group).  ``Dic`` and ``Q`` both
-    take any order divisible by 4.  Raises ``ValueError`` on any other name.
+    ``B3`` (the three-strand sphere braid group).  ``Z2xZ2`` and ``klein``
+    name the dihedral table at m = 2.  ``Dic`` and ``Q`` both take any order
+    divisible by 4.  Raises ``ValueError`` on any other name.
     """
     if name == "B3":
         return sphere_three_strand_table()
     if name in _PRESENTED:
         return make_group(name)
-    if name == "Z2xZ2":
-        return make_group("klein")
+    if name in ("Z2xZ2", "klein"):
+        return make_group("dihedral", 2)
     if name == "1":
         return make_group("cyclic", 1)
     for kind, (prefixes, scale, _, _) in _FAMILIES.items():
@@ -709,10 +710,10 @@ def _extend_map(
     G: FiniteGroupTable, H: FiniteGroupTable, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...] | None:
     """The homomorphism G -> H sending gens to images, as the tuple of the
-    images of 0..|G|-1; None when an image is not an element of H, the
-    images conflict, or gens do not generate G.  Every edge x -> x g is
-    checked, which is the proof."""
-    if not all(0 <= h < H.order for h in images):
+    images of 0..|G|-1; None when there is not one image per generator, an
+    image is not an element of H, the images conflict, or gens do not
+    generate G.  Every edge x -> x g is checked, which is the proof."""
+    if len(images) != len(gens) or not all(0 <= h < H.order for h in images):
         return None
     phi: list[int | None] = [None] * G.order
     phi[G.identity] = H.identity
@@ -844,7 +845,6 @@ def structure_name(G: FiniteGroupTable) -> str:
                 return dicyclic_name(n)
             if G.element_orders[y] == 2:
                 return f"Dih{n}"
-    # Every group of order 4 is abelian, so the Klein entry is never reached.
     for kind, (order, _) in _PRESENTED.items():
         if order == n and is_isomorphic(G, make_group(kind)):
             return kind

@@ -49,12 +49,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
 from .words import BraidWord, Permutation, StrandMismatchError, _reduce, permutation
-from .words import _LETTER_BUDGET, _valid_word
+from .words import _LETTER_BUDGET, _finv, _valid_word
 
 __all__ = [
     "FreeWord",
@@ -87,10 +87,6 @@ IMAGE_BUDGET = _LETTER_BUDGET
 
 class OracleBudgetError(RuntimeError):
     """The free-group images outgrew the budget; no verdict was reached."""
-
-
-def _finv(w: Sequence[int]) -> FreeWord:
-    return tuple(map(neg, reversed(w)))
 
 
 @dataclass(frozen=True)
@@ -417,15 +413,14 @@ def equals(w1: BraidWord, w2: BraidWord) -> bool:
     """Whether two words represent the same element of the sphere braid group."""
     if w1.n != w2.n:
         raise StrandMismatchError(f"cannot compare words on {w1.n} and {w2.n} strands")
-    if w1.letters == w2.letters:
-        return True
-    w = _cyclic_core(w1 * w2.inv())
-    return _linking_class(w) == 0 and _acts_innerly(w)
+    return w1.letters == w2.letters or is_trivial(w1 * w2.inv())
 
 
 def is_trivial(w: BraidWord) -> bool:
-    # The empty word on the strand count w was made with.
-    return equals(w, _valid_word(w.n, ()))
+    """Whether the word represents the identity: its cyclic core, a
+    conjugate, lies in the linking class of the identity and acts innerly."""
+    w = _cyclic_core(w)
+    return _linking_class(w) == 0 and _acts_innerly(w)
 
 
 def is_central(w: BraidWord) -> bool:
@@ -512,7 +507,7 @@ def verify_finite_subgroup(gens: Sequence[BraidWord], target: FiniteGroupTable) 
             raise StrandMismatchError(f"generator words on {n} and {g.n} strands")
     parts: dict[int, tuple[int, ...]] = {}
     for k, g in enumerate(gens, start=1):
-        parts[k], parts[-k] = g.letters, g.inv().letters
+        parts[k], parts[-k] = g.letters, _finv(g.letters)
 
     def evaluate(gen_word: Sequence[int]) -> BraidWord:
         # The reduced product of the generator words and their inverses, all on n strands.

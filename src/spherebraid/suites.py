@@ -458,11 +458,8 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
 
     def octahedral_over_tetrahedral() -> bool:
         big = make_group("O*")
-        small = make_group("T*")
         # The index-2 copy generated by the first three presentation gens.
-        emb = groups.hom_from_gen_images(small, big, big.generators[:3])
-        spec = amalgams.build_amalgam(big, big, small, emb, emb)
-        return semidirect_ok(spec)
+        return semidirect_ok(amalgams._glue(big, make_group("T*"), big.generators[:3]))
 
     yield "octahedral-over-tetrahedral/semidirect", octahedral_over_tetrahedral
     yield "quaternion-gluings/distinguished", lambda: amalgams.distinguish_k1_k2().ok
@@ -475,9 +472,7 @@ def _amalgams_checks(lo: int, hi: int) -> Iterator[Check]:
         F = make_group("dicyclic", 2)
         x, y = G.generators
         x2 = G.mul(x, x)
-        i1 = groups.hom_from_gen_images(F, G, (x2, y))
-        i2_four = groups.hom_from_gen_images(F, G, (x2, G.mul(x2, y)))
-        spec4 = amalgams.build_amalgam(G, G, F, i1, i2_four)
+        spec4 = amalgams._glue(G, F, (x2, y), (x2, G.mul(x2, y)))
         psi = groups.aut_from_gen_images(G, (x, G.mul(x2, y)))
         ident = tuple(range(G.order))
         cert = amalgams.amalgam_iso(amalgams.k1(), spec4, ident, psi)

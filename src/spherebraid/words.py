@@ -136,11 +136,15 @@ def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     return _reduce(*zip(letters)) if _has_cancelling_pair(letters) else letters
 
 
+def _finv(letters: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a word in signed letters, braid or free-group: negated
+    and reversed, so a free-reduced word stays free-reduced."""
+    return tuple(map(neg, reversed(letters)))
+
+
 def _power_parts(letters: tuple[int, ...], e: int) -> list[tuple[int, ...]]:
     """The parts whose reduced product is the e-th power: |e| copies, inverted if e < 0."""
-    if e < 0:
-        letters = tuple(-x for x in reversed(letters))
-    return [letters] * abs(e)
+    return [_finv(letters) if e < 0 else letters] * abs(e)
 
 
 def _check_strands(n: int) -> None:
@@ -178,7 +182,7 @@ class BraidWord:
 
     def inv(self) -> "BraidWord":
         # Negating and reversing keeps the letters in range and reduced.
-        return _valid_word(self.n, tuple(-x for x in reversed(self.letters)))
+        return _valid_word(self.n, _finv(self.letters))
 
     def __pow__(self, e: int) -> "BraidWord":
         # The reduced product of copies of the word or of its inverse.

@@ -81,6 +81,23 @@ class TestNamedAmalgam:
     def test_tags(self, tag, build):
         assert named_amalgam(tag) == build()
 
+    def test_k1_is_the_straight_gluing_at_four(self):
+        assert named_amalgam("k1") == named_amalgam("dicdic:4") == dic_over_dic_spec(4)
+
+    @pytest.mark.parametrize("build,kind,straight", [
+        (k1, "dicyclic", True), (k2, "dicyclic", False),
+        (k1_prime, "dihedral", True), (k2_prime, "dihedral", False),
+    ])
+    def test_gluings_match_explicit_construction(self, build, kind, straight):
+        # The order-16 (order-8) factors over <x^2, y>, glued identically or
+        # by x^2 -> y, y -> x^2 y, written out embedding by embedding.
+        G, F = make_group(kind, 4), make_group(kind, 2)
+        x, y = G.generators
+        x2 = G.mul(x, x)
+        i1 = hom_from_gen_images(F, G, (x2, y))
+        i2 = i1 if straight else hom_from_gen_images(F, G, (y, G.mul(x2, y)))
+        assert build() == build_amalgam(G, G, F, i1, i2)
+
     @pytest.mark.parametrize("tag,message", [
         ("dicdic:3", "dicdic gluing needs an even parameter"),
         ("dicdih:4", "unknown amalgam tag 'dicdih:4'"),

@@ -32,7 +32,8 @@ from spherebraid.groups import (
     structure_name,
 )
 from spherebraid.words import (
-    alpha, delta_comm, half_twist, identity, omega1, parse_braid, permutation, zeta_elt,
+    alpha, delta_comm, eta_elt, half_twist, identity, omega1, parse_braid, permutation,
+    zeta_elt,
 )
 
 
@@ -581,6 +582,29 @@ class TestConstructionGolden:
             "05646b65e708dc2a2c7f1410b57f5bd2109d4496f431fb9cda32f605804c1f39")
 
 
+class TestEtaWord:
+    """``words.eta_elt`` and the parser's ``eta`` atom name the word the
+    classifier claims infinite for every Z4q *_{Z2q} Dic4q record."""
+
+    def test_mixed_product_is_eta(self):
+        checked = 0
+        for n in range(4, 17):
+            for rec in enumerate_all(n):
+                a, b = rec.factors or (None, None)
+                if rec.kind != "II" or a.family != "Z" or b.family != "Dic":
+                    continue
+                i = min(rec.admissible_i)
+                m = (n - i) // (2 * b.param)
+                _, claims = classifier._construction(classifier._shape(rec), n, i)
+                (mixed,) = [c[2] for c in claims if c[0] == "mixed product has infinite order"]
+                assert mixed.letters == eta_elt(n, i, m).letters, (n, rec.shape)
+                assert parse_braid(f"eta({i},{m})", n) == mixed
+                if m == 1:
+                    assert parse_braid(f"eta({i})", n) == mixed
+                checked += 1
+        assert checked == 21
+
+
 def catalog_tag(action):
     """The cyclic catalog names inversion ``rho`` on every cyclic table, so
     the mapping-class tag ``rho~`` is looked up as ``rho``."""
@@ -621,7 +645,7 @@ class TestActionLabelsFromWords:
         read = 0
         for n in range(4, 13):
             for rec, w in witnesses(n):
-                if rec.kind != "I" or isinstance(w, str) or rec.factor.order == 1:
+                if rec.kind != "I" or isinstance(w, str) or rec.factor.table().order == 1:
                     continue
                 assert w.ok, rec.shape
                 T, elements, z = construction_data(rec, w)
@@ -642,7 +666,7 @@ class TestActionLabelsFromWords:
             braid = [(rec, w) for rec, w in witnesses(n)
                      if rec.kind == "I" and not isinstance(w, str)]
             for mcg in enumerate_vtilde(n):
-                if mcg.kind != "I" or mcg.factor.order == 1 or mcg.status != "realized":
+                if mcg.kind != "I" or mcg.factor.table().order == 1 or mcg.status != "realized":
                     continue
                 found = next(((rec, w) for rec, w in braid
                               if project_to_mcg(rec).key == mcg.key), None)
@@ -840,7 +864,7 @@ def _ref_project_shape(record):
     if record.kind == "I":
         factor = _ref_project_desc(record.factor, quaternion_to_klein=True)
         action = _REF_ACTION_PROJECTION[record.action]
-        if action == "rho~" and factor.order <= 2:
+        if action == "rho~" and factor.table().order <= 2:
             action = "trivial"
         # For odd m, nu~ is inner on Dih_2m: the class is Dih_2m x Z.
         if action == "nu~" and factor.param % 2:

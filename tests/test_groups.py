@@ -327,6 +327,15 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             call(q8, tuple(bad))
 
+    @pytest.mark.parametrize("call", [
+        lambda: hom_from_gen_images(named_group("Z4"), named_group("Z8"), (2, 5)),
+        lambda: aut_from_gen_images(named_group("Z6"), (5, 3)),
+    ], ids=["hom", "aut"])
+    def test_a_surplus_image_is_refused(self, call):
+        # One image per distinguished generator: a surplus one is not dropped.
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestClassifyAction:
     def test_quaternion_tags(self):
@@ -844,9 +853,22 @@ class TestStandardConstructors:
             assert (G.generators, G.presentation) == (gens, pres)
 
     def test_klein_is_the_dihedral_table_at_two(self):
-        V, D = make_group("klein"), make_group("dihedral", 2)
-        assert (V.mult, V.generators, V.presentation) == (D.mult, D.generators, D.presentation)
-        assert (V.words, V.element_orders, V.inverse) == (D.words, D.element_orders, D.inverse)
+        D = make_group("dihedral", 2)
+        assert make_group("klein") is make_group("klein", None) is D
+        assert named_group("klein") is named_group("Z2xZ2") is D
+
+    def test_binary_octahedral_matches_the_interleaved_presentation(self):
+        # O* written out on its own, T*'s five relators interleaved with the
+        # four that involve the fourth generator; the standardized coset
+        # table does not depend on the relator order.
+        interleaved = GroupPresentation(4, (
+            (3, 3, 3), (1, 1, -2, -2), (2, 2, -4, -4), (1, 2, -1, 2), (3, 1, -3, -2),
+            (3, 2, -3, -2, -1), (4, 3, -4, 3), (4, 1, -4, -1, -2), (4, 2, -4, 2),
+        ))
+        G, ref = make_group("O*"), todd_coxeter(interleaved)
+        assert (G.mult, G.generators, G.words) == (ref.mult, ref.generators, ref.words)
+        assert set(G.presentation.relators) == set(interleaved.relators)
+        assert G.presentation.relators[:5] == make_group("T*").presentation.relators
 
     @pytest.mark.parametrize("kind", ["A4", "S4", "A5"])
     def test_rotation_groups_match_the_permutation_tables(self, kind):

@@ -291,6 +291,32 @@ class TestEquals:
         assert is_central(full_twist(7)) and not is_central(sigma(7, 1))
 
 
+class TestIsTrivial:
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_empty_word(self, n):
+        assert is_trivial(identity(n))
+        assert not is_trivial(full_twist(n))
+
+    @pytest.mark.parametrize("n,i", [(5, 0), (6, 0), (6, 2)])
+    def test_evaluated_relators(self, n, i):
+        # The dicyclic relators on the standard copy: long words, each the
+        # identity without being empty.
+        gens = [alpha_prime(n, i), half_twist(n)]
+        for rel in make_group("dicyclic", n - i).presentation.relators:
+            w = identity(n)
+            for x in rel:
+                w = w * (gens[x - 1] if x > 0 else gens[-x - 1].inv())
+            assert w.letters and is_trivial(w), rel
+
+    def test_agrees_with_equals_against_the_identity(self):
+        rng = random.Random(29)
+        for n in (4, 5, 6):
+            for _ in range(20):
+                w = random_word(rng, n, 10)
+                for u in (w, w * surface_relation(n) * w.inv(), w * w.inv()):
+                    assert is_trivial(u) == equals(u, identity(n))
+
+
 def _reduced_words(n, max_len):
     """Every free-reduced word on n strands with at most max_len letters."""
     alphabet = [x for k in range(1, n) for x in (k, -k)]
