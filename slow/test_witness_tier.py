@@ -3,7 +3,9 @@
 Tier-1 checks witnesses up to n = 16.  This tier runs ``witness`` on every
 realized record of ``enumerate_all(n)`` for n = 17..40 and pins how many
 verify at each n.  Records realized without braid words (the geometric
-constructions) raise ``WitnessUnavailable`` and are not counted.  It lies
+constructions) raise ``WitnessUnavailable`` and are not counted.  It also
+runs the realization suites past their default ranges: ``commalphaigen``
+over n = 4..20, at every deletion index, and ``constq8`` over 4..40.  It lies
 outside ``testpaths``, so the tier-1 command does not collect it; run it
 with
 
@@ -14,7 +16,7 @@ It takes about 50 s in one process on two shared vCPUs.
 
 import pytest
 
-from spherebraid import classifier
+from spherebraid import classifier, suites
 
 VERIFIED = {
     17: 21, 18: 51, 19: 11, 20: 59, 21: 23, 22: 47, 23: 19, 24: 61,
@@ -39,3 +41,12 @@ def test_every_witness_with_words_verifies(n):
             failed.append(rec.shape)
     assert failed == []
     assert verified == VERIFIED[n]
+
+
+@pytest.mark.parametrize("suite,n_range,count", [
+    ("commalphaigen", (4, 20), 934), ("constq8", (4, 40), 220),
+])
+def test_realization_suite_past_its_default_range(suite, n_range, count):
+    res = suites.run_suite(suite, n_range)
+    assert [c.check_id for c in res.checks if not c.passed] == []
+    assert len(res.checks) == count

@@ -529,8 +529,11 @@ def make_group(kind: str, param: int | None = None) -> FiniteGroupTable:
     on x^a y^b and raise :class:`SubgroupBudgetError` past order
     ``FAMILY_ORDER_BUDGET``; ``klein`` is the dihedral table at m = 2.  The
     six fixed groups come from coset enumeration, so every table carries
-    its presentation.
+    its presentation.  ``klein`` and the fixed groups take no parameter:
+    one other than None raises ``ValueError``.
     """
+    if param is not None and (kind == "klein" or kind in _PRESENTED):
+        raise ValueError(f"{kind} takes no parameter, got {param!r}")
     if kind == "klein":
         return make_group("dihedral", 2)
     if kind in _PRESENTED:

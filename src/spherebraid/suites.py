@@ -7,6 +7,13 @@ share no state and may be evaluated in any order; the runner executes and
 reports them in check-id order).  A nonzero count of failed checks makes
 the overall result fail, which the command line turns into a nonzero exit
 code.
+
+The realization suites (``commalphaigen``, ``constq8`` and the order-4 pair
+of ``realV2``) add no words or claims of their own: they select realized
+records of the classification and check every claim of each record's
+construction, at each deletion index where the suite asks for one, under
+the id ``n=<n>/<class>[/i=<i>]/<claim label>``.  A shape without braid
+words at n yields no checks.
 """
 
 from __future__ import annotations
@@ -127,96 +134,36 @@ def _propsomega_checks(lo: int, hi: int) -> Iterator[Check]:
                      words.full_twist(n), o1 ** 2 * o2 ** -2)
 
 
-# Check-id templates for the construction claims each realization suite
-# checks, by claim label; claims without a template (the faithfulness and
-# most order claims) are left to ``witness``.
-_COMMALPHAIGEN_IDS = {
-    ("Z", "trivial"): {
-        "axis generator has infinite order": "commuter-infinite-i{i}-m{m}",
-        "axis commutes with the finite generator": "commuter-commutes-i{i}-m{m}",
-    },
-    ("Z", "rho"): {
-        "axis generator has infinite order": "inverter-infinite-i{i}-q{q}",
-        "axis inverts the finite generator": "inverter-action-i{i}-q{q}",
-    },
-    ("Dic", "trivial"): {
-        "axis generator has infinite order": "block-commuter-infinite-i{i}-s{s}",
-        "axis commutes with x": "block-commuter-x-i{i}-s{s}",
-        "axis commutes with y": "block-commuter-y-i{i}-s{s}",
-    },
-    ("Dic", "nu"): {
-        "axis generator has infinite order": "dicyclic-twist-infinite-i{i}-s{s}",
-        "axis fixes x": "dicyclic-twist-fixes-x-i{i}-s{s}",
-        "axis sends y to xy": "dicyclic-twist-y-to-xy-i{i}-s{s}",
-    },
-}
-_CONSTQ8_IDS = {
-    "alpha": {
-        "axis generator has infinite order": "three-cycle-axis-infinite",
-        "axis sends x to xy": "three-cycle-x",
-        "axis sends xy to y^-1": "three-cycle-xy",
-        "axis sends y^-1 to x": "three-cycle-yinv",
-    },
-    "beta": {
-        "axis generator has infinite order": "swap-axis-infinite",
-        "axis swaps y into x": "swap-y-to-x",
-        "axis swaps x into y": "swap-x-to-y",
-        "axis inverts xy": "swap-inverts-xy",
-    },
-}
-_REALV2_IDS = {
-    "first generator has order 4": "order4-pair-first",
-    "squares agree on the shared involution": "order4-pair-shared-square",
-    "v1 v2 has infinite order": "order4-pair-product-infinite",
-}
+def _realization_checks(record: classifier.VcClassRecord, i: int | None = None) -> Iterator[Check]:
+    """One check per claim of the record's construction at deletion index i,
+    with the id ``n=<n>/<class>[/i=<i>]/<claim label>``; none where the
+    shape has no braid words at n."""
+    try:
+        _, claims = classifier._construction(classifier._shape(record), record.n, i)
+    except classifier.WitnessUnavailable:
+        return
+    where = f"n={record.n}/{record.shape}" + ("" if i is None else f"/i={i}")
+    for label, kind, *args in claims:
+        yield _claim(f"{where}/{label}", kind, *args)
 
 
-def _construction_checks(n: int, ids: dict[str, str], claims: tuple, **params) -> Iterator[Check]:
-    """One check per template in ``ids``, in template order, on the claim
-    with its label; a template whose label no claim carries fails."""
-    by_label = {claim[0]: claim for claim in claims}
-    for label, template in ids.items():
-        claim = by_label.get(label)
-        check_id = f"n={n}/" + template.format(**params)
-        yield check_id, partial(classifier._holds, claim) if claim else (lambda: False)
-
-
-def _commalphaigen_order(found: tuple) -> tuple:
-    """Commuters by i and ascending power m, then per i the inverters and
-    the dicyclic constructions (block commuter before twist)."""
-    (_, f, action, *_), i = found
-    if f.family == "Z" and action == "trivial":
-        return (0, i, -f.param)
-    return (1, i, f.family == "Dic", f.param, action != "trivial")
+def _realized(lo: int, hi: int, keep: Callable[[classifier.VcClassRecord], bool]
+              ) -> Iterator[classifier.VcClassRecord]:
+    """The realized braid-group records kept by ``keep``, by n, in shape order."""
+    for n in range(lo, hi + 1):
+        yield from (r for r in classifier.enumerate_all(n) if r.status == "realized" and keep(r))
 
 
 def _commalphaigen_checks(lo: int, hi: int) -> Iterator[Check]:
-    for n in range(lo, hi + 1):
-        # The Type I constructions that take a deletion index i; at n = 3,
-        # i = 2 leaves one strand and no commuter.
-        found = [(shape, i) for shape, i in classifier._v1_shapes(n)
-                 if i is not None and n - i >= 2]
-        for shape, i in sorted(found, key=_commalphaigen_order):
-            f, action = shape[1], shape[2]
-            gens, claims = classifier._construction(shape, n, i)
-            m = 2 * (n - i) // f.param
-            if f.param == 1:
-                # The trivial factor has no finite generator to commute with.
-                claims += (("axis commutes with the finite generator", "commute",
-                            dict(gens)["axis"], words.alpha(n, i) ** m),)
-            yield from _construction_checks(n, _COMMALPHAIGEN_IDS[f.family, action], claims,
-                                            i=i, m=m, q=f.param, s=f.param)
+    for record in _realized(lo, hi, lambda r: r.kind == "I" and r.admissible_i):
+        for i in record.admissible_i:
+            yield from _realization_checks(record, i)
 
 
 def _constq8_checks(lo: int, hi: int) -> Iterator[Check]:
     q8 = classifier.GroupDesc("Dic", 2)
-    for n in range(lo, hi + 1):
-        if n % 2:
-            continue
-        # The three-cycle axis nu exists for 4 | n; n = 4 has its own words.
-        for action in ("alpha", "beta") if n % 4 == 0 and n >= 8 else ("beta",):
-            _, claims = classifier._construction(classifier._type1(q8, action), n, None)
-            yield from _construction_checks(n, _CONSTQ8_IDS[action], claims)
+    for record in _realized(lo, hi, lambda r: r.factor == q8):
+        yield from _realization_checks(record)
 
 
 def _realV2_checks(lo: int, hi: int) -> Iterator[Check]:
@@ -240,10 +187,10 @@ def _realV2_checks(lo: int, hi: int) -> Iterator[Check]:
         A = words.band_generator
         rhs = A(6, 1, 3).inv() * A(6, 4, 5) * A(6, 3, 4).inv() * A(6, 5, 6)
         yield _claim("n=6/eta-tilde-band-form-i2", "equal", words.eta_tilde_elt(6, 2), rhs)
+    # The order-4 pair's words do not depend on i: one construction per n.
     z4, z2 = classifier.GroupDesc("Z", 4), classifier.GroupDesc("Z", 2)
-    for n in range(lo, hi + 1):
-        _, claims = classifier._construction(classifier._type2(z4, z4, z2), n, None)
-        yield from _construction_checks(n, _REALV2_IDS, claims)
+    for record in _realized(lo, hi, lambda r: r.factors == (z4, z4) and r.amalgamated == z2):
+        yield from _realization_checks(record)
 
 
 _TSTAR_LATTICE = {
@@ -540,16 +487,16 @@ class _Suite(NamedTuple):
     least: int
 
 
-# funda's index-wrap check for alpha_2 needs sigma_{n-3}, so n >= 4;
-# commalphaigen and realV2 claim elements of infinite order, which the finite
-# group B_3(S^2) lacks.
+# funda's index-wrap check for alpha_2 needs sigma_{n-3}, so n >= 4; the
+# realization suites read the classification's records, which start at n = 4
+# (their claims of infinite order fail in the finite group B_3(S^2)).
 _SUITES: dict[str, _Suite] = {
     "presentation": _Suite(_presentation_checks, (3, 3), 3),
     "torsion": _Suite(_torsion_checks, (4, 10), 3),
     "funda": _Suite(_funda_checks, (4, 8), 4),
     "propsomega": _Suite(_propsomega_checks, (4, 10), 3),
     "commalphaigen": _Suite(_commalphaigen_checks, (4, 10), 4),
-    "constq8": _Suite(_constq8_checks, (4, 12), 3),
+    "constq8": _Suite(_constq8_checks, (4, 12), 4),
     "realV2": _Suite(_realV2_checks, (4, 8), 4),
     "finite_lattices": _Suite(_finite_lattices_checks, (3, 3), 3),
     "autout": _Suite(_autout_checks, (3, 3), 3),

@@ -563,9 +563,9 @@ class TestConstructionGolden:
         for suite in ("commalphaigen", "constq8", "realV2"):
             gen, (lo, hi), _ = suites._SUITES[suite]
             ids += [check_id for check_id, _ in gen(lo, hi)]
-        assert len(ids) == 252
+        assert len(ids) == 341
         assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == (
-            "82b27a2c068c25b0c940fbc9f314e3c9e8b9956f817463b9fd9c91b5d8960a72")
+            "96623983fc2d6170e234e299b0609a373d359bd1ac8a2d16267e735c6359815e")
 
     def test_witness_labels_and_words(self):
         lines = []

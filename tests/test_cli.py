@@ -352,7 +352,7 @@ class TestErrorHandling:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: empty strand range 6..4")
 
-    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "realV2"])
+    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "constq8", "realV2"])
     def test_suite_range_below_least_n(self, capsys, suite):
         code = main(["--format", "json", "verify", "--suite", suite, "--n", "3..5"])
         captured = capsys.readouterr()

@@ -358,6 +358,13 @@ class TestClassifyAction:
         z6 = make_group("cyclic", 6)
         assert classify_action(z6, action_catalog(z6)["rho"]) == "rho"
 
+    @pytest.mark.parametrize("q,k,tag", [(5, 2, "uncataloged"), (8, 3, "uncataloged"),
+                                         (5, 4, "rho")])
+    def test_cyclic_power_maps(self, q, k, tag):
+        # x -> x^k on Z_q; the catalog names only the identity and inversion.
+        G = make_group("cyclic", q)
+        assert classify_action(G, tuple(k * e % q for e in range(q))) == tag
+
     def test_order_one_table(self):
         z1 = make_group("cyclic", 1)
         assert action_catalog(z1) == {"trivial": (0,)}
@@ -917,6 +924,8 @@ class TestStandardConstructors:
         ("dicyclic", None, ValueError, "dicyclic group needs m >= 2 (order 4m)"),
         ("quaternion", 2, ValueError, "unknown group family 'quaternion'"),
         ("dicyclic", 501, SubgroupBudgetError, "order 2004 exceeds table budget 2000"),
+        ("T*", 7, ValueError, "T* takes no parameter, got 7"),
+        ("klein", 5, ValueError, "klein takes no parameter, got 5"),
     ])
     def test_bad_kinds_and_parameters(self, kind, param, error, message):
         with pytest.raises(error) as exc:

@@ -17,7 +17,7 @@ class TestRunner:
             with pytest.raises(ValueError):
                 run_suite("torsion", n_range)
 
-    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "realV2"])
+    @pytest.mark.parametrize("suite", ["funda", "commalphaigen", "constq8", "realV2"])
     def test_range_below_least_n(self, suite):
         assert _SUITES[suite].least == 4
         for n_range in ((3, 5), (3, 3)):
@@ -54,24 +54,80 @@ class TestRunner:
         assert res.passed == all(c.passed for c in res.checks)
 
 
-class TestConstructionChecks:
-    def test_renamed_claim_label_fails_its_check(self, monkeypatch):
-        # A claim label that no longer matches its check-id template must
-        # fail that check, not drop it from the suite.
+Q8 = classifier.GroupDesc("Dic", 2)
+
+
+def claim_ids(lo, hi, keep, indexed):
+    """``<where>/<label>`` for every claim of the constructions of the
+    realized records kept, at each deletion index when ``indexed``."""
+    ids = []
+    for n in range(lo, hi + 1):
+        for rec in classifier.enumerate_all(n):
+            if rec.status != "realized" or not keep(rec):
+                continue
+            for i in rec.admissible_i if indexed else (None,):
+                try:
+                    _, claims = classifier._construction(classifier._shape(rec), n, i)
+                except classifier.WitnessUnavailable:
+                    continue
+                where = f"n={n}/{rec.shape}" + ("" if i is None else f"/i={i}")
+                ids += [f"{where}/{claim[0]}" for claim in claims]
+    return ids
+
+
+class TestRealizationChecks:
+    @pytest.mark.parametrize("suite,keep,indexed", [
+        ("commalphaigen", lambda r: r.kind == "I" and r.admissible_i, True),
+        ("constq8", lambda r: r.factor == Q8, False),
+        ("realV2", lambda r: r.shape == "Z4 *_{Z2} Z4", False),
+    ])
+    def test_checks_are_the_construction_claims_in_order(self, suite, keep, indexed):
+        lo, hi = default_range(suite)
+        ids = [c.check_id for c in run_suite(suite).checks]
+        want = claim_ids(lo, hi, keep, indexed)
+        # realV2 keeps its hand-written band identities in front.
+        head = len(ids) - len(want)
+        assert want and ids[head:] == want
+        assert not any("Z4 *_{Z2} Z4" in check_id for check_id in ids[:head])
+
+    def test_constq8_reads_words_from_the_table_alone(self):
+        # Q8 x|alpha Z has no words at n = 6 and 10 (open there) nor at
+        # n = 18 (realized geometrically), and words at n = 4, 8, 12 and 16.
+        ids = [c.check_id for c in run_suite("constq8", (4, 18)).checks]
+        alpha = sorted({int(i.split("/")[0][2:]) for i in ids if "Q8 x|alpha Z/" in i})
+        assert alpha == [4, 8, 12, 16]
+        assert {int(i.split("/")[0][2:]) for i in ids if "Q8 x Z/" in i} == set(range(4, 19, 2))
+
+    def test_renamed_claim_label_renames_its_check(self, monkeypatch):
+        # The renamed claim is made false, so its failure shows it still runs.
         before = run_suite("constq8", (4, 8))
         construction = classifier._construction
 
         def renamed(*args):
             gens, claims = construction(*args)
-            return gens, tuple(("renamed",) + c[1:] if c[0] == "axis swaps y into x" else c
+            return gens, tuple(("renamed", "infinite", c[3]) if c[0] == "axis swaps y into x" else c
                                for c in claims)
 
         monkeypatch.setattr(classifier, "_construction", renamed)
         after = run_suite("constq8", (4, 8))
-        assert before.passed and not after.passed
-        assert [c.check_id for c in after.checks] == [c.check_id for c in before.checks]
+        assert before.passed
+        assert [c.check_id for c in after.checks] == [
+            c.check_id.replace("axis swaps y into x", "renamed") for c in before.checks]
         assert [c.check_id for c in after.checks if not c.passed] == [
-            f"n={n}/swap-y-to-x" for n in (4, 6, 8)]
+            f"n={n}/Q8 x|beta Z/renamed" for n in (4, 6, 8)]
+
+
+class TestClassifierMainodd:
+    def test_default_range_passes(self):
+        res = run_suite("classifier_mainodd")
+        assert res.passed and [c.check_id for c in res.checks] == [
+            f"n={n}/realized-set-matches-odd-classification" for n in range(5, 21, 2)]
+
+    def test_an_open_record_at_odd_n_fails(self, monkeypatch):
+        enumerate_all = classifier.enumerate_all
+        monkeypatch.setattr(classifier, "enumerate_all", lambda n: tuple(
+            r._replace(status="open") if r.shape == "Z2 x Z" else r for r in enumerate_all(n)))
+        assert run_suite("classifier_mainodd", (5, 5)).counts == (0, 1)
 
 
 class TestAutoutBuildsNoTable:
