@@ -4,7 +4,7 @@ over a range of strand counts with machine-readable results.
 
 Each suite is a deterministic sequence of independent named checks (they
 share no state and may be evaluated in any order; the runner executes and
-reports them in check-id order).  A nonzero count of failed checks makes
+reports them in the order the suite lists them).  A nonzero count of failed checks makes
 the overall result fail, which the command line turns into a nonzero exit
 code.
 
