@@ -120,8 +120,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _main(argv)
-    except (words.WordError, oracle.OracleBudgetError, groups.SubgroupBudgetError,
-            groups.CosetBudgetError, ValueError) as exc:
+    except (words.WordError, groups.SubgroupBudgetError, groups.CosetBudgetError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

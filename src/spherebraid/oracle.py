@@ -1,56 +1,40 @@
 """
 The word problem for the braid groups of the sphere.
 
-Strategy: a braid word acts on the free group of rank n-1 that is the
-fundamental group of the n-punctured sphere.  The generator sigma_k sends
+A word is central, the identity or the full twist, exactly when its image
+in Mod(S_{0,n}) = B_n(S^2)/<FT> is trivial.  Centrality is decided in
+stages, each exact.  The word is cyclically reduced (centrality is
+invariant under conjugation), then one pass over its letters checks that
+it is pure and reads the class of its pairwise crossing counts modulo the
+sphere relators: the identity and the full twist lie in two disjoint
+classes, so a word in neither is not central, and a central word's class
+says which of the two it is.  A survivor fixes every puncture, and the
+stabiliser of one puncture is B_{n-1}/<Delta^2>; its image in B_{n-1} is
+Delta^2k, for the k its exponent sum names, exactly when Dynnikov's
+faithful max-plus action says so.  It is all integer arithmetic, so no
+budget applies.  One pipeline decides every n >= 3, the finite three-strand
+group included.
 
-    x_k -> x_k x_{k+1} x_k^-1,    x_{k+1} -> x_k,    others fixed,
+For orders, a word's cyclic core is written as r^m with r its primitive
+root, and the order of r^m is read off that of r; the cycle type of r's
+permutation refutes finiteness before any power is built, and only a
+torsion cycle type, of order p, gets the pure power r^p built and decided.
 
-where any occurrence of the missing generator x_n is eliminated through
-x_n = (x_1 ... x_{n-1})^-1.  The recurrence carries P, the image of
-x_1 ... x_{n-1}, so x_n maps to P^-1.  Only sigma_{n-1}^{+-1} moves P: with
-a the image of x_{n-1}, sigma_{n-1} sends P to a^-1 (and x_{n-1} to
-a P^-1 a^-1), and sigma_{n-1}^-1 sends P to P a^-1 P^-1 (and x_{n-1} to
-P^-1).  So every letter is one conjugation.  The induced *outer* action is
-faithful on the quotient of the braid group by its order-2 center, so a
-word represents the identity or the full twist exactly when its
-automorphism is inner.  One pipeline decides every n >= 3, the finite
-three-strand group included.  For orders, a word's cyclic core is written
-as r^m with r its primitive root, and the order of r^m is read off that of
-r; the cycle type of r's permutation refutes finiteness before any power is
-built, and only a torsion cycle type, of order p, gets the pure power r^p
-built and decided.
-
-Centrality is decided in stages, each sound: the word is cyclically reduced
-(centrality is invariant under conjugation), then one pass over its letters
-checks that it is pure and reads the class of its pairwise crossing counts
-modulo the sphere relators.  The identity and the full twist lie in two
-disjoint classes, so a word in neither is not central, and a central word's
-class says which of the two it is.  Survivors get the exact innerness check
-on the free-group images, first on a budget of 2(n-1) image letters per
-input letter, which almost every word stays within.  Only a word whose
-images outgrow it goes on to the trace screen, which runs the same
-recurrence on a fixed image of the free group in SL2(F_p): an inner
-automorphism preserves the traces of x_j and x_j x_k, so a mismatch proves
-the word is not central.  A word that passes the screen gets the exact
-check again on the full budget.  A word whose 2(n-1)|w| reaches the full
-budget skips the first pass and goes to the screen first.
-
-Free words are plain tuples of signed generator indices; only the
-automorphism type gets a dataclass wrapper.  Inside the Artin action each
-image travels as the pair (w, w^-1), so inverting is a swap and a
-conjugation is cut from slices of the two pairs; the automorphism keeps
-the forward images only.
+The Artin action on the free group of rank n-1 (:func:`artin_action`,
+:func:`is_inner`) stays public beside the decision path.  A word is central
+exactly when its automorphism is inner, but the images can grow
+exponentially in the word's length, so the action stops at
+``IMAGE_BUDGET`` letters with :class:`OracleBudgetError`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteGroupTable
 from .words import BraidWord, Permutation, StrandMismatchError, _reduce, permutation
@@ -78,10 +62,9 @@ FreePair = tuple[FreeWord, FreeWord]
 _swap = itemgetter(1, 0)
 
 # Free-group images of a word can grow exponentially in its length (pseudo-
-# Anosov-type elements); past this total the computation aborts with an
-# error rather than exhausting memory.  Everything in the identity suites
-# and the witness sweep stays orders of magnitude below it.  It is the
-# parser's bound on the letters of a word.
+# Anosov-type elements); past this total ``artin_action`` aborts with an
+# error rather than exhausting memory.  It is the parser's bound on the
+# letters of a word.  The decision path does not use the free group.
 IMAGE_BUDGET = _LETTER_BUDGET
 
 
@@ -133,15 +116,12 @@ def _fconj(a: FreePair, b: FreePair) -> FreePair:
     return w, _finv(w)
 
 
-def _artin_steps(
-    letters: Sequence[int], imgs: list, p, conj: Callable, inv: Callable
-) -> Iterator[tuple]:
+def _artin_steps(letters: Sequence[int], imgs: list[FreePair], p: FreePair) -> Iterator[tuple]:
     """Apply the braid letters, left to right, to the basis images in place.
 
-    ``conj(a, b)`` is a b a^-1 and ``inv`` inverts in the target group, so
-    the one recurrence serves free words, carried with their inverses, and
-    matrices alike.  Beside the images it carries P = phi(x_1 ... x_{n-1}),
-    passed in as ``p``, so the image of the missing generator x_n is P^-1.
+    Every image is a pair (w, w^-1), so :func:`_fconj` conjugates and a swap
+    inverts.  Beside the images it carries P = phi(x_1 ... x_{n-1}), passed
+    in as ``p``, so the image of the missing generator x_n is P^-1.
     Every letter is one conjugation: with a and b the images of x_i and
     x_{i+1}, sigma_i sends x_i to a b a^-1 and sigma_i^-1 sends x_{i+1} to
     b^-1 a b; with a = phi(x_{n-1}), sigma_{n-1} sends x_{n-1} to a P^-1 a^-1
@@ -156,18 +136,18 @@ def _artin_steps(
         if i < last:
             b = imgs[i]
             if x > 0:
-                new, old = conj(a, b), b
+                new, old = _fconj(a, b), b
                 imgs[i - 1], imgs[i] = new, a
             else:
-                new, old = conj(inv(b), a), a
+                new, old = _fconj(_swap(b), a), a
                 imgs[i - 1], imgs[i] = b, new
         else:
             old = a
             if x > 0:
-                new, p = conj(a, inv(p)), inv(a)
+                new, p = _fconj(a, _swap(p)), _swap(a)
             else:
-                new = inv(p)
-                p = conj(p, inv(a))
+                new = _swap(p)
+                p = _fconj(p, _swap(a))
             imgs[i - 1] = new
         yield new, old
 
@@ -189,7 +169,7 @@ def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
     imgs: list[FreePair] = [((j,), (-j,)) for j in range(1, w.n)]
     p = tuple(range(1, w.n))
     total = len(imgs)
-    for new, old in _artin_steps(w.letters, imgs, (p, _finv(p)), _fconj, _swap):
+    for new, old in _artin_steps(w.letters, imgs, (p, _finv(p))):
         total += len(new[0]) - len(old[0])
         if total > budget:
             raise OracleBudgetError(
@@ -303,69 +283,6 @@ def _linking_class(w: BraidWord) -> int | None:
     return 2 * eps if ok else None
 
 
-# The trace screen maps the free group to SL2(F_p), p = 2^31 - 1, sending x_j
-# to a matrix drawn from a generator seeded by n alone.
-SL2_PRIME = 2**31 - 1
-SL2_SEED = 20031
-
-Matrix = tuple[int, int, int, int]
-
-
-def _mat_mul(m: Matrix, *ms: Matrix) -> Matrix:
-    a, b, c, d = m
-    for e, f, g, h in ms:
-        a, b, c, d = (
-            (a * e + b * g) % SL2_PRIME,
-            (a * f + b * h) % SL2_PRIME,
-            (c * e + d * g) % SL2_PRIME,
-            (c * f + d * h) % SL2_PRIME,
-        )
-    return a, b, c, d
-
-
-def _mat_inv(m: Matrix) -> Matrix:
-    a, b, c, d = m
-    return d, -b % SL2_PRIME, -c % SL2_PRIME, a
-
-
-def _mat_conj(a: Matrix, b: Matrix) -> Matrix:
-    return _mat_mul(a, b, _mat_inv(a))
-
-
-def _traces(ms: Sequence[Matrix]) -> tuple[int, ...]:
-    """tr(x_j) for every j, then tr(x_j x_k) for every j < k."""
-    out = [(a + d) % SL2_PRIME for a, _, _, d in ms]
-    for j, (a, b, c, d) in enumerate(ms):
-        for e, f, g, h in ms[j + 1 :]:
-            out.append((a * e + b * g + c * f + d * h) % SL2_PRIME)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _sl2_basis(n: int) -> tuple[tuple[Matrix, ...], tuple[int, ...]]:
-    """The images of x_1 ... x_{n-1} in SL2(F_p), and their traces."""
-    rng = random.Random(SL2_SEED * 1000 + n)
-    basis = []
-    for _ in range(n - 1):
-        a, b, c = rng.randrange(1, SL2_PRIME), rng.randrange(SL2_PRIME), rng.randrange(SL2_PRIME)
-        basis.append((a, b, c, (1 + b * c) * pow(a, -1, SL2_PRIME) % SL2_PRIME))
-    return tuple(basis), _traces(basis)
-
-
-def _traces_could_be_central(w: BraidWord) -> bool:
-    """Screen on the SL2 image of the free-group action.
-
-    An inner automorphism conjugates every image matrix by the same matrix,
-    so it keeps tr(x_j) and tr(x_j x_k); a changed trace proves the word's
-    automorphism is not inner.  The images stay four residues each.
-    """
-    basis, traces = _sl2_basis(w.n)
-    imgs = list(basis)
-    for _ in _artin_steps(w.letters, imgs, _mat_mul(*basis), _mat_conj, _mat_inv):
-        pass
-    return _traces(imgs) == traces
-
-
 def _cyclic_core(w: BraidWord) -> BraidWord:
     """The word with the letters that cancel between its ends stripped: a conjugate."""
     k = _strip_ends(w.letters)
@@ -373,23 +290,130 @@ def _cyclic_core(w: BraidWord) -> BraidWord:
     return _valid_word(w.n, w.letters[k : len(w.letters) - k]) if k else w
 
 
-def _acts_innerly(w: BraidWord) -> bool:
-    """Whether the word's automorphism is inner.
+# One table holds about 4n^2 letters, so only the last few strand counts are kept.
+@lru_cache(maxsize=8)
+def _emissions(n: int) -> tuple[tuple[int, ...], ...]:
+    """A_p and A_p^-1 at index 2p and 2p + 1, p = 1 .. n-1: words in B_{n-1}.
 
-    The exact check runs first on a budget of 2(n-1)|w| image letters; every
-    verdict it reaches is final.  Images that outgrow it are the mark of a
-    word far from its normal form, seldom an inner one, so the trace screen
-    gets the chance to refute it before the exact check runs again on the
-    full budget.  A word whose 2(n-1)|w| reaches the full budget goes to the
-    screen first: its first pass would be the full pass.
+    A_p = sigma_p^-1 ... sigma_{n-2}^-1 sigma_{n-2}^-1 ... sigma_1^-1
+    sigma_1^-1 ... sigma_{p-1}^-1, 2n - 4 letters, is the Schreier generator
+    t_p sigma_p t_{p+1}^-1 = u^-1 sigma_{n-1}^2 u, t_p = sigma_{n-1} ... sigma_p
+    and u = sigma_{n-2} ... sigma_p, once the sphere relation has replaced
+    sigma_{n-1}^2 by sigma_{n-2}^-1 ... sigma_1^-1 sigma_1^-1 ... sigma_{n-2}^-1
+    and the word is freely reduced.
     """
-    budget = 2 * (w.n - 1) * len(w.letters)
-    if budget < IMAGE_BUDGET:
-        try:
-            return is_inner(artin_action(w, budget)) is not None
-        except OracleBudgetError:
-            pass
-    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+    out: list[tuple[int, ...]] = [(), ()]
+    for p in range(1, n):
+        a = (*range(-p, -(n - 1), -1), *range(-(n - 2), 0), *range(-1, -p, -1))
+        out += [a, _finv(a)]
+    return tuple(out)
+
+
+def _least_emitting_strand(letters: Sequence[int], n: int) -> int:
+    """The strand whose rewrite (:func:`_capped_word`) emits least; ties go low.
+
+    Each letter is an emission of one of the two strands it crosses: of the
+    left one for sigma_i, of the right one for sigma_i^-1.
+    """
+    strand_at = list(range(n + 1))
+    emitted = [0] * (n + 1)
+    for x in letters:
+        i = abs(x)
+        a, b = strand_at[i], strand_at[i + 1]
+        emitted[a if x > 0 else b] += 1
+        strand_at[i], strand_at[i + 1] = b, a
+    return min(range(1, n + 1), key=emitted.__getitem__)
+
+
+def _capped_word(letters: Sequence[int], n: int, s: int) -> list[int]:
+    """The image in B_{n-1} of a pure word, with strand s sent to infinity.
+
+    Reidemeister-Schreier on the stabiliser of strand n, transversal t_p,
+    rewrites the conjugate that carries strand s to position n first.  As
+    <Delta^2> is central, the conjugator's image at both ends is left off,
+    and s is tracked at its position p from the start.  Letters left of s
+    keep their index and letters right of it lose one; sigma_p emits A_p,
+    sigma_{p-1}^-1 emits A_{p-1}^-1, and sigma_p^-1 and sigma_{p-1} emit
+    nothing (see :func:`_emissions`).
+    """
+    table = _emissions(n)
+    out: list[int] = []
+    push, extend = out.append, out.extend
+    p = s
+    for x in letters:
+        i = x if x > 0 else -x
+        if i < p - 1:
+            push(x)
+        elif i > p:
+            push(x - 1 if x > 0 else x + 1)
+        elif i == p:
+            if x > 0:
+                extend(table[2 * p])
+            p += 1
+        else:
+            p -= 1
+            if x < 0:
+                extend(table[2 * p + 1])
+    return out
+
+
+def _dynnikov(letters: Iterable[int], c: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Dynnikov's max-plus action of the letters, left to right, on c in place.
+
+    c[i] = (a_i, b_i) for i = 1 .. m, and c[0] is unused.  With x+ = max(x, 0)
+    and x- = min(x, 0), sigma_i sends (a_i, b_i, a_{i+1}, b_{i+1}), with
+    t = a_i - b_i- - a_{i+1} + b_{i+1}+, to (a_i + b_i+ + (b_{i+1}+ - t)+,
+    b_{i+1} - t+, a_{i+1} + b_{i+1}- + (b_i- + t)-, b_i + t+), and
+    sigma_i^-1, with t = a_i + b_i- - a_{i+1} - b_{i+1}+, to
+    (a_i - b_i+ - (b_{i+1}+ + t)+, b_{i+1} + t-, a_{i+1} - b_{i+1}- -
+    (b_i- - t)-, b_i - t-).  The action of B_m is faithful, and a braid is
+    trivial exactly when it fixes (0, 1, ..., 0, 1) (Dehornoy, Dynnikov,
+    Rolfsen and Wiest, *Ordering Braids*, ch. XII).
+    """
+    for x in letters:
+        i = x if x > 0 else -x
+        a1, b1 = c[i]
+        a2, b2 = c[i + 1]
+        p1 = b1 if b1 > 0 else 0
+        p2 = b2 if b2 > 0 else 0
+        m1, m2 = b1 - p1, b2 - p2
+        if x > 0:
+            t = a1 - m1 - a2 + p2
+            tp = t if t > 0 else 0
+            u, v = p2 - t, m1 + t
+            c[i] = (a1 + p1 + (u if u > 0 else 0), b2 - tp)
+            c[i + 1] = (a2 + m2 + (v if v < 0 else 0), b1 + tp)
+        else:
+            t = a1 + m1 - a2 - p2
+            tm = t if t < 0 else 0
+            u, v = p2 + t, m1 - t
+            c[i] = (a1 - p1 - (u if u > 0 else 0), b2 + tm)
+            c[i + 1] = (a2 - m2 - (v if v < 0 else 0), b1 - tm)
+    return c
+
+
+def _acts_innerly(w: BraidWord) -> bool:
+    """Whether a pure word is central, i.e. its mapping class is trivial.
+
+    The stabiliser of a puncture in Mod(S_{0,n}) is B_{n-1}/<Delta^2>, by
+    capping the boundary of the (n-1)-punctured disc (Farb and Margalit,
+    *A Primer on Mapping Class Groups*, ch. 3).  So w is central exactly
+    when its image beta in B_{n-1} is Delta^2k: the exponent sum of beta is
+    k(n-1)(n-2), and beta Delta^-2k fixes (0, 1, ..., 0, 1) under
+    Dynnikov's action.  The least-emitting strand goes to infinity, which
+    keeps beta short.  It is all integer arithmetic, and the
+    coordinates gain a bounded number of bits per letter: no budget.
+    """
+    n, m = w.n, w.n - 1
+    beta = _capped_word(w.letters, n, _least_emitting_strand(w.letters, n))
+    exponent_sum = len(beta) - 2 * len([x for x in beta if x < 0])
+    k, r = divmod(exponent_sum, m * (m - 1))
+    if r:
+        return False
+    # Delta^2 = (sigma_1 ... sigma_{m-1})^m.
+    tail = range(-(m - 1), 0) if k > 0 else range(1, m)
+    unit = [(0, 1)] * (m + 1)
+    return _dynnikov(chain(beta, *[tail] * (m * abs(k))), unit.copy()) == unit
 
 
 def central_value(w: BraidWord) -> int | None:
@@ -399,10 +423,8 @@ def central_value(w: BraidWord) -> int | None:
     invariant under conjugation, so the word is cyclically reduced first.
     Its linking class rules out every word that is not pure or lies in
     neither central class, and names the central element a word can be;
-    the word is central exactly when its free-group automorphism is inner,
-    which the exact check decides on a budget linear in the word's length.
-    Only when the images outgrow that budget does the trace screen run, to
-    refute cheaply, before the exact check on the full budget.
+    the exact stage (:func:`_acts_innerly`) decides whether a word that
+    survives is central.  No budget applies.
     """
     w = _cyclic_core(w)
     value = _linking_class(w)
@@ -418,7 +440,7 @@ def equals(w1: BraidWord, w2: BraidWord) -> bool:
 
 def is_trivial(w: BraidWord) -> bool:
     """Whether the word represents the identity: its cyclic core, a
-    conjugate, lies in the linking class of the identity and acts innerly."""
+    conjugate, lies in the linking class of the identity and is central."""
     w = _cyclic_core(w)
     return _linking_class(w) == 0 and _acts_innerly(w)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
 from operator import eq, neg
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "WordError",
@@ -345,8 +345,7 @@ def alpha(n: int, i: int) -> BraidWord:
 
 def alpha_prime(n: int, i: int) -> BraidWord:
     """The conjugate alpha_0^(i/2) alpha_i alpha_0^(-i/2), inverted by the half twist."""
-    if i not in (0, 2):
-        raise SideConditionError(f"primed torsion element needs i in {{0, 2}}, got {i}")
+    _check_primed(i)
     a0 = alpha(n, 0)
     return (a0 ** (i // 2)) * alpha(n, i) * (a0 ** (-(i // 2)))
 
@@ -369,10 +368,7 @@ def delta_comm(n: int, r: int, i: int) -> BraidWord:
 
     Commutes with alpha_i^r; requires r >= 2 and r dividing n - i.
     """
-    if i not in (0, 1, 2):
-        raise SideConditionError(f"index i must be 0, 1 or 2, got {i}")
-    if r < 2 or (n - i) % r != 0:
-        raise SideConditionError(f"need r >= 2 dividing n-i; got r={r}, n-i={n - i}")
+    _check_commuter(n, r, i)
     return word(n, [k * r + 1 for k in range((n - i) // r)])
 
 
@@ -396,9 +392,7 @@ def omega2(n: int) -> BraidWord:
 
 def rho_strip(n: int, j: int) -> BraidWord:
     """The strip sigma_j ... sigma_{j+n/2-1}, for 1 <= j <= n/2 (n even)."""
-    _require_even(n, "strip element")
-    if not 1 <= j <= n // 2:
-        raise SideConditionError(f"strip index must satisfy 1 <= j <= n/2, got {j}")
+    _check_strip(n, j)
     return word(n, _run(j, j + n // 2 - 1))
 
 
@@ -417,10 +411,7 @@ def block_pass(n: int, i: int, m: int) -> BraidWord:
     Conjugation by alpha_i^m permutes the runs cyclically; its m-th power is
     an infinite-order element commuting with the standard dicyclic copy.
     """
-    if i not in (0, 2):
-        raise SideConditionError(f"index i must be 0 or 2, got {i}")
-    if m < 2 or (n - i) % m != 0:
-        raise SideConditionError(f"need m >= 2 dividing n-i; got m={m}, n-i={n - i}")
+    _check_blocks(n, i, m)
     s = (n - i) // m
     out: list[int] = []
     for j in range(1, s + 1):
@@ -430,8 +421,7 @@ def block_pass(n: int, i: int, m: int) -> BraidWord:
 
 def band_generator(n: int, i: int, j: int) -> BraidWord:
     """The pure band generator linking strands i < j."""
-    if not 1 <= i < j <= n:
-        raise SideConditionError(f"band generator needs 1 <= i < j <= n, got ({i}, {j})")
+    _check_band(n, i, j)
     pre = list(range(j - 1, i, -1))
     return word(n, pre + [i, i] + [-k for k in reversed(pre)])
 
@@ -443,19 +433,13 @@ def xi_elt(n: int, i: int, m: int = 1) -> BraidWord:
     constructions; equal in the group to delta_comm(n, 2m, i) conjugated by
     alpha_0^(i/2).
     """
-    if i not in (0, 2):
-        raise SideConditionError(f"index i must be 0 or 2, got {i}")
-    if m < 1 or (n - i) % (2 * m) != 0:
-        raise SideConditionError(f"need 2m dividing n-i; got m={m}, n-i={n - i}")
+    _check_step(n, i, m)
     return word(n, list(range(1 + i // 2, n - 2 * m - i // 2 + 2, 2 * m)))
 
 
 def xi_prime_elt(n: int, i: int, m: int = 1) -> BraidWord:
     """The half-twist conjugate of :func:`xi_elt`, written directly."""
-    if i not in (0, 2):
-        raise SideConditionError(f"index i must be 0 or 2, got {i}")
-    if m < 1 or (n - i) % (2 * m) != 0:
-        raise SideConditionError(f"need 2m dividing n-i; got m={m}, n-i={n - i}")
+    _check_step(n, i, m)
     first = 2 * m - 1 + i // 2
     return word(n, list(range(first, n - i // 2, 2 * m)))
 
@@ -465,18 +449,14 @@ def lambda_elt(n: int, i: int, m: int = 1) -> BraidWord:
 
     Fixed by half-twist conjugation; requires (n-i)/m even.
     """
-    if i not in (0, 2):
-        raise SideConditionError(f"index i must be 0 or 2, got {i}")
-    if m < 1 or (n - i) % m != 0 or ((n - i) // m) % 2 != 0:
-        raise SideConditionError(f"need (n-i)/m a positive even integer; got m={m}, n-i={n - i}")
+    _check_lambda(n, i, m)
     q = (n - i) // m
     return word(n, [m * (1 + 2 * j) + i // 2 for j in range(q // 2)])
 
 
 def nu_elt(n: int) -> BraidWord:
     """alpha_0^(n/4) omega2, the 3-cycle action element (n divisible by 4)."""
-    if n % 4 != 0:
-        raise SideConditionError(f"this element needs n divisible by 4, got {n}")
+    _check_quarter(n)
     return alpha(n, 0) ** (n // 4) * omega2(n)
 
 
@@ -512,21 +492,78 @@ def v_pair(n: int) -> tuple[BraidWord, BraidWord]:
 
 def gamma_b6(n: int = 6) -> BraidWord:
     """First generator of the explicit binary tetrahedral copy on 6 strands."""
-    if n != 6:
-        raise SideConditionError("this element lives on exactly 6 strands")
+    _check_six(n)
     return word(6, [5, 4, -1, -2])
 
 
 def delta_b6(n: int = 6) -> BraidWord:
     """Second generator of the explicit binary tetrahedral copy on 6 strands."""
-    if n != 6:
-        raise SideConditionError("this element lives on exactly 6 strands")
+    _check_six(n)
     return word(6, [-3, -4, -5, -2, -1, -2, 5, 4, 5, 5, 4, 3])
+
+
+# Side conditions, shared by each builder and its length in the catalog.
 
 
 def _require_even(n: int, what: str) -> None:
     if n % 2 != 0:
         raise SideConditionError(f"{what} needs an even strand count, got n={n}")
+
+
+def _check_index(i: int, allowed: tuple[int, ...]) -> None:
+    if i not in allowed:
+        *head, last = allowed
+        raise SideConditionError(f"index i must be {', '.join(map(str, head))} or {last}, got {i}")
+
+
+def _check_primed(i: int) -> None:
+    if i not in (0, 2):
+        raise SideConditionError(f"primed torsion element needs i in {{0, 2}}, got {i}")
+
+
+def _check_commuter(n: int, r: int, i: int) -> None:
+    _check_index(i, (0, 1, 2))
+    if r < 2 or (n - i) % r != 0:
+        raise SideConditionError(f"need r >= 2 dividing n-i; got r={r}, n-i={n - i}")
+
+
+def _check_strip(n: int, j: int) -> None:
+    _require_even(n, "strip element")
+    if not 1 <= j <= n // 2:
+        raise SideConditionError(f"strip index must satisfy 1 <= j <= n/2, got {j}")
+
+
+def _check_blocks(n: int, i: int, m: int) -> None:
+    _check_index(i, (0, 2))
+    if m < 2 or (n - i) % m != 0:
+        raise SideConditionError(f"need m >= 2 dividing n-i; got m={m}, n-i={n - i}")
+
+
+def _check_band(n: int, i: int, j: int) -> None:
+    if not 1 <= i < j <= n:
+        raise SideConditionError(f"band generator needs 1 <= i < j <= n, got ({i}, {j})")
+
+
+def _check_step(n: int, i: int, m: int) -> None:
+    _check_index(i, (0, 2))
+    if m < 1 or (n - i) % (2 * m) != 0:
+        raise SideConditionError(f"need 2m dividing n-i; got m={m}, n-i={n - i}")
+
+
+def _check_lambda(n: int, i: int, m: int) -> None:
+    _check_index(i, (0, 2))
+    if m < 1 or (n - i) % m != 0 or ((n - i) // m) % 2 != 0:
+        raise SideConditionError(f"need (n-i)/m a positive even integer; got m={m}, n-i={n - i}")
+
+
+def _check_quarter(n: int) -> None:
+    if n % 4 != 0:
+        raise SideConditionError(f"this element needs n divisible by 4, got {n}")
+
+
+def _check_six(n: int) -> None:
+    if n != 6:
+        raise SideConditionError("this element lives on exactly 6 strands")
 
 
 # ---------------------------------------------------------------------------
@@ -542,46 +579,101 @@ class NamedElement:
     params: tuple[int, ...] = ()
 
 
-# tag -> (builder taking (n, *params), allowed arities)
+def _pairs(k: int) -> int:
+    """k(k-1)/2: the letters of the half twist on k strands."""
+    return k * (k - 1) // 2
+
+
+def _primed_power_length(n: int, i: int, m: int) -> int:
+    """The letters of alpha_i'^m: alpha_0^m, or alpha_0 alpha_2^m alpha_0^-1,
+    as the alpha_0^-1 alpha_0 between two copies cancel."""
+    return m * (n - 1) if i == 0 else (m + 2) * (n - 1)
+
+
+def _eta_length(n: int, i: int, m: int = 1) -> int:
+    """The letters of :func:`eta_elt`, from its parts: xi has q = (n-i)/2m
+    letters and D has n(n-1)/2.
+
+    For i = 0, the xi^-1 that ends in sigma_1^-1 cancels one letter of the
+    alpha_0 (m = 1) or of D (m > 1) after it, and for m = 1 the alpha_0
+    before xi^-1 cancels its first letter, sigma_{n-1}^-1, as well.  For
+    i = 2 and m = 1, the alpha_0^-1 that ends alpha_2' cancels D's first
+    run sigma_1 ... sigma_{n-1}.  Nothing else cancels.
+    """
+    _check_step(n, i, m)
+    q, d = (n - i) // (2 * m), _pairs(n)
+    if m == 1:
+        return 2 * q + 2 * _primed_power_length(n, i, 1) + d - (4 if i == 0 else 2 * (n - 1))
+    return 2 * q + _primed_power_length(n, i, m) + d - (2 if i == 0 else 0)
+
+
+def _eta_tilde_length(n: int, i: int, m: int = 1) -> int:
+    """The letters of :func:`eta_tilde_elt`: as in :func:`_eta_length`, for
+    i = 0 xi^-1 cancels sigma_1 against the second alpha_0^m, and for m = 1
+    the first alpha_0 cancels sigma_{n-1}^-1; for i = 2 nothing cancels."""
+    _check_step(n, i, m)
+    cancelled = 0 if i else (4 if m == 1 else 2)
+    return 2 * ((n - i) // (2 * m)) + 2 * _primed_power_length(n, i, m) - cancelled
+
+
+# tag -> (builder taking (n, *params), allowed arities, length taking the
+# same arguments).  Each length is the number of letters of the built word,
+# in closed form, after the builder's side conditions (each check returns
+# None or raises), so the parser bounds a word before it builds it.
 _CATALOG = {
-    "a0": (lambda n: alpha(n, 0), (0,)),
-    "a1": (lambda n: alpha(n, 1), (0,)),
-    "a2": (lambda n: alpha(n, 2), (0,)),
-    "ap": (alpha_prime, (1,)),
-    "D": (half_twist, (0,)),
-    "FT": (full_twist, (0,)),
-    "O1": (omega1, (0,)),
-    "O2": (omega2, (0,)),
-    "rho": (lambda n, *p: rho_strip(n, *p) if p else rho_pass(n), (0, 1)),
-    "delta": (delta_comm, (2,)),
-    "blocks": (block_pass, (2,)),
-    "xi": (xi_elt, (1, 2)),
-    "xip": (xi_prime_elt, (1, 2)),
-    "lam": (lambda_elt, (1, 2)),
-    "A": (band_generator, (2,)),
-    "nu": (nu_elt, (0,)),
-    "zeta": (zeta_elt, (0,)),
-    "eta": (eta_elt, (1, 2)),
-    "etat": (eta_tilde_elt, (1, 2)),
-    "v1": (lambda n: v_pair(n)[0], (0,)),
-    "v2": (lambda n: v_pair(n)[1], (0,)),
-    "gamma6": (gamma_b6, (0,)),
-    "delta6": (delta_b6, (0,)),
+    "a0": (lambda n: alpha(n, 0), (0,), lambda n: n - 1),
+    "a1": (lambda n: alpha(n, 1), (0,), lambda n: n),
+    "a2": (lambda n: alpha(n, 2), (0,), lambda n: n - 1),
+    "ap": (alpha_prime, (1,), lambda n, i: _check_primed(i) or _primed_power_length(n, i, 1)),
+    "D": (half_twist, (0,), _pairs),
+    "FT": (full_twist, (0,), lambda n: n * (n - 1)),
+    "O1": (omega1, (0,), lambda n: _require_even(n, "half-block twist") or _pairs(n // 2)),
+    "O2": (omega2, (0,), lambda n: _require_even(n, "half-block twist") or _pairs(n // 2)),
+    "rho": (
+        lambda n, *p: rho_strip(n, *p) if p else rho_pass(n),
+        (0, 1),
+        lambda n, *p: (_check_strip(n, *p) or n // 2) if p
+        else (_require_even(n, "block-pass element") or (n // 2) ** 2),
+    ),
+    "delta": (delta_comm, (2,), lambda n, r, i: _check_commuter(n, r, i) or (n - i) // r),
+    "blocks": (block_pass, (2,), lambda n, i, m: _check_blocks(n, i, m) or (n - i) // m * (m - 1)),
+    "xi": (xi_elt, (1, 2), lambda n, i, m=1: _check_step(n, i, m) or (n - i) // (2 * m)),
+    "xip": (xi_prime_elt, (1, 2), lambda n, i, m=1: _check_step(n, i, m) or (n - i) // (2 * m)),
+    "lam": (lambda_elt, (1, 2), lambda n, i, m=1: _check_lambda(n, i, m) or (n - i) // m // 2),
+    "A": (band_generator, (2,), lambda n, i, j: _check_band(n, i, j) or 2 * (j - i)),
+    "nu": (nu_elt, (0,), lambda n: _check_quarter(n) or (n - 1) * (n // 4) + _pairs(n // 2)),
+    "zeta": (zeta_elt, (0,), lambda n: _require_even(n, "swap action element") or _pairs(n // 2) + _pairs(n)),
+    "eta": (eta_elt, (1, 2), _eta_length),
+    "etat": (eta_tilde_elt, (1, 2), _eta_tilde_length),
+    "v1": (lambda n: v_pair(n)[0], (0,), lambda n: _pairs(n if n % 2 else n - 1)),
+    "v2": (lambda n: v_pair(n)[1], (0,), lambda n: _pairs(n if n % 2 else n - 1)),
+    "gamma6": (gamma_b6, (0,), lambda n: _check_six(n) or 4),
+    "delta6": (delta_b6, (0,), lambda n: _check_six(n) or 12),
 }
+
+
+def _catalog_entry(name: NamedElement) -> tuple[Callable[..., BraidWord], Callable[..., int]]:
+    """The builder and the length of a named element, its arity checked."""
+    if name.tag not in _CATALOG:
+        raise WordError(f"unknown named element {name.tag!r}")
+    builder, arities, length = _CATALOG[name.tag]
+    if len(name.params) not in arities:
+        raise SideConditionError(
+            f"{name.tag} takes {' or '.join(map(str, arities))} parameter(s), got {len(name.params)}"
+        )
+    return builder, length
 
 
 def std_element(name: NamedElement | str, n: int) -> BraidWord:
     """The literal catalog word for a named element on n strands."""
     if isinstance(name, str):
         name = NamedElement(name)
-    if name.tag not in _CATALOG:
-        raise WordError(f"unknown named element {name.tag!r}")
-    builder, arities = _CATALOG[name.tag]
-    if len(name.params) not in arities:
-        raise SideConditionError(
-            f"{name.tag} takes {' or '.join(map(str, arities))} parameter(s), got {len(name.params)}"
-        )
-    return builder(n, *name.params)
+    return _catalog_entry(name)[0](n, *name.params)
+
+
+def _atom_length(name: NamedElement, n: int) -> int:
+    """The number of letters of ``std_element(name, n)``, without building it."""
+    return _catalog_entry(name)[1](n, *name.params)
 
 
 # Every pattern is ASCII-only: a digit or a space outside ASCII is malformed.
@@ -640,8 +732,8 @@ def _exponent(text: str | None) -> int:
         return int(sign + digits)
 
 
-def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
-    """The letters of the named element a token match names.
+def _named_atom(m: re.Match) -> NamedElement:
+    """The named element a token match names.
 
     Each argument is read as generator indices are: ASCII spaces around an
     optional '-' and ASCII digits.  Leading zeros are dropped before int(),
@@ -660,7 +752,7 @@ def _named_atom(m: re.Match, n: int) -> tuple[int, ...]:
             shown = f"{arg[:20]!r}..." if len(arg) > 20 else repr(arg)
             raise WordError(f"bad argument {shown} to {name} at position {at}") from None
         at += len(arg) + 1
-    return std_element(NamedElement(name, tuple(params)), n).letters
+    return NamedElement(name, tuple(params))
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
@@ -673,7 +765,8 @@ def parse_braid(text: str, n: int) -> BraidWord:
     read in one match.  The letters of all atoms are collected as parts and
     free-reduced once; a group is reduced when it closes and then repeated.
     The parts may hold at most 2,000,000 letters: an atom or group whose
-    power would pass that is an error, raised before the power is built.
+    power would pass that is an error, raised before the power is built,
+    and for a catalog atom before the atom itself is built.
     Text of spaces only is the identity.
     """
     identity(n)  # a bad strand count is reported before any token
@@ -684,6 +777,7 @@ def parse_braid(text: str, n: int) -> BraidWord:
     pos = 0
     expect_atom = True
     while pos < len(text):
+        atom = None  # a catalog atom, built only once it is known to fit
         start = _SPACE.match(text, pos).end()  # type: ignore[union-attr]
         c = text[start : start + 1]
         if c == "*" and not expect_atom:
@@ -715,12 +809,14 @@ def parse_braid(text: str, n: int) -> BraidWord:
             if m.group("int") is not None:
                 letters = _generator_indices(m, "int", n)
             else:
-                letters = _named_atom(m, n)
+                atom = _named_atom(m)
             exp = m.group("exp")
         e = _exponent(exp)
-        count = len(letters) * abs(e)
+        count = (len(letters) if atom is None else _atom_length(atom, n)) * abs(e)
         if sum(sizes) + count > _LETTER_BUDGET:
             raise WordError(f"word passes {_LETTER_BUDGET:,} letters at position {start}")
+        if atom is not None and count:
+            letters = std_element(atom, n).letters
         if count:
             sizes[-1] += count
             groups[-1] += _power_parts(letters, e)

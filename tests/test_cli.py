@@ -368,13 +368,14 @@ class TestErrorHandling:
         assert "argument --n" in captured.err
 
     def test_budget_error_clean_exit(self, capsys):
-        # p FT p^-1 q FT q^-1 with p = (1 -2)^18 and q = (2 -1)^18 = p^-1:
-        # trivial, but no screen decides it and its free-group images
-        # overflow the budget.
+        # p FT p^-1 p^-1 FT p with p = (1 -2)^18 and p^-1 = (2 -1)^18:
+        # trivial, and its free-group images would overflow the budget; the
+        # exact stage needs none and decides it.
         p, q = " ".join(["1 -2"] * 18), " ".join(["2 -1"] * 18)
         code = main(["order", "--n", "4", "--word", f"{p} FT {q} {q} FT {p}"])
-        err = capsys.readouterr().err
-        assert code == 2 and ("budget" in err or "letters" in err)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == "order: 1\n"
 
     @pytest.mark.parametrize("action,tag", [("subgroups", "Z2001")])
     def test_group_budget_error_clean_exit(self, capsys, action, tag):

@@ -11,7 +11,6 @@ from spherebraid.groups import make_group, sphere_three_strand_table
 from spherebraid.oracle import (
     FreeAutomorphism,
     _linking_class,
-    _traces_could_be_central,
     OracleBudgetError,
     Order,
     artin_action,
@@ -96,24 +95,6 @@ def artin_action_reference(w, budget):
     return FreeAutomorphism(tuple(imgs))
 
 
-def sl2_reference(w):
-    """Final SL2 images by the reference recurrence, and the trace verdict."""
-    basis, traces = oracle._sl2_basis(w.n)
-    imgs = list(basis)
-    for _ in artin_steps_reference(w.letters, imgs, oracle._mat_mul, oracle._mat_inv):
-        pass
-    return tuple(imgs), oracle._traces(imgs) == traces
-
-
-def sl2_images(w):
-    basis = oracle._sl2_basis(w.n)[0]
-    imgs = list(basis)
-    p = oracle._mat_mul(*basis)
-    for _ in oracle._artin_steps(w.letters, imgs, p, oracle._mat_conj, oracle._mat_inv):
-        pass
-    return tuple(imgs)
-
-
 def last_heavy_word(rng, n, length):
     """A reduced word about half of whose letters are sigma_{n-1}^{+-1}."""
     letters = []
@@ -133,15 +114,15 @@ def outcome(f, *args):
 
 
 class TestArtinRecurrenceAgainstReference:
-    """Carrying phi(x_1 ... x_{n-1}) changes no image, budget error or trace verdict."""
+    """Carrying phi(x_1 ... x_{n-1}) changes no image or budget error."""
 
     @pytest.mark.parametrize("n", [*range(3, 13), 20, 40])
-    def test_images_budget_errors_and_traces(self, n):
+    def test_images_and_budget_errors(self, n):
         rng = random.Random(1800 + n)
         ws = [last_heavy_word(rng, n, length) for length in (0, 1, 2, 5, 9, 14, 20, 30, 45)]
         heavy = sum(abs(x) == n - 1 for w in ws for x in w.letters)
         assert 3 * heavy >= sum(len(w) for w in ws)
-        # Inner automorphisms, which the trace screen must pass.
+        # Inner automorphisms.
         ws += [u * surface_relation(n) * u.inv() for u in ws[3:6]]
         ws += [u * full_twist(n) * u.inv() for u in ws[3:5]]
         outcomes = set()
@@ -150,26 +131,26 @@ class TestArtinRecurrenceAgainstReference:
                 got = outcome(artin_action, w, budget)
                 assert got == outcome(artin_action_reference, w, budget)
                 outcomes.add(got is OracleBudgetError)
-            mats, verdict = sl2_reference(w)
-            assert sl2_images(w) == mats
-            assert _traces_could_be_central(w) == verdict
         assert outcomes == {True, False}
-        assert all(_traces_could_be_central(w) for w in ws[-5:])
+        assert all(is_inner(artin_action(w)) is not None for w in ws[-5:])
 
-    def test_one_conjugation_per_letter(self):
+    def test_one_conjugation_per_letter(self, monkeypatch):
         n = 40
         w = last_heavy_word(random.Random(40), n, 120)
         calls = []
 
+        fconj = oracle._fconj
+
         def conj(*args):
             calls.append(args)
-            return oracle._fconj(*args)
+            return fconj(*args)
 
+        monkeypatch.setattr(oracle, "_fconj", conj)
         imgs = [((j,), (-j,)) for j in range(1, n)]
         ref = [(j,) for j in range(1, n)]
         p = tuple(range(1, n))
         total, per_letter, carried = len(imgs), [], 0
-        steps = oracle._artin_steps(w.letters, imgs, (p, oracle._finv(p)), conj, oracle._swap)
+        steps = oracle._artin_steps(w.letters, imgs, (p, oracle._finv(p)))
         reference = artin_steps_reference(w.letters, ref, W._reduce, oracle._finv)
         product = W._reduce(*ref)
         for x, (new, old), _ in zip(w.letters, steps, reference):
@@ -496,15 +477,16 @@ class TestRootStage:
                 finite += want.is_finite
         assert finite > len(roots)
 
-    def test_hard_powers_screen_only_the_root(self, monkeypatch):
+    def test_hard_powers_decide_only_the_root(self, monkeypatch):
         # (1 -2)^k: the root 1 -2 is a 3-cycle on three strands, so the
-        # trace screen meets (1 -2)^3 and never the power of w itself.
-        screened = []
-        monkeypatch.setattr(oracle, "_traces_could_be_central",
-                            lambda v: screened.append(v) or _traces_could_be_central(v))
+        # exact stage meets (1 -2)^3 and never the power of w itself.
+        decided = []
+        acts_innerly = oracle._acts_innerly
+        monkeypatch.setattr(oracle, "_acts_innerly",
+                            lambda v: decided.append(v) or acts_innerly(v))
         for k in range(14, 21):
             assert order_of(word(4, [1, -2] * k)) == Order(None)
-        assert [len(v) for v in screened] == [6] * 7
+        assert [len(v) for v in decided] == [6] * 7
 
 
 class TestCommute:
@@ -698,7 +680,7 @@ class TestNoLetterChecks:
         ws = [random_word(rng, n, 16) for n in (3, 4, 5, 6, 8) for _ in range(4)]
         ws += [full_twist(5), alpha(6, 0), alpha(6, 1) ** 5, surface_relation(5), identity(4)]
         a12, a23 = W.band_generator(4, 1, 2), W.band_generator(4, 2, 3)
-        screened = a12 * a23 * a12.inv() * a23.inv()  # its images outgrow the first pass: the trace screen runs
+        commutator = a12 * a23 * a12.inv() * a23.inv()  # pure, in the identity's class, not central
         subgroups = [([alpha_prime(5, 2), half_twist(5)], make_group("dicyclic", 3)),
                      (binary_tetrahedral_gens(), make_group("T*")),
                      ([alpha(6, 0) ** 4], make_group("cyclic", 6))]
@@ -712,7 +694,7 @@ class TestNoLetterChecks:
             order_of(w)
             central_value(w)
         assert order_of(ws[-5]) == Order.finite(2)
-        assert central_value(screened) is None
+        assert central_value(commutator) is None
         assert [verify_finite_subgroup(g, t) for g, t in subgroups] == [True, True, False]
         assert calls == []
 
@@ -720,13 +702,14 @@ class TestNoLetterChecks:
 class TestBudget:
     def test_pseudo_anosov_power_aborts_cleanly(self):
         # p FT p^-1 q FT q^-1 is trivial, but cyclic reduction cannot strip
-        # it and its free-group images grow exponentially; the oracle must
-        # refuse with a clear error instead of exhausting memory.
+        # it and its free-group images grow exponentially past the budget;
+        # the exact stage needs no budget and decides it.
         p, q, ft = word(4, [1, -2] * 18), word(4, [2, -1] * 18), full_twist(4)
         w = p * ft * p.inv() * q * ft * q.inv()
         assert len(w) == 166
+        assert order_of(w) == Order(1)
         with pytest.raises(OracleBudgetError):
-            order_of(w)
+            artin_action(w)
 
     def test_budget_parameter(self):
         from spherebraid.oracle import artin_action
@@ -744,7 +727,7 @@ def sphere_relators(n):
 
 
 class TestScreenSoundness:
-    """The trace screen never refutes a word that is central in the group."""
+    """No stage refutes a word that is central in the group."""
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_inserted_relator_conjugates_are_never_refuted(self, n):
@@ -757,7 +740,6 @@ class TestScreenSoundness:
             cut = rng.randint(0, len(u))
             head, tail = word(n, u.letters[:cut]), word(n, u.letters[cut:])
             v = head * g * r * g.inv() * tail
-            assert _traces_could_be_central(v * u.inv())
             assert equals(u, v)
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -766,7 +748,6 @@ class TestScreenSoundness:
         for _ in range(10):
             g = random_word(rng, n, 15)
             w = g * full_twist(n) * g.inv()
-            assert _traces_could_be_central(w)
             assert central_value(w) == 2
 
     @pytest.mark.parametrize("k", (14, 18))
@@ -888,13 +869,13 @@ class TestLinkingClass:
         assert (None in values) == (not_central > 0) == (n > 3)
 
     @pytest.mark.parametrize("n", (4, 6, 8))
-    def test_twist_apart_without_the_free_group(self, n, monkeypatch):
+    def test_twist_apart_without_the_exact_stage(self, n, monkeypatch):
         # At even n the abelianization cannot tell w from w * FT; the
-        # linking class does, so the free-group action is never computed.
+        # linking class does, so the exact stage never runs.
         def refuse(*args, **kwargs):
-            raise AssertionError("the free-group action was computed")
+            raise AssertionError("the exact stage ran")
 
-        monkeypatch.setattr(oracle, "artin_action", refuse)
+        monkeypatch.setattr(oracle, "_acts_innerly", refuse)
         rng = random.Random(120 + n)
         for _ in range(10):
             w = random_word(rng, n, 15)
@@ -983,9 +964,10 @@ class TestConjugationInvariance:
         assert got.value in (None, p, 2 * p)
 
 
-def screen_first_acts_innerly(w):
-    """The stage order before the linear budget: the trace screen, then the exact check."""
-    return _traces_could_be_central(w) and is_inner(artin_action(w)) is not None
+def free_group_acts_innerly(w):
+    """The free-group check, the reference for the exact stage: the word's
+    automorphism of the punctured-sphere free group is inner."""
+    return is_inner(artin_action(w)) is not None
 
 
 def verdict(f, *args):
@@ -995,11 +977,10 @@ def verdict(f, *args):
         return OracleBudgetError
 
 
-def stage_order_cases(n):
+def stage_cases(n):
     """Seeded equal pairs (a word and the same word with a relator conjugate
     inserted), and single words: random words, their pure powers, those times
-    the full twist, g delta(r,i) g^-1, and (1 -2)^k FT, whose images outgrow
-    the linear budget when 3 divides k."""
+    the full twist, g delta(r,i) g^-1, and (1 -2)^k FT."""
     rng = random.Random(80 + n)
     rels = sphere_relators(n)
     pairs, singles = [], []
@@ -1020,89 +1001,190 @@ def stage_order_cases(n):
     return pairs, singles
 
 
-class TestStageOrder:
-    """The exact check runs first on a budget of 2(n-1)|w| image letters; the
-    trace screen runs only on overflow, and no verdict changes."""
+def dynnikov(letters, coords):
+    """Dynnikov's action on the flat vector (a_1, b_1, ..., a_m, b_m)."""
+    pairs = [(0, 0)] + list(zip(coords[::2], coords[1::2]))
+    return [x for pair in oracle._dynnikov(letters, pairs)[1:] for x in pair]
+
+
+def delta_squared(m, k):
+    """Delta^2k on m strands: (sigma_1 ... sigma_{m-1})^mk, or its inverse."""
+    cycle = list(range(1, m)) if k > 0 else list(range(-(m - 1), 0))
+    return cycle * (m * abs(k))
+
+
+def exact_verdict(w, s):
+    """The exact stage with strand s at infinity in place of the least-emitting one."""
+    m = w.n - 1
+    beta = oracle._capped_word(w.letters, w.n, s)
+    assert all(0 < abs(x) < m for x in beta)
+    k, r = divmod(sum(1 if x > 0 else -1 for x in beta), m * (m - 1))
+    return r == 0 and dynnikov(beta + delta_squared(m, -k), [0, 1] * m) == [0, 1] * m
+
+
+def disc_artin_images(letters, m):
+    """The images of x_1 .. x_m under the Artin action of a B_m word on F_m,
+    which is faithful: sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i."""
+    imgs = [(j,) for j in range(1, m + 1)]
+    for x in letters:
+        i = abs(x)
+        a, b = imgs[i - 1], imgs[i]
+        if x > 0:
+            imgs[i - 1], imgs[i] = W._reduce(a, b, oracle._finv(a)), a
+        else:
+            imgs[i - 1], imgs[i] = b, W._reduce(oracle._finv(b), a, b)
+    return imgs
+
+
+def central_class_words(n):
+    """Seeded pure words in the linking class of the identity or of FT.
+
+    Commutators of band-generator products and pure powers of random words
+    land in a class, most of them without being central.  One to three
+    relators conjugated into a random word u, then u^-1, and the twists
+    g FT^+-1 g^-1 are central and long, without being trivial letter by
+    letter.  A third of them are multiplied by FT.
+    """
+    rng = random.Random(3100 + n)
+    rels = sphere_relators(n)
+    ft = full_twist(n)
+
+    def band():
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        return W.band_generator(n, i, j) ** rng.choice([1, -1, 2])
+
+    ws = [alpha(n, i) ** (n - i) for i in range(min(3, n - 1))]
+    for trial in range(60):
+        kind = trial % 4
+        if kind == 0:
+            a, b = band() * band(), band()
+            w = a * b * a.inv() * b.inv()
+        elif kind == 1:
+            w = random_word(rng, n, 10)
+            w = w ** W.permutation(w).order()
+        elif kind == 2:
+            u = random_word(rng, n, 25)
+            w = u
+            for _ in range(rng.randint(1, 3)):
+                g, r = random_word(rng, n, 15), rng.choice(rels) ** rng.choice([1, -1])
+                cut = rng.randint(0, len(w))
+                w = word(n, w.letters[:cut]) * g * r * g.inv() * word(n, w.letters[cut:])
+            w = w * u.inv()
+        else:
+            g = random_word(rng, n, 30)
+            w = g * ft ** rng.choice([1, -1]) * g.inv()
+        ws.append(w * ft if rng.random() < 0.3 else w)
+    return [w for w in ws if _linking_class(w) is not None]
+
+
+class TestDynnikovAction:
+    """The max-plus formulas are an action of B_m, and a faithful one."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_relations_on_random_vectors(self, m):
+        rng = random.Random(3000 + m)
+        for _ in range(40):
+            v = [rng.randint(-60, 60) for _ in range(2 * m)]
+            for i in range(1, m):
+                assert dynnikov([i, -i], v) == v == dynnikov([-i, i], v)
+                if i < m - 1:
+                    assert dynnikov([i, i + 1, i], v) == dynnikov([i + 1, i, i + 1], v)
+                for j in range(i + 2, m):
+                    assert dynnikov([i, j], v) == dynnikov([j, i], v)
+            # Some generator moves the vector, so the relations are not vacuous.
+            assert any(dynnikov([i], v) != v for i in range(1, m))
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_fixes_the_unit_exactly_on_trivial_disc_braids(self, m):
+        # Disc words with braid and commutation relators conjugated in,
+        # against the faithful Artin action of B_m on F_m.
+        rng = random.Random(3050 + m)
+        rels = [[i, i + 1, i, -(i + 1), -i, -(i + 1)] for i in range(1, m - 1)]
+        rels += [[i, j, -i, -j] for i in range(1, m) for j in range(i + 2, m)]
+        rels += [[i, -i] for i in range(1, m)]
+        unit, basis = [0, 1] * m, [(j,) for j in range(1, m + 1)]
+        seen = set()
+        for _ in range(80):
+            u = [rng.choice([1, -1]) * rng.randint(1, m - 1) for _ in range(rng.randint(0, 8))]
+            g = [rng.choice([1, -1]) * rng.randint(1, m - 1) for _ in range(rng.randint(0, 5))]
+            r = rng.choice(rels) if rng.random() < 0.6 else [rng.choice([1, -1])]
+            letters = u + g + r + [-x for x in reversed(g)] + [-x for x in reversed(u)]
+            trivial = disc_artin_images(letters, m) == basis
+            assert (dynnikov(letters, unit) == unit) == trivial, letters
+            seen.add(trivial)
+        assert seen == {True, False}
+
+
+class TestExactStage:
+    """The exact stage agrees with the free-group check, from every strand."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_agrees_with_the_free_group_check(self, n):
+        ws = central_class_words(n)
+        values = []
+        for w in ws:
+            want = free_group_acts_innerly(w)
+            assert oracle._acts_innerly(w) == want, w.letters
+            assert all(exact_verdict(w, s) == want for s in range(1, n + 1)), w.letters
+            values.append(want)
+        # Long central words that are not trivial letter by letter, and on
+        # four strands or more, class members that are not central.
+        assert any(want and len(w) > 60 for w, want in zip(ws, values))
+        assert (False in values) == (n > 3)
 
     @pytest.mark.parametrize("n", range(4, 10))
-    def test_verdicts_match_the_screen_first_order(self, n, monkeypatch):
-        pairs, singles = stage_order_cases(n)
-        if n == 4:
-            p, q = word(4, [1, -2] * 18), word(4, [2, -1] * 18)
-            singles.append(p * full_twist(4) * p.inv() * q * full_twist(4) * q.inv())
+    def test_verdicts_match_the_free_group_check(self, n, monkeypatch):
+        pairs, singles = stage_cases(n)
 
         def verdicts():
             return ([verdict(equals, u, v) for u, v in pairs],
                     [(verdict(central_value, w), verdict(order_of, w)) for w in singles])
 
-        screened = []
-        monkeypatch.setattr(oracle, "_traces_could_be_central",
-                            lambda w: screened.append(w) or _traces_could_be_central(w))
         got = verdicts()
-        assert screened, "no word outgrew the linear budget"
         assert all(got[0])
-        monkeypatch.setattr(oracle, "_acts_innerly", screen_first_acts_innerly)
-        assert verdicts() == got
+        monkeypatch.setattr(oracle, "_acts_innerly", free_group_acts_innerly)
+        want = verdicts()
+        assert want[0] == got[0]
+        # The reference may overflow its budget, e.g. on (1 -2)^12 FT at
+        # n = 8; the exact stage never does.
+        assert all(OracleBudgetError not in g for g in got[1])
+        assert all(g == v or OracleBudgetError in v for g, v in zip(got[1], want[1]))
 
-    def test_central_words_skip_the_trace_screen(self, monkeypatch):
-        def refuse(w):
-            raise AssertionError("the trace screen ran on a central word")
+    def test_least_emitting_strand(self):
+        # Every letter is one emission of one of the two strands it crosses:
+        # of the left one for sigma_i, of the right one for sigma_i^-1.  Ties
+        # go to the lowest strand.
+        assert oracle._least_emitting_strand((1, 1, 1, 1), 3) == 3
+        assert oracle._least_emitting_strand((1, 1, -2, -2), 3) == 1
+        assert oracle._least_emitting_strand((-2, -2, -2, -2), 4) == 1
+        assert oracle._least_emitting_strand((1, 1, 3, 3), 4) == 1
+        assert oracle._least_emitting_strand((1, 1, -1, -1), 3) == 3
 
-        monkeypatch.setattr(oracle, "_traces_could_be_central", refuse)
-        for n in range(4, 10):
-            pairs, _ = stage_order_cases(n)
-            assert all(equals(u, v) for u, v in pairs)
-            g = random_word(random.Random(n), n, 10)
-            assert central_value(g * full_twist(n) * g.inv()) == 2
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_emissions(self, n):
+        # A_p: 2n - 4 negative letters of B_{n-1}, beside its inverse.
+        table = oracle._emissions(n)
+        for p in range(1, n):
+            a = table[2 * p]
+            assert len(a) == 2 * n - 4 and table[2 * p + 1] == oracle._finv(a)
+            assert all(-(n - 2) <= x <= -1 for x in a)
 
-    def test_overflow_is_screened_once_and_never_reaches_the_full_budget(self, monkeypatch):
-        w = word(4, [1, -2] * 6) * full_twist(4)
-        screened, budgets = [], []
 
-        def action(v, budget=oracle.IMAGE_BUDGET):
-            budgets.append(budget)
-            return artin_action(v, budget)
+class TestBudgetWords:
+    """The README's two words, trivial at 166 letters, and their k = 200 versions."""
 
-        monkeypatch.setattr(oracle, "_traces_could_be_central",
-                            lambda v: screened.append(v) or _traces_could_be_central(v))
-        monkeypatch.setattr(oracle, "artin_action", action)
-        assert central_value(w) is None
-        assert screened == [w]
-        assert budgets == [2 * 3 * len(w)]
+    @pytest.mark.parametrize("k", (18, 200))
+    def test_decided_trivial(self, k):
+        p, q, ft = word(4, [1, -2] * k), word(4, [2, -1] * k), full_twist(4)
+        for w in (p * ft * p.inv() * p.inv() * ft * p, p * ft * p.inv() * q * ft * q.inv()):
+            assert len(w) == 8 * k + 22
+            assert is_trivial(w) and central_value(w) == 0
+            assert order_of(w) == Order(1) and equals(w, identity(4))
+            assert not is_trivial(w * ft) and central_value(w * ft) == 2
 
-    def test_first_pass_never_passes_the_full_budget(self, monkeypatch):
-        # A long word's 2(n-1)|w| can reach the full budget; such a word goes
-        # straight to the trace screen, so a non-central word cannot grow its
-        # images to the full budget before the screen refutes it.
-        w = word(4, [1, -2] * 6) * full_twist(4)
-        screened, budgets = [], []
-
-        def action(v, budget=oracle.IMAGE_BUDGET):
-            budgets.append(budget)
-            return artin_action(v, budget)
-
-        monkeypatch.setattr(oracle, "IMAGE_BUDGET", 2 * 3 * len(w) - 1)
-        monkeypatch.setattr(oracle, "_traces_could_be_central",
-                            lambda v: screened.append(v) or _traces_could_be_central(v))
-        monkeypatch.setattr(oracle, "artin_action", action)
-        assert central_value(w) is None
-        assert screened == [w]
-        assert budgets == []
-
-    def test_central_word_past_the_full_budget_gets_its_value(self, monkeypatch):
-        # FT^3 = FT, cyclically reduced: the screen passes it, and the one
-        # exact check runs on the full budget.
-        w, full = full_twist(4) ** 3, oracle.IMAGE_BUDGET
-        screened, budgets = [], []
-
-        def action(v, budget=oracle.IMAGE_BUDGET):
-            budgets.append(budget)
-            return artin_action(v, budget)
-
-        monkeypatch.setattr(oracle, "IMAGE_BUDGET", 2 * 3 * len(w))
-        monkeypatch.setattr(oracle, "_traces_could_be_central",
-                            lambda v: screened.append(v) or _traces_could_be_central(v))
-        monkeypatch.setattr(oracle, "artin_action", action)
-        assert central_value(w) == 2
-        assert screened == [w]
-        assert budgets == [full]
+    @pytest.mark.parametrize("k", (14, 20, 200))
+    def test_powers_of_the_pseudo_anosov(self, k):
+        p = word(4, [1, -2] * k)
+        assert order_of(p) == Order(None)
+        assert central_value(p * full_twist(4) * p.inv()) == 2
+        assert central_value(p * word(4, [1, 1]) * p.inv()) is None

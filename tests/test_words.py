@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -688,6 +689,48 @@ class TestCatalog:
     def test_dsl_surface(self, text, n):
         w = parse_braid(text, n)
         assert isinstance(w, BraidWord) and w.n == n
+
+
+def catalog_outcome(f, n, name):
+    try:
+        return f(name, n)
+    except WordError as e:
+        return type(e), str(e)
+
+
+class TestCatalogLengths:
+    """Each catalog atom's closed-form length is the length of the built word,
+    and it refuses exactly what the builder refuses, with the same error."""
+
+    @pytest.mark.parametrize("tag", sorted(W._CATALOG))
+    def test_length_formula_is_the_built_length(self, tag):
+        arities = W._CATALOG[tag][1]
+        checked = refused = 0
+        for n in range(3, 41):
+            for arity in arities:
+                for params in product(range(-1, n + 2), repeat=arity):
+                    name = W.NamedElement(tag, params)
+                    want = catalog_outcome(lambda a, k: len(W.std_element(a, k)), n, name)
+                    assert catalog_outcome(W._atom_length, n, name) == want, (n, params)
+                    checked += isinstance(want, int)
+                    refused += not isinstance(want, int)
+        assert checked > 0 and (refused > 0) == (tag not in ("a0", "a1", "a2", "D", "FT", "v1", "v2"))
+
+    @pytest.mark.parametrize("text,n", [
+        ("FT", 1415), ("D", 2001), ("zeta", 1790), ("eta(2,1)", 2002), ("etat(0,708)", 1416),
+        ("v1", 2001), ("rho", 2830),
+    ])
+    def test_atoms_past_the_bound_are_refused_unbuilt(self, text, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the atom was built")
+
+        monkeypatch.setattr(W, "std_element", refuse)
+        with pytest.raises(WordError, match="^word passes 2,000,000 letters at position 0$"):
+            parse_braid(text, n)
+
+    def test_atoms_inside_the_bound_are_built(self):
+        assert len(parse_braid("FT", 1414)) == 1414 * 1413
+        assert len(parse_braid("FT^0", 5000)) == 0
 
 
 class TestCatalogPermutationPatterns:
