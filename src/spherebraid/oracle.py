@@ -1,19 +1,19 @@
 """
 The word problem for the braid groups of the sphere.
 
-A word is central, the identity or the full twist, exactly when its image
-in Mod(S_{0,n}) = B_n(S^2)/<FT> is trivial.  Centrality is decided in
-stages, each exact.  The word is cyclically reduced (centrality is
-invariant under conjugation), then one pass over its letters checks that
-it is pure and reads the class of its pairwise crossing counts modulo the
-sphere relators: the identity and the full twist lie in two disjoint
-classes, so a word in neither is not central, and a central word's class
-says which of the two it is.  A survivor fixes every puncture, and the
-stabiliser of one puncture is B_{n-1}/<Delta^2>; its image in B_{n-1} is
-Delta^2k, for the k its exponent sum names, exactly when Dynnikov's
-faithful max-plus action says so.  It is all integer arithmetic, so no
-budget applies.  One pipeline decides every n >= 3, the finite three-strand
-group included.
+A word is central, the identity or the full twist, exactly when its image in
+Mod(S_{0,n}) = B_n(S^2)/<FT> is trivial.  Centrality is decided in stages,
+each exact.  The word is cyclically reduced (centrality is invariant under
+conjugation), then one pass over its letters checks that it is pure, reads
+the class of its pairwise crossing counts modulo the sphere relators and
+counts each strand's emissions.  The identity and the full twist lie in two
+disjoint classes, so a word in neither is not central, and a central word's
+class says which it is.  A survivor's image in B_{n-1}/<Delta^2>, the
+stabiliser of its least-emitting strand, is Delta^2k, for the k its exponent
+sum names, exactly when it moves (0, 1, ..., 0, 1) where Delta^2k does under
+Dynnikov's faithful max-plus action, a point computed once per (n, k).  It
+is all integer arithmetic, so no budget applies.  One pipeline decides every
+n >= 3, the finite three-strand group included.
 
 For orders, a word's cyclic core is written as r^m with r its primitive
 root, and the order of r^m is read off that of r; the cycle type of r's
@@ -243,8 +243,9 @@ class Order:
 INFINITE = Order(None)
 
 
-def _linking_class(w: BraidWord) -> int | None:
-    """The central element a word's crossing counts allow: 0, 2, or None.
+def _linking_class(w: BraidWord) -> tuple[int | None, int]:
+    """The central element a word's crossing counts allow, 0, 2 or None, and
+    the strand whose rewrite (:func:`_capped_word`) emits least.
 
     One pass follows the strands and adds up the signed crossings d_jk of
     every pair of strands j < k.  A word that does not bring every strand
@@ -257,30 +258,39 @@ def _linking_class(w: BraidWord) -> int | None:
     and 2 * eps is returned.  The two classes are disjoint (c_j + c_k = 1 on
     the three pairs of three strands has no integer solution), so the class
     of a central word says which central element it is.  A word in neither
-    class is not central: None.
+    class is not central: None.  The same pass counts emissions: sigma_i is
+    one of its left strand, sigma_i^-1 one of its right; ties go low.
     """
     n = w.n
+    # d[a][b] counts the crossings with a on the left; d_jk is d[j][k] + d[k][j].
     d = [[0] * (n + 1) for _ in range(n + 1)]
     strand_at = list(range(n + 1))
+    emitted = [0] * (n + 1)
     for x in w.letters:
-        i = abs(x)
+        i = x if x > 0 else -x
         a, b = strand_at[i], strand_at[i + 1]
-        if a > b:
-            a, b = b, a
-        d[a][b] += 1 if x > 0 else -1
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+        strand_at[i], strand_at[i + 1] = b, a
+        if x > 0:
+            emitted[a] += 1
+            d[a][b] += 1
+        else:
+            emitted[b] += 1
+            d[a][b] -= 1
+    s = min(range(1, n + 1), key=emitted.__getitem__)
     if strand_at != list(range(n + 1)):
-        return None
+        return None, s
     # c_1 = (d_12/2 + d_13/2 - d_23/2 - eps) / 2 must be an integer, which
     # fixes eps; then c_j = d_1j/2 - eps - c_1, and every other pair checks.
-    t = (d[1][2] + d[1][3] - d[2][3]) // 2
+    t = (d[1][2] + d[2][1] + d[1][3] + d[3][1] - d[2][3] - d[3][2]) // 2
     eps = t % 2
     c1 = (t - eps) // 2
-    c = [0, c1] + [d[1][j] // 2 - eps - c1 for j in range(2, n + 1)]
-    ok = all(
-        d[j][k] // 2 - eps == c[j] + c[k] for j in range(2, n + 1) for k in range(j + 1, n + 1)
-    )
-    return 2 * eps if ok else None
+    c = [0, c1] + [(d[1][j] + d[j][1]) // 2 - eps - c1 for j in range(2, n + 1)]
+    for j in range(2, n + 1):
+        dj, cj = d[j], c[j] + eps
+        for k in range(j + 1, n + 1):
+            if (dj[k] + d[k][j]) // 2 != cj + c[k]:
+                return None, s
+    return 2 * eps, s
 
 
 def _cyclic_core(w: BraidWord) -> BraidWord:
@@ -307,22 +317,6 @@ def _emissions(n: int) -> tuple[tuple[int, ...], ...]:
         a = (*range(-p, -(n - 1), -1), *range(-(n - 2), 0), *range(-1, -p, -1))
         out += [a, _finv(a)]
     return tuple(out)
-
-
-def _least_emitting_strand(letters: Sequence[int], n: int) -> int:
-    """The strand whose rewrite (:func:`_capped_word`) emits least; ties go low.
-
-    Each letter is an emission of one of the two strands it crosses: of the
-    left one for sigma_i, of the right one for sigma_i^-1.
-    """
-    strand_at = list(range(n + 1))
-    emitted = [0] * (n + 1)
-    for x in letters:
-        i = abs(x)
-        a, b = strand_at[i], strand_at[i + 1]
-        emitted[a if x > 0 else b] += 1
-        strand_at[i], strand_at[i + 1] = b, a
-    return min(range(1, n + 1), key=emitted.__getitem__)
 
 
 def _capped_word(letters: Sequence[int], n: int, s: int) -> list[int]:
@@ -392,28 +386,33 @@ def _dynnikov(letters: Iterable[int], c: list[tuple[int, int]]) -> list[tuple[in
     return c
 
 
-def _acts_innerly(w: BraidWord) -> bool:
+# Keyed by (m, k) only: the checks of a sweep meet a few small k per strand count.
+@lru_cache(maxsize=64)
+def _twisted_unit(m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Delta^2k (0, 1, ..., 0, 1) on m strands, Delta^2 = (sigma_1 ... sigma_{m-1})^m."""
+    cycle = range(1, m) if k > 0 else range(-(m - 1), 0)
+    return tuple(_dynnikov(chain.from_iterable([cycle] * (m * abs(k))), [(0, 1)] * (m + 1)))
+
+
+def _acts_innerly(w: BraidWord, s: int) -> bool:
     """Whether a pure word is central, i.e. its mapping class is trivial.
 
     The stabiliser of a puncture in Mod(S_{0,n}) is B_{n-1}/<Delta^2>, by
     capping the boundary of the (n-1)-punctured disc (Farb and Margalit,
     *A Primer on Mapping Class Groups*, ch. 3).  So w is central exactly
     when its image beta in B_{n-1} is Delta^2k: the exponent sum of beta is
-    k(n-1)(n-2), and beta Delta^-2k fixes (0, 1, ..., 0, 1) under
-    Dynnikov's action.  The least-emitting strand goes to infinity, which
-    keeps beta short.  It is all integer arithmetic, and the
-    coordinates gain a bounded number of bits per letter: no budget.
+    k(n-1)(n-2), and beta Delta^-2k fixes u = (0, 1, ..., 0, 1) under
+    Dynnikov's action, that is, beta u = Delta^2k u, whose right side is
+    computed once per (n-1, k) (:func:`_twisted_unit`).  Strand s goes to
+    infinity; the least-emitting one (:func:`_linking_class`) keeps beta
+    short.  It is all integer arithmetic, and the coordinates gain a
+    bounded number of bits per letter: no budget.
     """
     n, m = w.n, w.n - 1
-    beta = _capped_word(w.letters, n, _least_emitting_strand(w.letters, n))
+    beta = _capped_word(w.letters, n, s)
     exponent_sum = len(beta) - 2 * len([x for x in beta if x < 0])
     k, r = divmod(exponent_sum, m * (m - 1))
-    if r:
-        return False
-    # Delta^2 = (sigma_1 ... sigma_{m-1})^m.
-    tail = range(-(m - 1), 0) if k > 0 else range(1, m)
-    unit = [(0, 1)] * (m + 1)
-    return _dynnikov(chain(beta, *[tail] * (m * abs(k))), unit.copy()) == unit
+    return not r and tuple(_dynnikov(beta, [(0, 1)] * (m + 1))) == _twisted_unit(m, k)
 
 
 def central_value(w: BraidWord) -> int | None:
@@ -427,8 +426,8 @@ def central_value(w: BraidWord) -> int | None:
     survives is central.  No budget applies.
     """
     w = _cyclic_core(w)
-    value = _linking_class(w)
-    return value if value is not None and _acts_innerly(w) else None
+    value, s = _linking_class(w)
+    return value if value is not None and _acts_innerly(w, s) else None
 
 
 def equals(w1: BraidWord, w2: BraidWord) -> bool:
@@ -442,7 +441,8 @@ def is_trivial(w: BraidWord) -> bool:
     """Whether the word represents the identity: its cyclic core, a
     conjugate, lies in the linking class of the identity and is central."""
     w = _cyclic_core(w)
-    return _linking_class(w) == 0 and _acts_innerly(w)
+    value, s = _linking_class(w)
+    return value == 0 and _acts_innerly(w, s)
 
 
 def is_central(w: BraidWord) -> bool:

@@ -1,5 +1,6 @@
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -483,7 +484,7 @@ class TestRootStage:
         decided = []
         acts_innerly = oracle._acts_innerly
         monkeypatch.setattr(oracle, "_acts_innerly",
-                            lambda v: decided.append(v) or acts_innerly(v))
+                            lambda v, s: decided.append(v) or acts_innerly(v, s))
         for k in range(14, 21):
             assert order_of(word(4, [1, -2] * k)) == Order(None)
         assert [len(v) for v in decided] == [6] * 7
@@ -818,7 +819,7 @@ class TestLinkingClass:
         for w in central:
             value = central_value(w)
             assert value is not None
-            assert value == parity_split_value(w) == _linking_class(w)
+            assert value == parity_split_value(w) == _linking_class(w)[0]
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_none_on_words_that_are_not_pure(self, n):
@@ -827,7 +828,7 @@ class TestLinkingClass:
         words += [random_word(rng, n, 20) for _ in range(30)]
         for w in words:
             if not W.permutation(w).is_identity():
-                assert _linking_class(w) is None
+                assert _linking_class(w)[0] is None
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_agrees_with_the_two_class_solver_on_pure_words(self, n):
@@ -861,7 +862,7 @@ class TestLinkingClass:
             if trial % 4 == 1:
                 w = w * full_twist(n)
             assert W.permutation(w).is_identity()
-            values.append(_linking_class(w))
+            values.append(_linking_class(w)[0])
             assert values[-1] == two_class_linking(w), w.letters
             not_central += values[-1] is not None and central_value(w) is None
         assert {0, 2} <= set(values)
@@ -1074,7 +1075,46 @@ def central_class_words(n):
             g = random_word(rng, n, 30)
             w = g * ft ** rng.choice([1, -1]) * g.inv()
         ws.append(w * ft if rng.random() < 0.3 else w)
-    return [w for w in ws if _linking_class(w) is not None]
+    return [w for w in ws if _linking_class(w)[0] is not None]
+
+
+def two_walk_linking_class(w):
+    """The linking class from a walk of its own, as it was computed before
+    the emission count joined the walk: the reference for the class part."""
+    n = w.n
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    strand_at = list(range(n + 1))
+    for x in w.letters:
+        i = abs(x)
+        a, b = strand_at[i], strand_at[i + 1]
+        if a > b:
+            a, b = b, a
+        d[a][b] += 1 if x > 0 else -1
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    if strand_at != list(range(n + 1)):
+        return None
+    t = (d[1][2] + d[1][3] - d[2][3]) // 2
+    eps = t % 2
+    c1 = (t - eps) // 2
+    c = [0, c1] + [d[1][j] // 2 - eps - c1 for j in range(2, n + 1)]
+    ok = all(
+        d[j][k] // 2 - eps == c[j] + c[k] for j in range(2, n + 1) for k in range(j + 1, n + 1)
+    )
+    return 2 * eps if ok else None
+
+
+def two_walk_least_emitting_strand(letters, n):
+    """The least-emitting strand from a second walk: the reference for the
+    strand part.  sigma_i is an emission of its left strand, sigma_i^-1 of
+    its right one, and ties go to the lowest strand."""
+    strand_at = list(range(n + 1))
+    emitted = [0] * (n + 1)
+    for x in letters:
+        i = abs(x)
+        a, b = strand_at[i], strand_at[i + 1]
+        emitted[a if x > 0 else b] += 1
+        strand_at[i], strand_at[i + 1] = b, a
+    return min(range(1, n + 1), key=emitted.__getitem__)
 
 
 class TestDynnikovAction:
@@ -1124,7 +1164,7 @@ class TestExactStage:
         values = []
         for w in ws:
             want = free_group_acts_innerly(w)
-            assert oracle._acts_innerly(w) == want, w.letters
+            assert oracle._acts_innerly(w, _linking_class(w)[1]) == want, w.letters
             assert all(exact_verdict(w, s) == want for s in range(1, n + 1)), w.letters
             values.append(want)
         # Long central words that are not trivial letter by letter, and on
@@ -1142,7 +1182,7 @@ class TestExactStage:
 
         got = verdicts()
         assert all(got[0])
-        monkeypatch.setattr(oracle, "_acts_innerly", free_group_acts_innerly)
+        monkeypatch.setattr(oracle, "_acts_innerly", lambda w, s: free_group_acts_innerly(w))
         want = verdicts()
         assert want[0] == got[0]
         # The reference may overflow its budget, e.g. on (1 -2)^12 FT at
@@ -1153,12 +1193,52 @@ class TestExactStage:
     def test_least_emitting_strand(self):
         # Every letter is one emission of one of the two strands it crosses:
         # of the left one for sigma_i, of the right one for sigma_i^-1.  Ties
-        # go to the lowest strand.
-        assert oracle._least_emitting_strand((1, 1, 1, 1), 3) == 3
-        assert oracle._least_emitting_strand((1, 1, -2, -2), 3) == 1
-        assert oracle._least_emitting_strand((-2, -2, -2, -2), 4) == 1
-        assert oracle._least_emitting_strand((1, 1, 3, 3), 4) == 1
-        assert oracle._least_emitting_strand((1, 1, -1, -1), 3) == 3
+        # go to the lowest strand.  The walk reads only n and the letters,
+        # so letters that cancel are counted too.
+        def strand(letters, n):
+            return _linking_class(SimpleNamespace(n=n, letters=letters))[1]
+
+        assert strand((1, 1, 1, 1), 3) == 3
+        assert strand((1, 1, -2, -2), 3) == 1
+        assert strand((-2, -2, -2, -2), 4) == 1
+        assert strand((1, 1, 3, 3), 4) == 1
+        assert strand((1, 1, -1, -1), 3) == 3
+        # sigma_1 sigma_2: strand 1 crosses from the left twice.
+        assert strand((1, 2), 3) == 2
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_one_walk_agrees_with_the_two_walks(self, n):
+        # Pure words in both central classes, central ones past 60 letters
+        # among them, random words that are not pure, and their pure powers,
+        # most of which lie in neither class from four strands on.
+        rng = random.Random(3200 + n)
+        ws = central_class_words(n)
+        for _ in range(30):
+            w = random_word(rng, n, 30)
+            ws += [w, w ** W.permutation(w).order()]
+        classes, kinds = [], set()
+        for w in ws:
+            want = (two_walk_linking_class(w), two_walk_least_emitting_strand(w.letters, n))
+            assert _linking_class(w) == want, w.letters
+            classes.append(want[0])
+            pure = W.permutation(w).is_identity()
+            kinds.add((pure, want[0] is None))
+        assert {0, 2} <= set(classes)
+        assert (False, True) in kinds and ((True, True) in kinds) == (n > 3)
+        assert any(len(w) > 60 and central_value(w) is not None for w in ws)
+        # Every strand is the least-emitting one of some word at small n.
+        if n <= 5:
+            assert {_linking_class(w)[1] for w in ws} == set(range(1, n + 1))
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_twisted_unit(self, m):
+        # The cached target is Delta^2k (0, 1, ..., 0, 1), and k = 0 leaves
+        # the unit; the cache is bounded.
+        for k in range(-6, 7):
+            got = [x for pair in oracle._twisted_unit(m, k)[1:] for x in pair]
+            assert got == dynnikov(delta_squared(m, k), [0, 1] * m), k
+            assert (got == [0, 1] * m) == (k == 0)
+        assert oracle._twisted_unit.cache_parameters()["maxsize"] is not None
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_emissions(self, n):
