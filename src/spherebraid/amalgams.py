@@ -11,7 +11,9 @@ with the factor labels k_j strictly alternating.  Multiplication pushes
 F-parts leftward through the transversal letters (conjugation by t_k
 restricts to an automorphism of F) and absorbs squares t_k^2, which lie in
 F.  An element has finite order exactly when its syllable length is at most
-one, in which case it lives in a factor.
+one, in which case it lives in a factor.  Elements that come in from
+outside are checked (labels 1 or 2, alternating); products are built
+unchecked, since cancelling the facing letters leaves them alternating.
 
 The module also builds the two gluings of the 16-element quaternion factors
 over their common 8-element quaternion subgroup (and the dihedral analogs),
@@ -68,12 +70,16 @@ class AmalgamElement(_AmalgamElementFields):
     """Normal form: head in F, then strictly alternating factor labels.
 
     A named tuple, so hashing and equality are those of the plain tuple
-    ``(head, syllables)``; construction checks the alternation.
+    ``(head, syllables)``.  Construction checks that every label is 1 or 2
+    and that the labels alternate; ``AmalgamSpec.mul`` builds its products
+    unchecked, since they alternate by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, head: int, syllables: tuple[int, ...] = ()) -> AmalgamElement:
+        if any(k not in (1, 2) for k in syllables):
+            raise ValueError("syllable labels must be 1 or 2")
         for a, b in zip(syllables, syllables[1:]):
             if a == b:
                 raise ValueError("syllables must alternate factors")
@@ -158,7 +164,9 @@ class AmalgamSpec:
             h = self.push[k][h]
             if j >= keep:
                 h = self.f.mul(h, self.sq[k])
-        return AmalgamElement(self.f.mul(a.head, h), left[:keep] + right[cancel:])
+        # Unchecked: after the cancelled pairs either the facing labels
+        # differ or one side is used up, so the letters still alternate.
+        return tuple.__new__(AmalgamElement, (self.f.mul(a.head, h), left[:keep] + right[cancel:]))
 
     def inv(self, a: AmalgamElement) -> AmalgamElement:
         out = self.one

@@ -22,12 +22,17 @@ every name the engine prints (``Z<q>``, ``Dih<2m>``, ``Dic<4m>`` or
 order generalised quaternion.
 
 The subgroup lattice grows by joins with cyclic subgroups of prime-power
-order, each join walking on from the subgroup already known.  Aut and Out
-come from the isomorphism search itself, keyed by generator images; a key
-already in a found Inn-coset is skipped unextended, and Aut is the union of
-those cosets.  Out keeps one representative map per coset as its
-``labels``, and outer-class questions (``same_semidirect_class``) are read
-off its table.
+order, each join walking on from the subgroup already known.  Each
+subgroup is named in place, from the parent's element orders, products and
+closures, by the rule ``structure_name`` applies to a whole table; only a
+subgroup that reaches the catalog isomorphism search is built as a table.
+Aut and Out come from the isomorphism search itself, keyed by generator
+images; a key already in a found Inn-coset is skipped unextended, and Aut
+is the union of those cosets.  Their tables are composed by lookup: the
+product of two representatives is keyed by one representative read at the
+other's generator images.  Out keeps one representative map per coset as
+its ``labels``, and outer-class questions (``same_semidirect_class``) are
+read off its table.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 __all__ = [
     "CosetBudgetError",
@@ -661,8 +667,15 @@ def _is_prime_power(k: int) -> bool:
     return k == 1
 
 
+def _check_subgroup(G: FiniteGroupTable, elems: Collection[int]) -> None:
+    if G.closure(elems) != elems:
+        raise ValueError("element set is not a subgroup")
+
+
 def subgroup_table(G: FiniteGroupTable, elems: frozenset[int]) -> FiniteGroupTable:
-    """The subgroup on the given element set as a standalone table."""
+    """The subgroup on the given element set as a standalone table; raises
+    ``ValueError`` when the set is not a subgroup."""
+    _check_subgroup(G, elems)
     order = sorted(elems)
     index = {e: i for i, e in enumerate(order)}
     mult = [[index[G.mult[a][b]] for b in order] for a in order]
@@ -673,8 +686,7 @@ def subgroup_table(G: FiniteGroupTable, elems: frozenset[int]) -> FiniteGroupTab
 def subgroups(G: FiniteGroupTable) -> tuple[SubgroupHandle, ...]:
     """All subgroups, labeled by isomorphism class and normality."""
     sets = _all_subgroup_sets(G)
-    names = [structure_name(subgroup_table(G, s)) if len(s) < G.order else structure_name(G)
-             for s in sets]
+    names = [_name(G, s) for s in sets]
     counts = Counter(names)
     return tuple(
         SubgroupHandle(s, _is_normal(G, s), name, counts[name] == 1)
@@ -686,12 +698,14 @@ def center(G: FiniteGroupTable) -> SubgroupHandle:
     elems = frozenset(
         a for a in range(G.order) if all(G.mult[a][g] == G.mult[g][a] for g in G.generators)
     )
-    return SubgroupHandle(elems, True, structure_name(subgroup_table(G, elems)), True)
+    return SubgroupHandle(elems, True, _name(G, elems), True)
 
 
 def quotient(G: FiniteGroupTable, N: SubgroupHandle | frozenset[int]) -> FiniteGroupTable:
-    """The quotient by a normal subgroup, as a coset multiplication table."""
+    """The quotient by a normal subgroup, as a coset multiplication table;
+    raises ``ValueError`` when N is not a subgroup or not normal."""
     elems = N.elements if isinstance(N, SubgroupHandle) else N
+    _check_subgroup(G, elems)
     if not _is_normal(G, elems):
         raise ValueError("subgroup is not normal")
     coset_of: dict[int, int] = {}
@@ -806,41 +820,78 @@ def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
     return next(_isomorphisms(G, H), None) is not None
 
 
-def _abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
-    """Cyclic invariant factors of an abelian table, largest first."""
-    table = G
+def _abelian_invariants(hist: Counter[int]) -> tuple[int, ...]:
+    """Invariant factors, largest first, of the abelian group whose element
+    orders are counted in ``hist``.
+
+    For a prime p, if the p-part is the product of cyclic groups of orders
+    p^e_i, the elements of order dividing p^k number p^s_k with s_k the sum
+    of min(k, e_i); so s_k - s_(k-1) of the e_i are at least k.  The j-th
+    invariant factor is the product over p of p to the j-th largest e_i."""
+    n, p = sum(hist.values()), 2
     factors: list[int] = []
-    while table.order > 1:
-        a = max(range(table.order), key=lambda e: (table.element_orders[e], -e))
-        factors.append(table.element_orders[a])
-        table = quotient(table, table.closure([a]))
+    while n > 1:
+        if n % p:
+            p += 1
+            continue
+        while n % p == 0:
+            n //= p
+        at_least, s_prev, q = [], 0, p
+        while True:
+            count, s = sum(c for k, c in hist.items() if q % k == 0), 0
+            while count > 1:
+                count //= p
+                s += 1
+            if s == s_prev:
+                break
+            at_least.append(s - s_prev)
+            s_prev, q = s, q * p
+        factors += [1] * (at_least[0] - len(factors))
+        for j in range(at_least[0]):
+            factors[j] *= p ** sum(1 for r in at_least if r > j)
     return tuple(factors)
 
 
-def _index_two_cyclic(G: FiniteGroupTable) -> tuple[int, int] | None:
-    """x, the first element of order |G|/2, and y, the first element outside
-    <x>; None when no element has order |G|/2 (or |G| is odd)."""
-    if G.order % 2 or G.order // 2 not in G.element_orders:
+def _index_two_cyclic(
+    G: FiniteGroupTable, elems: Collection[int] | None = None
+) -> tuple[int, int] | None:
+    """In the subgroup on ``elems`` (all of G when None): x, its least
+    element of order |elems|/2, and y, its least element outside <x>; None
+    when no element has that order (or |elems| is odd)."""
+    elems = range(G.order) if elems is None else elems
+    n = len(elems)
+    if n % 2:
         return None
-    x = G.element_orders.index(G.order // 2)
+    orders = G.element_orders
+    x = min((e for e in elems if orders[e] == n // 2), default=None)
+    if x is None:
+        return None
     cyc = G.closure([x])
-    return x, next(e for e in range(G.order) if e not in cyc)
+    return x, min(e for e in elems if e not in cyc)
 
 
-@lru_cache(maxsize=None)
-def structure_name(G: FiniteGroupTable) -> str:
-    """A human name for the isomorphism class: a catalog name, the abelian
-    invariants, or ``G<order>?``."""
-    n = G.order
+def _name(G: FiniteGroupTable, elems: Collection[int]) -> str:
+    """The name of the subgroup on ``elems``, read off G's own element
+    orders, products and closures: a catalog name, the abelian invariants,
+    or ``G<order>?``.
+
+    The least element of each order stands for the subgroup's own least
+    index, as it would in its standalone table, so the names are those of
+    ``structure_name(subgroup_table(G, elems))``.  A subgroup is built as
+    a table only when it reaches the catalog isomorphism search with the
+    order histogram of a presented group."""
+    n = len(elems)
     if n == 1:
         return "1"
-    if max(G.element_orders) == n:
+    hist = Counter(G.element_orders[e] for e in elems)
+    if n in hist:
         return f"Z{n}"
-    if G.is_abelian():
-        return " x ".join(f"Z{f}" for f in _abelian_invariants(G))
+    gens = _greedy_closure(G.mult, G.identity, elems)[0]
+    if all(G.mult[a][b] == G.mult[b][a] for i, a in enumerate(gens) for b in gens[:i]):
+        return " x ".join(f"Z{f}" for f in _abelian_invariants(hist))
     # Dicyclic: y^2 = x^(n/4) and y x y^-1 = x^-1; dihedral: y of order 2
     # and y x y^-1 = x^-1.
-    pair = _index_two_cyclic(G)
+    pair = _index_two_cyclic(G, elems)
     if pair is not None:
         x, y = pair
         if G.conj(y, x) == G.inverse[x]:
@@ -848,10 +899,21 @@ def structure_name(G: FiniteGroupTable) -> str:
                 return dicyclic_name(n)
             if G.element_orders[y] == 2:
                 return f"Dih{n}"
+    histogram = tuple(sorted(hist.items()))
     for kind, (order, _) in _PRESENTED.items():
-        if order == n and is_isomorphic(G, make_group(kind)):
-            return kind
+        if order == n and histogram == make_group(kind).order_histogram():
+            table = G if n == G.order else subgroup_table(G, elems)
+            if is_isomorphic(table, make_group(kind)):
+                return kind
     return f"G{n}?"
+
+
+@lru_cache(maxsize=None)
+def structure_name(G: FiniteGroupTable) -> str:
+    """A human name for the isomorphism class: a catalog name, the abelian
+    invariants, or ``G<order>?``.  The subgroup names of ``subgroups`` come
+    from the same rule, applied in place."""
+    return _name(G, range(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +954,12 @@ def _aut_cosets(G: FiniteGroupTable, inner: bool) -> tuple[FiniteGroupTable, dic
     if not inner:
         reps = sorted(tuple(G.conj(g, y) for y in a) for a in reps for g in conjugators)
         coset_of = {tuple(a[y] for y in gens): i for i, a in enumerate(reps)}
-    mult = [[coset_of[tuple(b[a[g]] for g in gens)] for b in reps] for a in reps]
+    # "a, then b" is keyed by b read at a's generator images: one itemgetter
+    # call and one lookup per entry.  On one generator the getter returns a
+    # bare image, so the lookup is keyed by that.
+    lookup = coset_of if len(gens) > 1 else {key[0]: i for key, i in coset_of.items()}
+    mult = [list(map(lookup.__getitem__, map(itemgetter(*(a[g] for g in gens)), reps)))
+            for a in reps]
     return _finish_table(len(reps), mult, (), None, labels=tuple(reps)), coset_of
 
 

@@ -211,6 +211,27 @@ class TestMulAgainstPopLoop:
             AmalgamElement(0, (1, 2, 2))
 
 
+class TestUncheckedProducts:
+    """``mul`` builds its products past the constructor's checks; every
+    product it makes passes them."""
+
+    @pytest.mark.parametrize("tag", ["k1", "k2", "k1p", "k2p"])
+    def test_ball2_products_pass_the_checked_constructor(self, tag):
+        spec = named_amalgam(tag)
+        ball = spec.ball(2)
+        for a in ball:
+            for b in ball:
+                c = spec.mul(a, b)
+                assert type(c) is AmalgamElement
+                assert AmalgamElement(*c) == c and 0 <= c.head < spec.f.order
+
+    @pytest.mark.parametrize("syllables", [(0,), (3,), (1, 0), (2, -1)])
+    def test_labels_other_than_one_and_two_are_refused(self, syllables):
+        # (0,) was once read by ``mul`` through push[-1] as a factor-2 letter.
+        with pytest.raises(ValueError, match="1 or 2"):
+            AmalgamElement(0, syllables)
+
+
 class TestBuildValidation:
     def test_rejects_non_injective(self):
         big, small = make_group("cyclic", 8), make_group("cyclic", 4)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -266,6 +267,18 @@ class TestQuotientsAndIso:
         q16 = make_group("dicyclic", 4)
         z2 = next(h for h in subgroups(q16) if h.name == "Z2")
         assert structure_name(quotient(q16, z2)) == "Dih8"
+
+    # In Z4 = {0, 1, 2, 3} (x^a at index a): {0, 1} is not closed, {1} and
+    # the empty set miss the identity.  Each is normal elementwise, so only
+    # the subgroup check refuses it.
+    @pytest.mark.parametrize("elems", [frozenset({0, 1}), frozenset({1}), frozenset()],
+                             ids=["not-closed", "no-identity", "empty"])
+    def test_non_subgroups_are_refused(self, elems):
+        z4 = make_group("cyclic", 4)
+        with pytest.raises(ValueError, match="not a subgroup"):
+            quotient(z4, elems)
+        with pytest.raises(ValueError, match="not a subgroup"):
+            subgroup_table(z4, elems)
 
 
 class TestAutomorphisms:
@@ -742,6 +755,82 @@ class TestCanonicalLattice:
         sets = _all_subgroup_sets(G)
         assert len(set(sets)) == len(sets)
         assert all(G.closure(s) == s for s in sets)
+
+
+def _structure_name_reference(T):
+    """``structure_name`` as it was before subgroups were named in place:
+    read off a standalone table, with the abelian invariants from repeated
+    quotients by a cyclic subgroup of largest order."""
+    n = T.order
+    if n == 1:
+        return "1"
+    if max(T.element_orders) == n:
+        return f"Z{n}"
+    if T.is_abelian():
+        factors, table = [], T
+        while table.order > 1:
+            a = max(range(table.order), key=lambda e: (table.element_orders[e], -e))
+            factors.append(table.element_orders[a])
+            table = quotient(table, table.closure([a]))
+        return " x ".join(f"Z{f}" for f in factors)
+    if n % 2 == 0 and n // 2 in T.element_orders:
+        x = T.element_orders.index(n // 2)
+        cyc = T.closure([x])
+        y = next(e for e in range(n) if e not in cyc)
+        if T.conj(y, x) == T.inverse[x]:
+            if n % 4 == 0 and T.mult[y][y] == T.pow(x, n // 4):
+                return dicyclic_name(n)
+            if T.element_orders[y] == 2:
+                return f"Dih{n}"
+    for kind, (order, _) in _PRESENTED.items():
+        if order == n and is_isomorphic(T, make_group(kind)):
+            return kind
+    return f"G{n}?"
+
+
+FIXED_TABLE_NAMES = ("B3", "klein", "T*", "O*", "I*", "A4", "S4", "A5")
+
+
+class TestNamesInPlace:
+    """``subgroups`` names each subgroup from its parent's element orders,
+    products and closures; the names are those of the subgroup's own
+    standalone table."""
+
+    @pytest.mark.parametrize("family", ["Z", "Dih", "Dic", "fixed"])
+    def test_match_standalone_tables(self, family):
+        if family == "fixed":
+            names = FIXED_TABLE_NAMES
+        else:
+            names = [name for name, _ in FAMILY_LATTICES
+                     if name.rstrip("0123456789") == family and named_group(name).order <= 200]
+        wrong, seen = [], Counter()
+        for name in names:
+            G = named_group(name)
+            for h in subgroups(G):
+                T = subgroup_table(G, h.elements)
+                # The uncached rule, so that the test keeps no table.
+                expected = structure_name.__wrapped__(T)
+                if not h.name == expected == _structure_name_reference(T):
+                    wrong.append((name, sorted(h.elements), h.name, expected))
+                seen[h.name] += 1
+        assert wrong == []
+        # The branches of the rule each family reaches.
+        assert {
+            "Z": {"1", "Z200"},
+            "Dih": {"Z2 x Z2", "Dih200"},
+            "Dic": {"Q8", "Q128", "Dic200"},
+            "fixed": {"Z2 x Z2", "Dic12", "Dih10", "T*", "O*", "I*", "A4", "S4", "A5"},
+        }[family] <= set(seen)
+        if family == "fixed":
+            # Catalog search on a standalone table: T* in itself, O* and five
+            # times in I*; A4 in itself, S4 and five times in A5.
+            assert seen["T*"] == seen["A4"] == 7
+
+    def test_center_is_named_in_place(self):
+        for name in FIXED_TABLE_NAMES + ("Dic32", "Dih24"):
+            G = named_group(name)
+            z = center(G)
+            assert z.name == _structure_name_reference(subgroup_table(G, z.elements))
 
 
 def _aut_cosets_reference(G, inner):
