@@ -20,11 +20,8 @@ root, and the order of r^m is read off that of r; the cycle type of r's
 permutation refutes finiteness before any power is built, and only a
 torsion cycle type, of order p, gets the pure power r^p built and decided.
 
-The Artin action on the free group of rank n-1 (:func:`artin_action`,
-:func:`is_inner`) stays public beside the decision path.  A word is central
-exactly when its automorphism is inner, but the images can grow
-exponentially in the word's length, so the action stops at
-``IMAGE_BUDGET`` letters with :class:`OracleBudgetError`.
+No stage has a budget, so nothing raises :class:`OracleBudgetError`; it stays
+public only because the benchmark's runner still catches it by name.
 """
 
 from __future__ import annotations
@@ -33,20 +30,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .groups import FiniteGroupTable
 from .words import BraidWord, Permutation, StrandMismatchError, _reduce, permutation
-from .words import _LETTER_BUDGET, _finv, _valid_word
+from .words import _finv, _valid_word
 
 __all__ = [
-    "FreeWord",
-    "FreeAutomorphism",
     "Order",
     "OracleBudgetError",
-    "artin_action",
-    "is_inner",
     "central_value",
     "equals",
     "is_trivial",
@@ -56,128 +48,11 @@ __all__ = [
     "verify_finite_subgroup",
 ]
 
-FreeWord = tuple[int, ...]
-# A free word with its inverse: the Artin recurrence inverts by swapping.
-FreePair = tuple[FreeWord, FreeWord]
-_swap = itemgetter(1, 0)
 
-# Free-group images of a word can grow exponentially in its length (pseudo-
-# Anosov-type elements); past this total ``artin_action`` aborts with an
-# error rather than exhausting memory.  It is the parser's bound on the
-# letters of a word.  The decision path does not use the free group.
-IMAGE_BUDGET = _LETTER_BUDGET
-
-
+# Nothing in the package raises it.  It is kept only because perfbench/run.py
+# (lines 126 and 165) catches it by name.
 class OracleBudgetError(RuntimeError):
-    """The free-group images outgrew the budget; no verdict was reached."""
-
-
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    """An endomorphism of the free group given by its free-reduced basis images.
-
-    All instances produced by :func:`artin_action` are automorphisms by
-    construction (each braid letter acts invertibly).
-    """
-
-    images: tuple[FreeWord, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.images)
-
-
-def _fconj(a: FreePair, b: FreePair) -> FreePair:
-    """(a b a^-1, a b^-1 a^-1), free-reduced, from the pairs (a, a^-1) and (b, b^-1).
-
-    The k letters that cancel where a meets b are the common prefix of a^-1
-    and b, and the j letters that cancel where b meets a^-1 are the common
-    prefix of a^-1 and b^-1.  When they leave some of b between them, the
-    product is a less its last k letters, the rest of b, and a^-1 less its
-    first j letters; its inverse is cut from the same four words, so nothing
-    is reversed.  Otherwise b cancels completely, the parts are reduced in
-    turn and the product is inverted once.
-    """
-    a, ai = a
-    b, bi = b
-    la, lb = len(a), len(b)
-    m = la if la < lb else lb
-    k = j = 0
-    while k < m and ai[k] == b[k]:
-        k += 1
-    while j < m and ai[j] == bi[j]:
-        j += 1
-    if k + j < lb:
-        return (
-            a[: la - k] + b[k : lb - j] + ai[j:],
-            a[: la - j] + bi[j : lb - k] + ai[k:],
-        )
-    w = _reduce(a, b[: lb - j], ai[j:])
-    return w, _finv(w)
-
-
-def _artin_steps(letters: Sequence[int], imgs: list[FreePair], p: FreePair) -> Iterator[tuple]:
-    """Apply the braid letters, left to right, to the basis images in place.
-
-    Every image is a pair (w, w^-1), so :func:`_fconj` conjugates and a swap
-    inverts.  Beside the images it carries P = phi(x_1 ... x_{n-1}), passed
-    in as ``p``, so the image of the missing generator x_n is P^-1.
-    Every letter is one conjugation: with a and b the images of x_i and
-    x_{i+1}, sigma_i sends x_i to a b a^-1 and sigma_i^-1 sends x_{i+1} to
-    b^-1 a b; with a = phi(x_{n-1}), sigma_{n-1} sends x_{n-1} to a P^-1 a^-1
-    and P to a^-1, and sigma_{n-1}^-1 sends x_{n-1} to P^-1 and P to
-    P a^-1 P^-1.  Each letter replaces exactly one image, and the step
-    yields the pair (new image, displaced image).
-    """
-    last = len(imgs)
-    for x in letters:
-        i = abs(x)
-        a = imgs[i - 1]
-        if i < last:
-            b = imgs[i]
-            if x > 0:
-                new, old = _fconj(a, b), b
-                imgs[i - 1], imgs[i] = new, a
-            else:
-                new, old = _fconj(_swap(b), a), a
-                imgs[i - 1], imgs[i] = b, new
-        else:
-            old = a
-            if x > 0:
-                new, p = _fconj(a, _swap(p)), _swap(a)
-            else:
-                new = _swap(p)
-                p = _fconj(p, _swap(a))
-            imgs[i - 1] = new
-        yield new, old
-
-
-def artin_action(w: BraidWord, budget: int = IMAGE_BUDGET) -> FreeAutomorphism:
-    """The action of a braid word on the punctured-sphere free group.
-
-    Letters are processed left to right and composed so that the whole map is
-    a homomorphism of braid words into automorphisms.  The image of the
-    missing generator x_n is P^-1, where P = phi(x_1 ... x_{n-1}) is carried
-    along: sigma_{n-1} sends P to a^-1 and sigma_{n-1}^-1 sends it to
-    P a^-1 P^-1, with a = phi(x_{n-1}), and every other letter fixes it.
-    Every image, P's too, is carried with its inverse, so inverting is a
-    swap.  P is the reduced product of the images, so it is never longer
-    than their total.  That total, of forward images only, is kept as a
-    running sum of each letter's change; raises :class:`OracleBudgetError`
-    when it passes ``budget``.
-    """
-    imgs: list[FreePair] = [((j,), (-j,)) for j in range(1, w.n)]
-    p = tuple(range(1, w.n))
-    total = len(imgs)
-    for new, old in _artin_steps(w.letters, imgs, (p, _finv(p))):
-        total += len(new[0]) - len(old[0])
-        if total > budget:
-            raise OracleBudgetError(
-                f"free-group images passed {budget} letters after "
-                f"{len(w.letters)}-letter input; the word is far from any "
-                "short normal form and no verdict was reached"
-            )
-    return FreeAutomorphism(tuple(img for img, _ in imgs))
+    """No verdict was reached within a budget."""
 
 
 def _strip_ends(w: Sequence[int]) -> int:
@@ -187,39 +62,6 @@ def _strip_ends(w: Sequence[int]) -> int:
         lo += 1
         hi -= 1
     return lo
-
-
-def is_inner(a: FreeAutomorphism) -> FreeWord | None:
-    """Return a conjugator g with a(x) = g x g^-1 for every basis x, or None.
-
-    The image of x_1 must be conjugate to x_1; stripping matched ends pins a
-    conjugator u up to a right factor x_1^k, and k is forced by the image of
-    x_2: the reduced word u^-1 a(x_2) u must literally read x_1^k x_2 x_1^-k.
-    The remaining generators are then verified outright.  The empty tuple
-    means the identity conjugator, so test the result against ``None``.
-    """
-    w1 = a.images[0]
-    lo = _strip_ends(w1)
-    if w1[lo : len(w1) - lo] != (1,):
-        return None
-    u = w1[:lo]
-    v = _reduce(_finv(u), a.images[1] if a.rank >= 2 else (), u)
-    t, rem = divmod(len(v) - 1, 2)
-    if rem != 0 or v[t] != 2:
-        return None
-    head, tail = v[:t], v[t + 1 :]
-    if head == (1,) * t and tail == (-1,) * t:
-        k = t
-    elif head == (-1,) * t and tail == (1,) * t:
-        k = -t
-    else:
-        return None
-    g = _reduce(u, (1,) * k if k >= 0 else (-1,) * (-k))
-    g_inv = _finv(g)
-    for j in range(1, a.rank + 1):
-        if a.images[j - 1] != _reduce(g, (j,), g_inv):
-            return None
-    return g
 
 
 @dataclass(frozen=True)

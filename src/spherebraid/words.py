@@ -84,8 +84,7 @@ class StrandMismatchError(WordError):
     """Two words from braid groups with different strand counts were mixed."""
 
 
-# The most letters a parsed word may collect, and the most letters the
-# oracle lets the free-group images of a word reach (``oracle.IMAGE_BUDGET``).
+# The most letters a parsed word may collect.
 _LETTER_BUDGET = 2_000_000
 
 

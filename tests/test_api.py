@@ -18,7 +18,7 @@ import pytest
 
 LAYERS = ("words", "oracle", "groups", "amalgams", "classifier", "suites")
 # Module-level constants and type aliases that a layer lists in __all__.
-CONSTANTS = {"oracle": {"FreeWord"}, "suites": {"SUITE_IDS"}}
+CONSTANTS = {"suites": {"SUITE_IDS"}}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

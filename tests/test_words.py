@@ -386,8 +386,8 @@ class TestMalformedText:
         with pytest.raises(WordError, match=message):
             parse_braid(text, 4)
 
-    def test_one_figure_bounds_words_and_images(self):
-        assert oracle.IMAGE_BUDGET == W._LETTER_BUDGET == 2_000_000
+    def test_letter_budget_is_two_million(self):
+        assert W._LETTER_BUDGET == 2_000_000
 
 
 def per_letter_check(n, letters):
