@@ -102,6 +102,18 @@ def is_inner(images):
     return g
 
 
+def last_heavy_word(rng, n, length):
+    """A reduced word about half of whose letters are sigma_{n-1}^{+-1}, the
+    letter whose image the reference rebuilds from all n - 1 images."""
+    letters = []
+    while len(letters) < length:
+        k = n - 1 if rng.random() < 0.5 else rng.randint(1, n - 2)
+        x = rng.choice([k, -k])
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return word(n, letters)
+
+
 class TestArtinAction:
     def test_identity_word(self):
         assert artin_action_reference(identity(5)) == ((1,), (2,), (3,), (4,))
@@ -130,6 +142,32 @@ class TestArtinAction:
         twice = tuple(W._reduce(*(f[x - 1] if x > 0 else oracle._finv(f[-x - 1]) for x in img))
                       for img in f)
         assert artin_action_reference(w * w) == twice
+
+    def test_images_are_conjugates_of_the_permuted_basis(self):
+        # After every letter of w, x_j goes to a conjugate of x_{p(j)}, p being
+        # the inverse of w's permutation (the action composes right to left),
+        # and x_n = (x_1 ... x_{n-1})^-1 to a conjugate of x_{p(n)}.  A cyclic
+        # conjugate of x_n is a rotation of x_{n-1}^-1 ... x_1^-1.
+        n = 40
+        w = last_heavy_word(random.Random(40), n, 120)
+        imgs = [(j,) for j in range(1, n)]
+        x_n = tuple(range(-(n - 1), 0))
+        rotations = {x_n[i:] + x_n[:i] for i in range(n - 1)}
+
+        def core(img):
+            lo = oracle._strip_ends(img)
+            return img[lo : len(img) - lo]
+
+        steps = artin_steps_reference(w.letters, imgs, W._reduce, oracle._finv)
+        for t, _ in enumerate(steps, start=1):
+            perm = W.permutation(word(n, w.letters[:t])).images
+            p = {v: k for k, v in enumerate(perm, start=1)}
+            images = imgs + [oracle._finv(W._reduce(*imgs))]
+            for j, img in enumerate(images, start=1):
+                c = core(img)
+                assert c == (p[j],) if p[j] < n else c in rotations, (t, j)
+        assert imgs != [(j,) for j in range(1, n)]
+        assert W.permutation(w).images[n - 1] != n
 
 
 class TestIsInner:
@@ -178,6 +216,29 @@ class TestIsInner:
             w = random_word(rng, n, max_len=5)
             a = artin_action_reference(w)
             assert (is_inner(a) is not None) == brute(a)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_recovers_the_conjugator(self, n):
+        # g is drawn to end in a power of x_1, which only the image of x_2
+        # pins down.  Conjugating one generator x_j by g y instead, y = a x_j a
+        # for a letter a other than x_j^+-1, is not inner: y does not lie in
+        # x_i^k <x_j>, even when x_i is the only other generator.
+        rng = random.Random(2300 + n)
+        ends, longest = set(), 0
+        for _ in range(150):
+            g = random_word(rng, n, 8).letters
+            g = rng.choice([g, W._reduce(g, (1,) * rng.randint(1, 3)),
+                            W._reduce(g, (-1,) * rng.randint(1, 3)), (rng.choice([1, -1]),)])
+            images = [W._reduce(g, (j,), oracle._finv(g)) for j in range(1, n)]
+            assert is_inner(tuple(images)) == g
+            ends.add(g[-1] if g and abs(g[-1]) == 1 else 0)
+            longest = max(longest, len(g))
+            j = rng.randint(1, n - 1)
+            a = rng.choice([x for x in range(-(n - 1), n) if abs(x) not in (0, j)])
+            gy = W._reduce(g, (a, j, a))
+            images[j - 1] = W._reduce(gy, (j,), oracle._finv(gy))
+            assert is_inner(tuple(images)) is None
+        assert ends == {1, -1, 0} and longest >= 8
 
 
 class TestEquals:
@@ -651,6 +712,13 @@ class TestBudget:
         with pytest.raises(ReferenceBudgetError):
             artin_action_reference(w)
 
+    def test_budget_parameter(self):
+        # The reference's budget is a letter count; the exact stage has none.
+        w = word(4, [1, -2] * 9)
+        with pytest.raises(ReferenceBudgetError):
+            artin_action_reference(w, budget=1000)
+        assert not free_group_acts_innerly(w) and not is_central(w)
+
 
 def sphere_relators(n):
     """Braid, far-commutation and sphere relators, and the square of the full twist."""
@@ -898,10 +966,10 @@ class TestConjugationInvariance:
         assert got.value in (None, p, 2 * p)
 
 
-def free_group_acts_innerly(w):
+def free_group_acts_innerly(w, budget=2_000_000):
     """The free-group check, the reference for the exact stage: the word's
     automorphism of the punctured-sphere free group is inner."""
-    return is_inner(artin_action_reference(w)) is not None
+    return is_inner(artin_action_reference(w, budget)) is not None
 
 
 def verdict(f, *args):
@@ -1122,6 +1190,36 @@ class TestExactStage:
         # n = 8; the exact stage never does.
         assert all(ReferenceBudgetError not in g for g in got[1])
         assert all(g == v or ReferenceBudgetError in v for g, v in zip(got[1], want[1]))
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 20, 40])
+    def test_last_heavy_words_agree_with_the_reference(self, n):
+        # sigma_{n-1} is the letter whose image the reference rebuilds from
+        # all n - 1 images.  Words heavy in it, their pure powers, commutators
+        # of those, which lie in the identity's linking class and so reach the
+        # exact stage, and conjugates of the surface relation and of FT,
+        # which are central.
+        rng = random.Random(1800 + n)
+        ws = [last_heavy_word(rng, n, length) for length in (0, 1, 2, 5, 9, 14, 20, 30, 45)]
+        heavy = sum(abs(x) == n - 1 for w in ws for x in w.letters)
+        assert 3 * heavy >= sum(len(w) for w in ws)
+        ws += [w ** W.permutation(w).order() for w in ws[1:6]]
+        ws += [a * b * a.inv() * b.inv() for a, b in zip(ws[9:13], ws[10:14])]
+        assert all(_linking_class(w)[0] == 0 for w in ws[14:])
+        central = [u * surface_relation(n) * u.inv() for u in ws[3:6]]
+        central += [u * full_twist(n) * u.inv() for u in ws[3:5]]
+        overflows, values = set(), []
+        for w in ws + central:
+            # A budget of half the word overflows on most words, and one of
+            # 2 (n - 1) |w| letters on few.
+            for budget in (n - 1 + len(w) // 2, 2 * (n - 1) * len(w)):
+                overflows.add(verdict(free_group_acts_innerly, w, budget) is ReferenceBudgetError)
+            want = verdict(free_group_acts_innerly, w, 100_000)
+            if want is not ReferenceBudgetError:
+                assert is_central(w) == want, w.letters
+                values.append(want)
+        assert overflows == {True, False}
+        assert all(central_value(w) is not None for w in central)
+        assert values.count(True) >= len(central) and False in values
 
     def test_least_emitting_strand(self):
         # Every letter is one emission of one of the two strands it crosses:
