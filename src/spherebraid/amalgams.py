@@ -382,7 +382,7 @@ def named_amalgam(tag: str) -> AmalgamSpec:
     if tag in _NAMED:
         return _NAMED[tag]()
     kind, _, q_text = tag.partition(":")
-    if not q_text.isdigit():
+    if not (q_text.isascii() and q_text.isdigit()):
         raise ValueError(f"unknown amalgam tag {tag!r} (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)")
     return straight_gluing(kind, int(q_text))
 

@@ -6,17 +6,18 @@ For a strand count n >= 4 the infinite virtually cyclic subgroups fall into
 Type I (finite-by-infinite-cyclic) and Type II (amalgams of two finite
 groups over an index-2 subgroup); the candidate families are parametrized
 by divisibility conditions in n, with a handful of congruence-gated
-binary-polyhedral entries.  Each type is a generator of ``(shape, i)``
-pairs, a shape being the plain tuple
-``(kind, factor, action, factors, amalgamated, gluing)``.  Each record
+binary-polyhedral entries.  One generator walks the deletion indices i once
+and yields the ``(shape, i)`` pairs of both types, a shape being the plain
+tuple ``(kind, factor, action, factors, amalgamated, gluing)``.  Each record
 carries a realization status read from one exception table: realized, open
 (a finite list of undecided strand counts), or not realized (two excluded
 cases).  The mapping-class classes are the images of the braid-group records
 under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), listed
-once per isomorphism class; each image takes the union of its preimages'
-indices i and their best status.  One computation per n walks both
-generators once and builds both tables; every public view reads it, and
-only the last n asked is cached.
+once per isomorphism class: an action gains a tilde and a gluing tag a
+prime, save where the action becomes inner, and each image takes the union
+of its preimages' indices i and their best status.  One computation per n
+walks the generator once and builds both tables; every public view reads
+it, and only the last n asked is cached.
 
 Where the realization is by an explicit algebraic construction, one table,
 ``_construction(shape, n, i)``, writes the generator words down together
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from . import oracle, words
@@ -182,23 +182,38 @@ def _status(shape: tuple, n: int) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _v1_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+def _shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
+    """Every ``(shape, i)`` pair at n.  At each deletion index i the cyclic
+    and dicyclic families of both types come from the divisors of 2(n - i),
+    of (n - i)/2 when n - i is even, and of n - i; the inversion, dicyclic
+    and Z *_Z Dic families need i in {0, 2}.  The binary-polyhedral shapes
+    follow with no i, gated by n mod 2, 6 and 30."""
     for i in (0, 1, 2):
-        for q in _divisors(2 * (n - i))[:-1]:
-            if (n - i) % 2 == 1 and q == n - i:
+        k = n - i
+        for q in _divisors(2 * k)[:-1]:
+            if k % 2 and q == k:
                 continue
             yield _type1(GroupDesc("Z", q), "trivial"), i
-    for i in (0, 2):
-        for q in _divisors(2 * (n - i))[:-1]:
-            if q < 3 or (n % 2 == 1 and q == n - i):
-                continue
-            yield _type1(GroupDesc("Z", q), "rho"), i
-        for m in _divisors(n - i)[:-1]:
-            if m >= 3:
-                yield _type1(GroupDesc("Dic", m), "trivial"), i
-        for m in _divisors(n - i):
-            if m >= 3 and ((n - i) // m) % 2 == 0:
-                yield _type1(GroupDesc("Dic", m), "nu"), i
+            if i != 1 and q >= 3:
+                yield _type1(GroupDesc("Z", q), "rho"), i
+        for q in _divisors(k // 2) if k % 2 == 0 else ():
+            z4, z2 = GroupDesc("Z", 4 * q), GroupDesc("Z", 2 * q)
+            yield _type2(z4, z4, z2), i
+            if i != 1 and q >= 2:
+                yield _type2(z4, GroupDesc("Dic", q), z2), i
+        if i == 1:
+            continue
+        for m in _divisors(k):
+            dic = GroupDesc("Dic", m)
+            if 3 <= m < k:
+                yield _type1(dic, "trivial"), i
+            if m >= 3 and (k // m) % 2 == 0:
+                yield _type1(dic, "nu"), i
+            if 2 <= m < k:
+                yield _type2(dic, dic, GroupDesc("Z", 2 * m)), i
+            if m >= 4 and m % 2 == 0:
+                for gluing in (("K1", "K2") if m == 4 else (None,)):
+                    yield _type2(dic, dic, GroupDesc("Dic", m // 2), gluing), i
     if n % 2 == 0:
         for tag in ("trivial", "alpha", "beta"):
             yield _type1(GroupDesc("Dic", 2), tag), None
@@ -206,31 +221,9 @@ def _v1_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
     if n % 6 in (0, 2):
         yield _type1(GroupDesc("T*"), "omega"), None
         yield _type1(GroupDesc("O*"), "trivial"), None
+        yield _type2(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*")), None
     if n % 30 in (0, 2, 12, 20):
         yield _type1(GroupDesc("I*"), "trivial"), None
-
-
-def _v2_shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
-    for i in (0, 1, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                yield _type2(GroupDesc("Z", 4 * q), GroupDesc("Z", 4 * q), GroupDesc("Z", 2 * q)), i
-    for i in (0, 2):
-        if (n - i) % 2 == 0:
-            for q in _divisors((n - i) // 2):
-                if q >= 2:
-                    yield _type2(GroupDesc("Z", 4 * q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q)), i
-        for q in _divisors(n - i)[:-1]:
-            if q >= 2:
-                yield _type2(GroupDesc("Dic", q), GroupDesc("Dic", q), GroupDesc("Z", 2 * q)), i
-        for q in _divisors(n - i):
-            if q >= 4 and q % 2 == 0:
-                d = GroupDesc("Dic", q)
-                f = GroupDesc("Dic", q // 2)
-                for gluing in (("K1", "K2") if q == 4 else (None,)):
-                    yield _type2(d, d, f, gluing), i
-    if n % 6 in (0, 2):
-        yield _type2(GroupDesc("O*"), GroupDesc("O*"), GroupDesc("T*")), None
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +234,6 @@ _FACTOR_PROJECTION = {
     "T*": GroupDesc("A4"),
     "O*": GroupDesc("S4"),
     "I*": GroupDesc("A5"),
-}
-
-_ACTION_PROJECTION = {
-    "trivial": "trivial",
-    "rho": "rho~",
-    "nu": "nu~",
-    "alpha": "alpha~",
-    "beta": "beta~",
-    "omega": "omega~",
 }
 
 
@@ -270,19 +254,18 @@ def _project(shape: tuple) -> tuple:
     kind, factor, action, factors, amalgamated, gluing = shape
     if kind == "I":
         factor = _project_desc(factor, quaternion_to_klein=True)
-        action = _ACTION_PROJECTION[action]
         # Inversion collapses to the identity on the groups of order <= 2;
         # it acts only on cyclic factors, whose parameter is the order.
-        if action == "rho~" and factor.param <= 2:
+        if action == "rho" and factor.param <= 2:
             action = "trivial"
         # Conjugation by x^k sends y to x^(2k) y in Dih_2m, so for odd m the
         # map (x, y) -> (x, xy) is inner and Dih_2m x|nu~ Z is Dih_2m x Z.
-        if action == "nu~" and factor.param % 2:
+        if action == "nu" and factor.param % 2:
             action = "trivial"
-        return _type1(factor, action)
+        return _type1(factor, action if action == "trivial" else action + "~")
     a, b = factors
-    gluing = {"K1": "K1'", "K2": "K2'"}.get(gluing, gluing)
-    return _type2(_project_desc(a), _project_desc(b), _project_desc(amalgamated), gluing)
+    return _type2(_project_desc(a), _project_desc(b), _project_desc(amalgamated),
+                  None if gluing is None else gluing + "'")
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +279,13 @@ _STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
 def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRecord, ...], dict]:
     """The braid-group records at n in shape order, their mapping-class
     images in shape order, and the image of each braid-group shape, from one
-    walk of the shape generators.  An image takes the union of its
+    walk of the shape generator.  An image takes the union of its
     preimages' indices i and their best status: realized, else open, else
     not realized.  Only the last n is cached: callers ask about one n at a
     time."""
     _check_n(n)
     indices: dict[tuple, set[int]] = {}
-    for shape, i in chain(_v1_shapes(n), _v2_shapes(n)):
+    for shape, i in _shapes(n):
         seen = indices.setdefault(shape, set())
         if i is not None:
             seen.add(i)

@@ -98,7 +98,7 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
             exp = 1
             if idx < len(genword) and genword[idx] == "^":
                 end = idx + 1
-                while end < len(genword) and (genword[end].isdigit() or genword[end] == "-"):
+                while end < len(genword) and genword[end] in "-0123456789":
                     end += 1
                 try:
                     exp = int(genword[idx + 1:end])
@@ -113,6 +113,8 @@ def _parse_amalgam_element(spec: amalgams.AmalgamSpec, text: str) -> amalgams.Am
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    if not text.isascii():  # int() reads every Unicode digit
+        raise ValueError(text)
     lo, sep, hi = text.partition("..")
     return (int(lo), int(hi)) if sep else (int(lo), int(lo))
 

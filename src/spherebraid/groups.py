@@ -586,7 +586,7 @@ def named_group(name: str) -> FiniteGroupTable:
     for kind, (prefixes, scale, _, _) in _FAMILIES.items():
         for prefix in prefixes:
             digits = name[len(prefix):]
-            if name.startswith(prefix) and digits.isdigit():
+            if name.startswith(prefix) and digits.isascii() and digits.isdigit():
                 order = int(digits)
                 if order % scale:
                     raise ValueError(f"order {order} is not a multiple of {scale} for {prefix}")

@@ -142,23 +142,24 @@ def _cyclic_core(w: BraidWord) -> BraidWord:
     return _valid_word(w.n, w.letters[k : len(w.letters) - k]) if k else w
 
 
-# One table holds about 4n^2 letters, so only the last few strand counts are kept.
+# 6(n - 2) letters per strand count; only the last few strand counts are kept.
 @lru_cache(maxsize=8)
-def _emissions(n: int) -> tuple[tuple[int, ...], ...]:
-    """A_p and A_p^-1 at index 2p and 2p + 1, p = 1 .. n-1: words in B_{n-1}.
+def _emissions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cycle C = sigma_1^-1 ... sigma_{n-2}^-1 sigma_{n-2}^-1 ... sigma_1^-1
+    sigma_1^-1 ... sigma_{n-2}^-1 of 3(n - 2) letters in B_{n-1}, and C^-1.
 
+    For p = 1 .. n-1, the 2n - 4 letters of C from index p - 1 are
     A_p = sigma_p^-1 ... sigma_{n-2}^-1 sigma_{n-2}^-1 ... sigma_1^-1
-    sigma_1^-1 ... sigma_{p-1}^-1, 2n - 4 letters, is the Schreier generator
-    t_p sigma_p t_{p+1}^-1 = u^-1 sigma_{n-1}^2 u, t_p = sigma_{n-1} ... sigma_p
-    and u = sigma_{n-2} ... sigma_p, once the sphere relation has replaced
+    sigma_1^-1 ... sigma_{p-1}^-1, and those of C^-1 from index n - 1 - p are
+    A_p^-1.  A_p is the Schreier generator t_p sigma_p t_{p+1}^-1 =
+    u^-1 sigma_{n-1}^2 u, t_p = sigma_{n-1} ... sigma_p and
+    u = sigma_{n-2} ... sigma_p, once the sphere relation has replaced
     sigma_{n-1}^2 by sigma_{n-2}^-1 ... sigma_1^-1 sigma_1^-1 ... sigma_{n-2}^-1
     and the word is freely reduced.
     """
-    out: list[tuple[int, ...]] = [(), ()]
-    for p in range(1, n):
-        a = (*range(-p, -(n - 1), -1), *range(-(n - 2), 0), *range(-1, -p, -1))
-        out += [a, _finv(a)]
-    return tuple(out)
+    down = range(-1, -(n - 1), -1)
+    cycle = (*down, *reversed(down), *down)
+    return cycle, _finv(cycle)
 
 
 def _capped_word(letters: Sequence[int], n: int, s: int) -> list[int]:
@@ -172,7 +173,8 @@ def _capped_word(letters: Sequence[int], n: int, s: int) -> list[int]:
     sigma_{p-1}^-1 emits A_{p-1}^-1, and sigma_p^-1 and sigma_{p-1} emit
     nothing (see :func:`_emissions`).
     """
-    table = _emissions(n)
+    cycle, inverse = _emissions(n)
+    span = 2 * n - 4
     out: list[int] = []
     push, extend = out.append, out.extend
     p = s
@@ -184,12 +186,12 @@ def _capped_word(letters: Sequence[int], n: int, s: int) -> list[int]:
             push(x - 1 if x > 0 else x + 1)
         elif i == p:
             if x > 0:
-                extend(table[2 * p])
+                extend(cycle[p - 1 : p - 1 + span])
             p += 1
         else:
             p -= 1
             if x < 0:
-                extend(table[2 * p + 1])
+                extend(inverse[n - 1 - p : n - 1 - p + span])
     return out
 
 

@@ -972,7 +972,7 @@ class TestOneComputation:
     """The five views read one computation per n, and only the last n is kept."""
 
     def test_one_walk_and_one_projection_per_record(self, monkeypatch):
-        calls = dict.fromkeys(("_v1_shapes", "_v2_shapes", "_project"), 0)
+        calls = dict.fromkeys(("_shapes", "_project"), 0)
         for name in calls:
             def counted(*args, name=name, fn=getattr(classifier, name)):
                 calls[name] += 1
@@ -987,7 +987,7 @@ class TestOneComputation:
             for r in recs:
                 project_to_mcg(r)
             assert len(recs) == 78
-            assert calls == {"_v1_shapes": 1, "_v2_shapes": 1, "_project": len(recs)}
+            assert calls == {"_shapes": 1, "_project": len(recs)}
             enumerate_all(31)
             assert classifier._classification.cache_info().currsize == 1
         finally:

@@ -217,6 +217,15 @@ class TestGroupCommand:
         code, out = run(capsys, "group", "order", tag)
         assert code == 0 and out == f"order: {order}\n"
 
+    @pytest.mark.parametrize("tag", ["Z\u0663", "Z\u00b2"])
+    def test_non_ascii_digits(self, capsys, tag):
+        # An Arabic-Indic three and a superscript two are digits to
+        # str.isdigit; neither is part of a tag.
+        code = main(["group", "order", tag])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: unknown group tag {tag!r}\n"
+
     def test_iso_arity(self, capsys):
         code = main(["group", "iso", "Q8"])
         assert code == 2 and capsys.readouterr().err == "error: iso takes exactly two group tags\n"
@@ -276,6 +285,7 @@ class TestAmalgamCommand:
         ("dicdic:3", "dicdic gluing needs an even parameter"),
         ("dicdih:4", "unknown amalgam tag 'dicdih:4'"),
         ("zz", "unknown amalgam tag 'zz' (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)"),
+        ("zz:\u0662", "unknown amalgam tag 'zz:\u0662' (use k1, k2, k1p, k2p, zz:q, dicz:q, dicdic:q)"),
     ])
     def test_bad_spec_tags(self, capsys, spec, message):
         code = main(["amalgam", "build", "--spec", spec])
@@ -289,6 +299,7 @@ class TestAmalgamCommand:
         ("1:x^", "bad exponent '' in '1:x^'"),
         ("1:x^-", "bad exponent '-' in '1:x^-'"),
         ("1:x^1-2", "bad exponent '1-2' in '1:x^1-2'"),
+        ("1:x^\u0663", "bad exponent '' in '1:x^\u0663'"),
     ])
     def test_bad_elements(self, elt, message):
         # A clean exit: the message on stderr, exit code 2, no traceback.
@@ -363,6 +374,14 @@ class TestErrorHandling:
     def test_open_ended_suite_range(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "torsion", "--n", text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --n" in captured.err
+
+    def test_non_ascii_suite_range(self, capsys):
+        # int() reads Arabic-Indic digits; the range syntax takes ASCII only.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "torsion", "--n", "\u0664..\u0665"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "argument --n" in captured.err

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from spherebraid import oracle
+from spherebraid import oracle, words
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"```(\w+)\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -57,3 +57,15 @@ def test_library_examples():
                     eval(code, namespace)
             else:
                 assert repr(eval(code, namespace)) == comment, code
+
+
+def test_every_catalog_atom_is_documented():
+    # The README's Words bullet names every DSL atom in each of its arities:
+    # `tag` with none, `tag(i)` with one, `tag(i,m)` with two.
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("- **Words**")
+    bullet = readme[start:readme.index("\n- **", start + 1)]
+    for tag, (_, arities, _) in words._CATALOG.items():
+        for arity in arities:
+            args = r"\(" + ",".join([r"[a-z]+"] * arity) + r"\)" if arity else ""
+            assert re.search(rf"`{re.escape(tag)}{args}`", bullet), (tag, arity)

@@ -1271,14 +1271,19 @@ class TestExactStage:
             assert (got == [0, 1] * m) == (k == 0)
         assert oracle._twisted_unit.cache_parameters()["maxsize"] is not None
 
-    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_emissions(self, n):
-        # A_p: 2n - 4 negative letters of B_{n-1}, beside its inverse.
-        table = oracle._emissions(n)
+        # Every window of the cached cycle is A_p = sigma_p^-1 ... sigma_{n-2}^-1
+        # sigma_{n-2}^-1 ... sigma_1^-1 sigma_1^-1 ... sigma_{p-1}^-1, and the
+        # matching window of the inverse is A_p^-1; each holds 3(n - 2) letters.
+        cycle, inverse = oracle._emissions(n)
+        assert len(cycle) == len(inverse) == 3 * (n - 2)
         for p in range(1, n):
-            a = table[2 * p]
-            assert len(a) == 2 * n - 4 and table[2 * p + 1] == oracle._finv(a)
-            assert all(-(n - 2) <= x <= -1 for x in a)
+            want = [-j for j in range(p, n - 1)] + [-j for j in range(n - 2, 0, -1)] \
+                + [-j for j in range(1, p)]
+            assert len(want) == 2 * n - 4
+            assert list(cycle[p - 1 : p + 2 * n - 5]) == want
+            assert list(inverse[n - 1 - p : 3 * n - 5 - p]) == [-x for x in reversed(want)]
 
 
 class TestBudgetWords:
