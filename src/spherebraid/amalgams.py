@@ -32,6 +32,7 @@ from .groups import (
     FiniteGroupTable,
     GroupPresentation,
     _extend_map,
+    _inner_conjugators,
     _is_automorphism,
     hom_from_gen_images,
     make_group,
@@ -250,16 +251,18 @@ def find_extension(spec: AmalgamSpec) -> tuple[int, ...] | None:
     """The least automorphism (as a map) of the common factor table carrying
     i1 to i2, or None when the gluing admits no such extension.
 
-    Every automorphism is an inner one after an Out representative, so the
-    candidates are those compositions; the restriction to the image of i1
+    Every automorphism is an Out representative followed by one inner
+    automorphism, so the candidates are those compositions, with one
+    conjugator per inner automorphism; the restriction to the image of i1
     is checked before a whole map is built."""
     if spec.g1 is not spec.g2 and spec.g1 != spec.g2:
         raise ValueError("extension search expects identical factor tables")
     G, i1, i2 = spec.g1, spec.i1, spec.i2
+    conjugators = _inner_conjugators(G)
     matches = {
         tuple(G.conj(g, y) for y in a)
         for a in outer_group(G).labels
-        for g in range(G.order)
+        for g in conjugators
         if all(G.conj(g, a[i1[x]]) == i2[x] for x in range(spec.f.order))
     }
     return min(matches, default=None)

@@ -22,21 +22,24 @@ from typing import Any
 from . import amalgams, classifier, groups, oracle, suites, words
 
 
-def _render(payload: dict, fmt: str, text_lines: list[str]) -> str:
+def _render(payload: dict, fmt: str, text_lines: list[str],
+            columns: tuple[str, ...] = ()) -> str:
+    """JSON, CSV or text.  In CSV a payload with ``rows`` is a table under
+    the header ``columns`` (by default the first row's keys), which an empty
+    table still prints; a payload without is one row of its top-level
+    fields."""
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
-        # A payload without a table is one row of its top-level fields.
         rows = payload["rows"] if "rows" in payload else [{
             key: json.dumps(value, sort_keys=True, separators=(",", ":"))
             if isinstance(value, (list, dict)) else value
             for key, value in payload.items()
         }]
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(buf, fieldnames=columns or list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     return "\n".join(text_lines)
 
@@ -204,16 +207,15 @@ def _main(argv: list[str] | None = None) -> int:
         if args.status != "all":
             recs = tuple(r for r in recs if r.status == args.status)
         rows = [_record_payload(r) for r in recs]
+        columns = ("kind", "shape", "admissible_i", "status", "status_ref")
         csv_rows = [
-            {"kind": r["kind"], "shape": r["shape"],
-             "admissible_i": " ".join(map(str, r["admissible_i"])),
-             "status": r["status"], "status_ref": r["status_ref"]}
+            {**{c: r[c] for c in columns}, "admissible_i": " ".join(map(str, r["admissible_i"]))}
             for r in rows
         ]
         lines = [f"{r['kind']:3s} {r['shape']:32s} i={r['admissible_i']} {r['status']}"
                  for r in rows]
         print(_render({"n": args.n, "mcg": args.mcg, "records": rows, "rows": csv_rows},
-                      fmt, lines))
+                      fmt, lines, columns))
         return 0
 
     if args.command == "witness":
@@ -246,7 +248,7 @@ def _main(argv: list[str] | None = None) -> int:
         lines = [f"suite {res.suite} over n={res.n_range[0]}..{res.n_range[1]}: "
                  f"{good} passed, {bad} failed"]
         lines += [f"  FAIL {c.check_id}" for c in res.checks if not c.passed]
-        print(_render(payload, fmt, lines))
+        print(_render(payload, fmt, lines, ("id", "passed")))
         return 0 if res.passed else 1
 
     if args.command == "group":

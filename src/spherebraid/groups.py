@@ -32,7 +32,12 @@ is the union of those cosets.  Their tables are composed by lookup: the
 product of two representatives is keyed by one representative read at the
 other's generator images.  Out keeps one representative map per coset as
 its ``labels``, and outer-class questions (``same_semidirect_class``) are
-read off its table.
+read off its table.  Every automorphism is an Out representative followed
+by conjugation by one of ``_inner_conjugators``, one per inner
+automorphism; the Aut table, extension and restriction searches all read
+that one list.  The named actions of ``action_catalog`` are read off the
+table's elements, not its distinguished generators, so every table of a
+cataloged family has them.
 """
 
 from __future__ import annotations
@@ -921,6 +926,15 @@ def structure_name(G: FiniteGroupTable) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _inner_conjugators(G: FiniteGroupTable) -> tuple[int, ...]:
+    """One conjugator per inner automorphism, told apart by its images of
+    the distinguished generators: g and g z, z central, induce one map, so
+    every automorphism is an Out representative followed by conjugation by
+    one of these."""
+    gens = G.generators or (G.identity,)
+    return tuple({tuple(G.conj(g, y) for y in gens): g for g in range(G.order)}.values())
+
+
 @lru_cache(maxsize=None)
 def _aut_cosets(G: FiniteGroupTable, inner: bool) -> tuple[FiniteGroupTable, dict]:
     """Aut(G) (``inner`` false) or Out(G) (``inner`` true) on coset
@@ -939,8 +953,7 @@ def _aut_cosets(G: FiniteGroupTable, inner: bool) -> tuple[FiniteGroupTable, dic
     ``FAMILY_ORDER_BUDGET`` elements of the table.
     """
     gens = G.generators or (G.identity,)
-    # One conjugator per inner automorphism.
-    conjugators = tuple({tuple(G.conj(g, y) for y in gens): g for g in range(G.order)}.values())
+    conjugators = _inner_conjugators(G)
     coset_size = 1 if inner else len(conjugators)
     coset_of: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
@@ -991,42 +1004,37 @@ def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int
 
 
 def action_catalog(G: FiniteGroupTable) -> dict[str, tuple[int, ...]]:
-    """Named action representatives on a standard table, by family."""
+    """Named action representatives, by family, read off the table's
+    elements, so any table of a cataloged family answers, whatever its
+    distinguished generators.
+
+    ``rho`` (cyclic, order at least 3) is inversion.  On the x, y of
+    ``_index_two_cyclic``: ``nu`` (dicyclic) and ``nu~`` (dihedral) fix x
+    and send y to xy; Q8's ``alpha`` sends (x, y) to (y, xy) and ``beta`` to
+    (xy, y^-1); Klein's ``alpha~`` to (y, xy) and ``beta~`` to (xy, y).
+    Out(T*) and Out(A4) have order 2, so ``omega`` and ``omega~`` are the
+    Out representative of the class without the identity.
+    """
     name = structure_name(G)
-    out: dict[str, tuple[int, ...]] = {"trivial": tuple(range(G.order))}
-    if G.order == 1:
-        return out
-    x = G.generators[0]
+    catalog: dict[str, tuple[int, ...]] = {"trivial": tuple(range(G.order))}
     if name.startswith("Z") and " x " not in name:
         if G.order >= 3:
-            out["rho"] = aut_from_gen_images(G, (G.inverse[x],))
-        return out
-    y = G.generators[1]
-    if name == "Q8":
-        out["alpha"] = aut_from_gen_images(G, (y, G.mult[x][y]))
-        out["beta"] = aut_from_gen_images(G, (G.mult[x][y], G.inverse[y]))
-        return out
-    if name == "Z2 x Z2":
-        out["alpha~"] = aut_from_gen_images(G, (y, G.mult[x][y]))
-        out["beta~"] = aut_from_gen_images(G, (G.mult[x][y], y))
-        return out
-    if name.startswith(("Dic", "Q", "Dih")):
-        # The distinguished generators need not be the family's x, y (B3's
-        # are not), so take the x, y on which structure_name checked the
-        # relations.
+            catalog["rho"] = G.inverse
+    elif name in ("T*", "A4"):
+        out = outer_group(G)
+        catalog["omega" if name == "T*" else "omega~"] = out.labels[1 - out.identity]
+    elif name == "Z2 x Z2" or name.startswith(("Dic", "Q", "Dih")):
         x, y = _index_two_cyclic(G)  # type: ignore[misc]
-        tag = "nu~" if name.startswith("Dih") else "nu"
-        out[tag] = _extend_map(G, G, (x, y), (x, G.mult[x][y]))  # type: ignore[assignment]
-        return out
-    if name == "T*":
-        p, q, xx = G.generators
-        out["omega"] = aut_from_gen_images(G, (G.mult[q][p], G.inverse[q], G.inverse[xx]))
-        return out
-    if name == "A4":
-        a, b, t = G.generators
-        out["omega~"] = aut_from_gen_images(G, (G.mult[a][b], b, G.inverse[t]))
-        return out
-    return out
+        xy = G.mult[x][y]
+        if name == "Q8":
+            images = {"alpha": (y, xy), "beta": (xy, G.inverse[y])}
+        elif name == "Z2 x Z2":
+            images = {"alpha~": (y, xy), "beta~": (xy, y)}
+        else:
+            images = {"nu~" if name.startswith("Dih") else "nu": (x, xy)}
+        for tag, im in images.items():
+            catalog[tag] = _extend_map(G, G, (x, y), im)  # type: ignore[assignment]
+    return catalog
 
 
 def classify_action(G: FiniteGroupTable, aut: Sequence[int]) -> str:
@@ -1043,14 +1051,16 @@ def classify_action(G: FiniteGroupTable, aut: Sequence[int]) -> str:
 
 def restriction_is_surjective(G: FiniteGroupTable, sub: frozenset[int]) -> bool:
     """Whether every automorphism of the subgroup extends to one of G
-    preserving it (checked by direct search)."""
+    preserving it.  The automorphisms of G are searched directly, as the
+    Out representatives composed with one conjugator per inner
+    automorphism; the Aut table is never built."""
     order = sorted(sub)
     index = {e: i for i, e in enumerate(order)}
-    # Every automorphism of G is an inner one after an Out representative.
+    conjugators = _inner_conjugators(G)
     restrictions = {
         tuple(index[G.conj(g, a[e])] for e in order)
         for a in outer_group(G).labels
-        for g in range(G.order)
+        for g in conjugators
         if all(G.conj(g, a[e]) in sub for e in sub)
     }
     # The Out walk keys every automorphism of the subgroup to its coset.

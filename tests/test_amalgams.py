@@ -321,7 +321,8 @@ class TestExtensionsPastTheAutTableBudget:
 
 
 @pytest.mark.parametrize("tag", [
-    "k1", "k2", "k1p", "k2p", "zz:1", "zz:3", "zz:6", "dicz:2", "dicz:5", "dicdic:4", "dicdic:6",
+    "k1", "k2", "k1p", "k2p", "zz:1", "zz:3", "zz:6", "zz:12", "zz:25", "dicz:2", "dicz:5",
+    "dicz:12", "dicdic:4", "dicdic:6",
 ])
 def test_find_extension_is_the_least_matching_automorphism(tag):
     spec = named_amalgam(tag)

@@ -124,6 +124,11 @@ class TestClassify:
 
         assert len(out.strip().splitlines()) == len(enumerate_all(5)) + 1
 
+    @pytest.mark.parametrize("argv", [["--status", "open"], ["--mcg", "--status", "not_realized"]])
+    def test_csv_empty_table_prints_its_header(self, capsys, argv):
+        code, out = run(capsys, "--format", "csv", "classify", "--n", "5", *argv)
+        assert code == 0 and out.splitlines() == ["kind,shape,admissible_i,status,status_ref"]
+
 
 class TestWitnessCommand:
     def test_witness_json(self, capsys):
@@ -185,6 +190,11 @@ class TestVerifyCommand:
     def test_text_one_line_per_failure(self, capsys):
         _, out = run(capsys, "verify", "--suite", "presentation")
         assert "0 failed" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("suite,n", [("propsomega", "3..3"), ("classifier_mainodd", "4..4")])
+    def test_csv_empty_table_prints_its_header(self, capsys, suite, n):
+        code, out = run(capsys, "--format", "csv", "verify", "--suite", suite, "--n", n)
+        assert code == 0 and out.splitlines() == ["id,passed"]
 
 
 class TestGroupCommand:

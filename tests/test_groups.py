@@ -36,6 +36,7 @@ from spherebraid.groups import (
     _extend_map,
     _finish_table,
     _greedy_closure,
+    _is_automorphism,
     _is_normal,
     _isomorphisms,
 )
@@ -350,7 +351,34 @@ class TestAutomorphisms:
             call()
 
 
+# Tables whose distinguished generators are greedy, not the catalog's: every
+# subgroup of thirteen catalog groups, B3, and the quotients by nontrivial
+# centres.
+ACTION_GROUPS = ("T*", "O*", "I*", "S4", "A5", "A4", "Q16", "Dic24", "Dic48",
+                 "Dih8", "Dih12", "Dih16", "Z2xZ2")
+ACTION_TABLES = (
+    [(f"{name}-{i}", subgroup_table(named_group(name), h.elements))
+     for name in ACTION_GROUPS for i, h in enumerate(subgroups(named_group(name)))]
+    + [("B3", sphere_three_strand_table())]
+    + [(f"{name}-centre", quotient(named_group(name), center(named_group(name))))
+       for name in ACTION_GROUPS if center(named_group(name)).order > 1]
+)
+
+
 class TestClassifyAction:
+    @pytest.mark.parametrize("name,S", ACTION_TABLES, ids=[t[0] for t in ACTION_TABLES])
+    def test_labels_do_not_depend_on_the_generators(self, name, S):
+        # The catalog table of the same name has the same labels, and each
+        # label is an automorphism in its own class; nu~ is inner on Dih2m
+        # for odd m, so it reads trivial there.
+        family = structure_name(S)
+        cat = action_catalog(S)
+        assert set(cat) == set(action_catalog(named_group(family.replace(" x ", "x"))))
+        for tag, rep in cat.items():
+            assert _is_automorphism(S, rep)
+            inner = tag == "nu~" and S.order // 2 % 2 == 1
+            assert classify_action(S, rep) == ("trivial" if inner else tag)
+
     def test_quaternion_tags(self):
         q8 = make_group("dicyclic", 2)
         cat = action_catalog(q8)
@@ -682,6 +710,9 @@ def _subgroup_sets_reference(G):
     return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 
+RESTRICTION_CATALOG = [(a, G) for a, G in CATALOG if G.order <= 48]
+
+
 class TestAgainstWholeTableReferences:
     """Out(G) built on coset representatives, and the lattice grown by
     prime-power joins, equal what the whole Aut table and the all-cyclic
@@ -710,6 +741,17 @@ class TestAgainstWholeTableReferences:
     @pytest.mark.parametrize("name,G", SMALL_CATALOG, ids=[c[0] for c in SMALL_CATALOG])
     def test_subgroup_lattice_matches_all_cyclic_joins(self, name, G):
         assert _all_subgroup_sets(G) == _subgroup_sets_reference(G)
+
+    @pytest.mark.parametrize("name,G", RESTRICTION_CATALOG, ids=[c[0] for c in RESTRICTION_CATALOG])
+    def test_restriction_matches_every_automorphism(self, name, G):
+        auts = _aut_maps(G)
+        for h in subgroups(G):
+            order = sorted(h.elements)
+            index = {e: i for i, e in enumerate(order)}
+            restrictions = {tuple(index[a[e]] for e in order)
+                            for a in auts if all(a[e] in h.elements for e in order)}
+            expected = restrictions == set(_aut_maps(subgroup_table(G, h.elements)))
+            assert restriction_is_surjective(G, h.elements) == expected, h.name
 
 
 def _tau(m):
