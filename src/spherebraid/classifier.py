@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from . import oracle, words
@@ -124,7 +125,10 @@ class VcClassRecord(NamedTuple):
 
 
 def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+    """The divisors of m in ascending order: each d <= isqrt(m) that divides
+    m, then the cofactors m // d, a square root listed once."""
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def _check_n(n: int) -> None:
@@ -182,13 +186,18 @@ def _status(shape: tuple, n: int) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
+# The deletion indices i, in the order _shapes walks them.
+_INDICES = (0, 1, 2)
+
+
 def _shapes(n: int) -> Iterator[tuple[tuple, int | None]]:
     """Every ``(shape, i)`` pair at n.  At each deletion index i the cyclic
     and dicyclic families of both types come from the divisors of 2(n - i),
     of (n - i)/2 when n - i is even, and of n - i; the inversion, dicyclic
     and Z *_Z Dic families need i in {0, 2}.  The binary-polyhedral shapes
-    follow with no i, gated by n mod 2, 6 and 30."""
-    for i in (0, 1, 2):
+    follow with no i, gated by n mod 2, 6 and 30.  Each shape comes at
+    most once per i, and the i ascend."""
+    for i in _INDICES:
         k = n - i
         for q in _divisors(2 * k)[:-1]:
             if k % 2 and q == k:
@@ -278,32 +287,37 @@ _STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
 @lru_cache(maxsize=1)
 def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRecord, ...], dict]:
     """The braid-group records at n in shape order, their mapping-class
-    images in shape order, and the image of each braid-group shape, from one
-    walk of the shape generator.  An image takes the union of its
-    preimages' indices i and their best status: realized, else open, else
-    not realized.  Only the last n is cached: callers ask about one n at a
-    time."""
+    images in shape order, and the image record of each braid-group shape,
+    from one walk of the shape generator, whose indices i per shape come
+    sorted.  One pass over the sorted shapes builds each record and merges
+    it into its image: the union of the indices i and the best status
+    (realized, else open, else not realized; the first preimage of that
+    rank).  Only the last n is cached: callers ask about one n at a time."""
     _check_n(n)
-    indices: dict[tuple, set[int]] = {}
+    indices: dict[tuple, list[int]] = {}
     for shape, i in _shapes(n):
-        seen = indices.setdefault(shape, set())
+        seen = indices.setdefault(shape, [])
         if i is not None:
-            seen.add(i)
-    records, image_of, preimages = [], {}, {}
+            seen.append(i)
+    records, merged = [], {}
     for shape in sorted(indices):
-        records.append(VcClassRecord(shape[0], n, False, *shape[1:], tuple(sorted(indices[shape])),
-                                     *_status(shape, n)))
-        image_of[shape] = _project(shape)
-        preimages.setdefault(image_of[shape], []).append(records[-1])
-    images = {}
-    for image in sorted(preimages):
-        group = preimages[image]
-        best = max(group, key=lambda record: _STATUS_RANK[record.status])
-        union = sorted(set().union(*(record.admissible_i for record in group)))
-        images[image] = VcClassRecord(image[0], n, True, *image[1:], tuple(union),
-                                      best.status, best.status_ref)
-    image_records = {shape: images[image] for shape, image in image_of.items()}
-    return tuple(records), tuple(images.values()), image_records
+        record = VcClassRecord(shape[0], n, False, *shape[1:], tuple(indices[shape]),
+                               *_status(shape, n))
+        records.append(record)
+        # [union of the indices i, best preimage, preimage shapes]
+        image = merged.setdefault(_project(shape), [set(), record, []])
+        image[0].update(record.admissible_i)
+        if _STATUS_RANK[record.status] > _STATUS_RANK[image[1].status]:
+            image[1] = record
+        image[2].append(shape)
+    images, image_of = [], {}
+    for image in sorted(merged):
+        union, best, preimages = merged[image]
+        images.append(VcClassRecord(image[0], n, True, *image[1:],
+                                    tuple(i for i in _INDICES if i in union),
+                                    best.status, best.status_ref))
+        image_of.update(dict.fromkeys(preimages, images[-1]))
+    return tuple(records), tuple(images), image_of
 
 
 def enumerate_v1(n: int) -> tuple[VcClassRecord, ...]:
@@ -331,10 +345,15 @@ def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
 
 def project_to_mcg(record: VcClassRecord) -> VcClassRecord:
     """The image class in the mapping class group, with the image's status
-    and the record's own indices i."""
+    and the record's own indices i.  That is the stored image record when
+    the indices agree, as they do for the enumeration's own records (checked
+    for n = 4..700), and a copy otherwise."""
     if record.mcg:
         return record
-    return _classification(record.n)[2][_shape(record)]._replace(admissible_i=record.admissible_i)
+    image = _classification(record.n)[2][_shape(record)]
+    if image.admissible_i == record.admissible_i:
+        return image
+    return image._replace(admissible_i=record.admissible_i)
 
 
 # ---------------------------------------------------------------------------

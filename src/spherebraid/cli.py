@@ -4,9 +4,10 @@ amalgam arithmetic, the classification tables, and the identity suites.
 
 JSON is the machine contract (stable key order, no timing data, so
 identical inputs render byte-identical output); CSV and text are for
-eyeballs.  The exit code is 0 on success, 1 when a check failed or there is
-nothing to show, and 2 on bad input or an exceeded budget, with ``error:``
-and the reason on stderr.  Group and amalgam tags are looked up by
+eyeballs.  The exit code is 0 on success, 1 when a check failed, there is
+nothing to show or the reader closed stdout early (with nothing on
+stderr), and 2 on bad input or an exceeded budget, with ``error:`` and the
+reason on stderr.  Group and amalgam tags are looked up by
 ``groups.named_group`` and ``amalgams.named_amalgam``.
 """
 
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Any
 
@@ -124,7 +126,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _main(argv)
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # the flush at exit does not fail again, and exit 1 in silence.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (words.WordError, groups.SubgroupBudgetError, groups.CosetBudgetError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -997,6 +997,11 @@ def same_semidirect_class(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int
     """
     if not (_is_automorphism(G, a) and _is_automorphism(G, b)):
         raise ValueError("map is not an automorphism of the group")
+    return _same_twist(G, a, b)
+
+
+def _same_twist(G: FiniteGroupTable, a: Sequence[int], b: Sequence[int]) -> bool:
+    """``same_semidirect_class`` for maps already known to be automorphisms."""
     out, coset_of = _aut_cosets(G, True)
     gens = G.generators or (G.identity,)
     i, j = (coset_of[tuple(f[g] for g in gens)] for f in (a, b))
@@ -1042,9 +1047,13 @@ def classify_action(G: FiniteGroupTable, aut: Sequence[int]) -> str:
 
     Equality is up to the semidirect-product equivalence (outer class up to
     inversion and outer conjugation); returns ``"uncataloged"`` on no match.
+    The input is checked once, and the catalog's own representatives not at
+    all; raises ``ValueError`` when aut is not an automorphism of G.
     """
+    if not _is_automorphism(G, aut):
+        raise ValueError("map is not an automorphism of the group")
     for tag, rep in action_catalog(G).items():
-        if same_semidirect_class(G, tuple(aut), rep):
+        if _same_twist(G, aut, rep):
             return tag
     return "uncataloged"
 

@@ -994,6 +994,30 @@ class TestOneComputation:
             classifier._classification.cache_clear()
 
 
+class TestOnePass:
+    """The invariants the one-pass build rests on."""
+
+    def test_divisors_to_the_square_root(self):
+        for m in range(1, 2001):
+            assert classifier._divisors(m) == divisors(m), m
+
+    @pytest.mark.parametrize("n", [*range(4, 201), 420, 1000])
+    def test_shapes_come_once_per_index_in_ascending_index(self, n):
+        # Each shape's indices i are then listed sorted as they are made.
+        pairs = list(classifier._shapes(n))
+        assert len(set(pairs)) == len(pairs)
+        assert [i for _, i in pairs if i is not None] == sorted(
+            i for _, i in pairs if i is not None)
+
+    def test_projection_keeps_the_record_indices(self):
+        for r in enumerate_all(12):
+            image = project_to_mcg(r)
+            assert image is classifier._classification(12)[2][classifier._shape(r)]
+            moved = project_to_mcg(r._replace(admissible_i=(7,)))
+            assert moved.admissible_i == (7,)
+            assert moved._replace(admissible_i=image.admissible_i) == image
+
+
 class TestAgainstReference:
     """Every view equals the reference enumeration, record for record."""
 

@@ -65,12 +65,12 @@ class TestQueries:
         assert code == 0 and out.splitlines() == ["n,word,order", "6,1 2 3 4 5,12"]
 
 
-def run_child(*argv) -> subprocess.CompletedProcess:
+def run_child(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m spherebraid`` in a child process, its output as bytes."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "spherebraid", *argv],
-                          env=env, capture_output=True, timeout=120)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
 
 class TestCsvBytes:
@@ -89,6 +89,19 @@ class TestCsvBytes:
         expected = "".join(f"{row}\r\n" for row in ["id,passed", *(f"{i},True" for i in ids)])
         proc = run_child("--format", "csv", "verify", "--suite", "presentation")
         assert proc.returncode == 0 and proc.stdout == expected.encode()
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_1_in_silence(self):
+        # The reader of stdout is gone before the first write, as after
+        # `spherebraid classify --n 10000 | head -1`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_child("classify", "--n", "8", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == b""
 
 
 class TestClassify:

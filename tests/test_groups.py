@@ -565,6 +565,27 @@ SAME_ORDER_PAIRS = [
 ]
 
 
+class TestClassifyActionChecksOnce:
+    """``classify_action`` checks its input once and never the catalog's
+    own representatives; a map that is not an automorphism still raises."""
+
+    @pytest.mark.parametrize("name,G", CATALOG, ids=[c[0] for c in CATALOG])
+    def test_one_automorphism_check_per_call(self, monkeypatch, name, G):
+        calls = []
+        check = groups._is_automorphism
+        monkeypatch.setattr(groups, "_is_automorphism",
+                            lambda G, m: calls.append(m) or check(G, m))
+        for tag, rep in action_catalog(G).items():
+            calls.clear()
+            classify_action(G, rep)
+            assert calls == [rep], tag
+        calls.clear()
+        # A constant map; on the trivial group, an image outside the group.
+        with pytest.raises(ValueError):
+            classify_action(G, (G.identity,) * G.order if G.order > 1 else (1,))
+        assert len(calls) == 1
+
+
 class TestPrunedSearch:
     """The depth-first, product-order-pruned search finds exactly what the
     unpruned search finds."""
