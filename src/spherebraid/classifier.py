@@ -17,7 +17,8 @@ once per isomorphism class: an action gains a tilde and a gluing tag a
 prime, save where the action becomes inner, and each image takes the union
 of its preimages' indices i and their best status.  One computation per n
 walks the generator once and builds both tables; every public view reads
-it, and only the last n asked is cached.
+it, and only the last n asked is cached.  The projection of a shape is
+computed once per process: shapes recur across n.
 
 Where the realization is by an explicit algebraic construction, one table,
 ``_construction(shape, n, i)``, writes the generator words down together
@@ -259,6 +260,7 @@ def _project_desc(desc: GroupDesc, quaternion_to_klein: bool = False) -> GroupDe
     return _FACTOR_PROJECTION[desc.family]
 
 
+@lru_cache(maxsize=None)
 def _project(shape: tuple) -> tuple:
     kind, factor, action, factors, amalgamated, gluing = shape
     if kind == "I":
@@ -292,7 +294,10 @@ def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRec
     sorted.  One pass over the sorted shapes builds each record and merges
     it into its image: the union of the indices i and the best status
     (realized, else open, else not realized; the first preimage of that
-    rank).  Only the last n is cached: callers ask about one n at a time."""
+    rank).  Records are built unchecked, all eleven fields in order.  Only
+    the last n is cached, as callers ask about one n at a time; each
+    shape's projection is cached for the life of the process, as shapes
+    recur across n."""
     _check_n(n)
     indices: dict[tuple, list[int]] = {}
     for shape, i in _shapes(n):
@@ -301,11 +306,17 @@ def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRec
             seen.append(i)
     records, merged = [], {}
     for shape in sorted(indices):
-        record = VcClassRecord(shape[0], n, False, *shape[1:], tuple(indices[shape]),
-                               *_status(shape, n))
+        kind, factor, action, factors, amalgamated, gluing = shape
+        record = tuple.__new__(VcClassRecord, (
+            kind, n, False, factor, action, factors, amalgamated, gluing,
+            tuple(indices[shape]), *_status(shape, n)))
         records.append(record)
-        # [union of the indices i, best preimage, preimage shapes]
-        image = merged.setdefault(_project(shape), [set(), record, []])
+        key = _project(shape)
+        image = merged.get(key)
+        if image is None:
+            # [union of the indices i, best preimage, preimage shapes]
+            merged[key] = [set(record.admissible_i), record, [shape]]
+            continue
         image[0].update(record.admissible_i)
         if _STATUS_RANK[record.status] > _STATUS_RANK[image[1].status]:
             image[1] = record
@@ -313,10 +324,12 @@ def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRec
     images, image_of = [], {}
     for image in sorted(merged):
         union, best, preimages = merged[image]
-        images.append(VcClassRecord(image[0], n, True, *image[1:],
-                                    tuple(i for i in _INDICES if i in union),
-                                    best.status, best.status_ref))
-        image_of.update(dict.fromkeys(preimages, images[-1]))
+        kind, factor, action, factors, amalgamated, gluing = image
+        record = tuple.__new__(VcClassRecord, (
+            kind, n, True, factor, action, factors, amalgamated, gluing,
+            tuple(sorted(union)), best.status, best.status_ref))
+        images.append(record)
+        image_of.update(dict.fromkeys(preimages, record))
     return tuple(records), tuple(images), image_of
 
 

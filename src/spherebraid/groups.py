@@ -284,7 +284,10 @@ def todd_coxeter(pres: GroupPresentation) -> FiniteGroupTable:
 
     HLT strategy: relators are scanned from every live coset in definition
     order, missing transitions are filled by defining new cosets, and
-    coincidences are processed through a union-find.  Deterministic.  Raises
+    coincidences are processed through a union-find.  Deterministic.  The
+    closed table is renumbered breadth-first from the identity coset, and
+    the multiplication table is read off it one lookup per entry: a·b is
+    a·p·x for b's breadth-first parent p and last letter x.  Raises
     :class:`CosetBudgetError` when more than ``COSET_BUDGET`` cosets get
     defined.
     """
@@ -420,16 +423,21 @@ def todd_coxeter(pres: GroupPresentation) -> FiniteGroupTable:
         for colidx in range(ncols):
             action[nc][colidx] = number[find(tab[c][colidx])]  # type: ignore[arg-type]
 
-    # Element i = coset i; multiplication traces the representative word of b.
+    # Element i = coset i; a·b traces the representative word of b from a.
+    # That word is b's BFS parent's word plus one last letter, so each row
+    # is filled in order of word length, one lookup per entry.
     rep = _bfs_words(order, lambda x, letter: action[x][col(letter)],
                      [s * (g + 1) for g in range(ng) for s in (1, -1)], 0)
-    mult = [[0] * order for _ in range(order)]
+    steps = []
+    for b in sorted(range(1, order), key=lambda b: len(rep[b])):
+        last = col(rep[b][-1])
+        steps.append((b, action[b][last ^ 1], last))
+    mult = []
     for a in range(order):
-        for b in range(order):
-            x = a
-            for letter in rep[b]:
-                x = action[x][col(letter)]
-            mult[a][b] = x
+        row = [a] * order
+        for b, parent_b, last in steps:
+            row[b] = action[row[parent_b]][last]
+        mult.append(row)
     gens = tuple(action[0][col(g + 1)] for g in range(ng))
     return _finish_table(order, mult, gens, pres)
 

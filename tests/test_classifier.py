@@ -994,6 +994,31 @@ class TestOneComputation:
             classifier._classification.cache_clear()
 
 
+class TestOneProjectionPerShape:
+    """Records are built unchecked, and each distinct shape is projected once
+    per process."""
+
+    def test_records_are_the_checked_records(self):
+        for n in range(4, 201):
+            recs, images, _ = classifier._classification(n)
+            for record in recs + images:
+                assert type(record) is VcClassRecord
+                assert record == VcClassRecord(*record)
+
+    def test_one_projection_per_distinct_shape(self):
+        classifier._project.cache_clear()
+        classifier._classification.cache_clear()
+        try:
+            distinct = set()
+            for n in range(4, 201):
+                classifier._classification(n)
+                distinct.update(shape for shape, _ in classifier._shapes(n))
+            assert len(distinct) == 900
+            assert classifier._project.cache_info().misses == len(distinct)
+        finally:
+            classifier._classification.cache_clear()
+
+
 class TestOnePass:
     """The invariants the one-pass build rests on."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -190,6 +191,33 @@ class TestCosetEnumeration:
     def test_deterministic(self):
         p = GroupPresentation(2, ((1,) * 4 + (-2, -2), (2, 1, -2, 1)))
         assert todd_coxeter(p).mult == todd_coxeter(p).mult
+
+    # sha256 of repr((mult, generators, words)) for each presented table,
+    # as the table was when a·b traced the whole representative word of b.
+    PRESENTED_TABLE_DIGESTS = {
+        "T*": "ec9e67542022e5053fb7976d5adf44c9f35788bde36ef462706f0224e69d387c",
+        "O*": "1fe722170e1b97d90adb7d146e9c2a8ca1420bf46703776678edcb8185af0d9d",
+        "I*": "764afdcffb777e1bf4f1c0c1e80593db17d728eca5a136dcc657c9c1a5fdd4fa",
+        "A4": "c02ea483b64fb50c34a952be3076f1baa565549f771048d43e54b39363ab6f5f",
+        "S4": "35d1ad13cfa9b946442f5df3018cf2a7c456103221be0880107a13f1a33fa71a",
+        "A5": "c6dd5095e714cde4cb4f2f22c1c3e1fe895a21306d0f0f95c772b7231cde6592",
+        "B3": "b3e86644e7b0d5a86d26f81e552e18da3e3b5e2b5fe668968a412198c25056c7",
+    }
+
+    @pytest.mark.parametrize("tag", PRESENTED_TABLE_DIGESTS)
+    def test_table_filled_one_lookup_per_entry(self, tag):
+        G = todd_coxeter(named_group(tag).presentation)
+        digest = hashlib.sha256(repr((G.mult, G.generators, G.words)).encode()).hexdigest()
+        assert digest == self.PRESENTED_TABLE_DIGESTS[tag]
+        # a·b is a traced through the generator columns along the word of b.
+        rng = random.Random(tag)
+        for _ in range(64):
+            a, b = rng.randrange(G.order), rng.randrange(G.order)
+            x = a
+            for letter in G.words[b]:
+                g = G.generators[abs(letter) - 1]
+                x = G.mult[x][g if letter > 0 else G.inverse[g]]
+            assert x == G.mult[a][b]
 
     def test_subgroup_budget(self):
         # The lattice has no order budget of its own: Z201 has tau(201) = 4
