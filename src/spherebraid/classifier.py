@@ -15,8 +15,8 @@ cases).  The mapping-class classes are the images of the braid-group records
 under the central quotient B_n(S^2) -> B_n(S^2)/<FT> = Mod(S_{0,n}), listed
 once per isomorphism class: an action gains a tilde and a gluing tag a
 prime, save where the action becomes inner, and each image takes the union
-of its preimages' indices i and their best status.  One computation per n
-walks the generator once and builds both tables; every public view reads
+of its preimages' indices i and the status they share.  One computation
+per n walks the generator once and builds both tables; every public view reads
 it, and only the last n asked is cached.  The projection of a shape is
 computed once per process: shapes recur across n.
 
@@ -247,15 +247,11 @@ _FACTOR_PROJECTION = {
 }
 
 
-def _project_desc(desc: GroupDesc, quaternion_to_klein: bool = False) -> GroupDesc:
+def _project_desc(desc: GroupDesc) -> GroupDesc:
     if desc.family == "Z":
         q = desc.param
         return GroupDesc("Z", q // 2 if q % 2 == 0 else q)
     if desc.family == "Dic":
-        # The quaternion group maps onto the Klein group; it keeps the V4 tag
-        # only as a Type I factor, where it carries its own action catalog.
-        if desc.param == 2 and quaternion_to_klein:
-            return GroupDesc("V4")
         return GroupDesc("Dih", desc.param)
     return _FACTOR_PROJECTION[desc.family]
 
@@ -264,7 +260,9 @@ def _project_desc(desc: GroupDesc, quaternion_to_klein: bool = False) -> GroupDe
 def _project(shape: tuple) -> tuple:
     kind, factor, action, factors, amalgamated, gluing = shape
     if kind == "I":
-        factor = _project_desc(factor, quaternion_to_klein=True)
+        # The quaternion group maps onto the Klein group; it keeps the V4 tag
+        # only as a Type I factor, where it carries its own action catalog.
+        factor = GroupDesc("V4") if factor == GroupDesc("Dic", 2) else _project_desc(factor)
         # Inversion collapses to the identity on the groups of order <= 2;
         # it acts only on cyclic factors, whose parameter is the order.
         if action == "rho" and factor.param <= 2:
@@ -283,18 +281,16 @@ def _project(shape: tuple) -> tuple:
 # One computation per n: the braid-group records and their images.
 # ---------------------------------------------------------------------------
 
-_STATUS_RANK = {"realized": 2, "open": 1, "not_realized": 0}
-
-
 @lru_cache(maxsize=1)
 def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRecord, ...], dict]:
     """The braid-group records at n in shape order, their mapping-class
     images in shape order, and the image record of each braid-group shape,
     from one walk of the shape generator, whose indices i per shape come
-    sorted.  One pass over the sorted shapes builds each record and merges
-    it into its image: the union of the indices i and the best status
-    (realized, else open, else not realized; the first preimage of that
-    rank).  Records are built unchecked, all eleven fields in order.  Only
+    sorted.  One pass over the sorted shapes builds each record and files
+    it under its image, which takes the union of the indices i and the
+    status its preimages share: each ``_EXCEPTIONS`` shape is the only
+    preimage of its image, and every other shape is realized (checked for
+    n = 4..400).  Records are built unchecked, all eleven fields in order.  Only
     the last n is cached, as callers ask about one n at a time; each
     shape's projection is cached for the life of the process, as shapes
     recur across n."""
@@ -314,20 +310,18 @@ def _classification(n: int) -> tuple[tuple[VcClassRecord, ...], tuple[VcClassRec
         key = _project(shape)
         image = merged.get(key)
         if image is None:
-            # [union of the indices i, best preimage, preimage shapes]
+            # [union of the indices i, first preimage, preimage shapes]
             merged[key] = [set(record.admissible_i), record, [shape]]
             continue
         image[0].update(record.admissible_i)
-        if _STATUS_RANK[record.status] > _STATUS_RANK[image[1].status]:
-            image[1] = record
         image[2].append(shape)
     images, image_of = [], {}
     for image in sorted(merged):
-        union, best, preimages = merged[image]
+        union, first, preimages = merged[image]
         kind, factor, action, factors, amalgamated, gluing = image
         record = tuple.__new__(VcClassRecord, (
             kind, n, True, factor, action, factors, amalgamated, gluing,
-            tuple(sorted(union)), best.status, best.status_ref))
+            tuple(sorted(union)), first.status, first.status_ref))
         images.append(record)
         image_of.update(dict.fromkeys(preimages, record))
     return tuple(records), tuple(images), image_of
@@ -352,7 +346,7 @@ def enumerate_all(n: int) -> tuple[VcClassRecord, ...]:
 def enumerate_vtilde(n: int) -> tuple[VcClassRecord, ...]:
     """The mapping-class-group classes: the images of the braid-group records
     under the central quotient, each with the indices i of its preimages and
-    their best status."""
+    the status they share."""
     return _classification(n)[1]
 
 

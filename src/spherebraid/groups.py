@@ -286,8 +286,8 @@ def todd_coxeter(pres: GroupPresentation) -> FiniteGroupTable:
     order, missing transitions are filled by defining new cosets, and
     coincidences are processed through a union-find.  Deterministic.  The
     closed table is renumbered breadth-first from the identity coset, and
-    the multiplication table is read off it one lookup per entry: a·b is
-    a·p·x for b's breadth-first parent p and last letter x.  Raises
+    that walk, which meets each coset b through its parent p and column x,
+    fills the multiplication table one lookup per entry: a·b is a·p·x.  Raises
     :class:`CosetBudgetError` when more than ``COSET_BUDGET`` cosets get
     defined.
     """
@@ -406,32 +406,28 @@ def todd_coxeter(pres: GroupPresentation) -> FiniteGroupTable:
     if any(tab[c][col] is None for c in live for col in range(ncols)):
         raise CosetBudgetError("enumeration did not close; table incomplete")
 
-    # Standardize: BFS renumbering from the identity coset over columns in order.
+    # Standardize: BFS renumbering from the identity coset over columns in
+    # order; each coset b is numbered after the parent p it is reached from.
     root = find(0)
     number = {root: 0}
     bfs = deque([root])
+    steps = []
     while bfs:
         c = bfs.popleft()
+        nc = number[c]
         for colidx in range(ncols):
             d = find(tab[c][colidx])  # type: ignore[arg-type]
             if d not in number:
                 number[d] = len(number)
                 bfs.append(d)
+                steps.append((number[d], nc, colidx))
     order = len(number)
     action = [[0] * ncols for _ in range(order)]
     for c, nc in number.items():
         for colidx in range(ncols):
             action[nc][colidx] = number[find(tab[c][colidx])]  # type: ignore[arg-type]
 
-    # Element i = coset i; a·b traces the representative word of b from a.
-    # That word is b's BFS parent's word plus one last letter, so each row
-    # is filled in order of word length, one lookup per entry.
-    rep = _bfs_words(order, lambda x, letter: action[x][col(letter)],
-                     [s * (g + 1) for g in range(ng) for s in (1, -1)], 0)
-    steps = []
-    for b in sorted(range(1, order), key=lambda b: len(rep[b])):
-        last = col(rep[b][-1])
-        steps.append((b, action[b][last ^ 1], last))
+    # Element i = coset i; b's word is p's plus column x, so a·b = a·p·x.
     mult = []
     for a in range(order):
         row = [a] * order

@@ -100,8 +100,17 @@ def _linking_class(w: BraidWord) -> tuple[int | None, int]:
     of a central word says which central element it is.  A word in neither
     class is not central: None.  The same pass counts emissions: sigma_i is
     one of its left strand, sigma_i^-1 one of its right; ties go low.
+
+    Only the first min(n, K + 3) strands are read, K the largest |letter|
+    (0 for the empty word), so the cost follows the word, not n.  Strands
+    K + 2 to n never move, so no pair holding one crosses; two of them and
+    any moved strand j force c_{K+2} = c_{K+3} = -eps/2 and c_j = -eps -
+    c_{K+2}, and each further one adds only the same equations, so K + 3
+    strands give the class and eps of all n.  Unmoved strands emit nothing
+    and ties go low, so the least-emitting strand is kept too (K + 2 is the
+    first unmoved one), and min(n, K + 3) >= 3, as eps on strands 1-3 needs.
     """
-    n = w.n
+    n = min(w.n, max(map(abs, w.letters), default=0) + 3)
     # d[a][b] counts the crossings with a on the left; d_jk is d[j][k] + d[k][j].
     d = [[0] * (n + 1) for _ in range(n + 1)]
     strand_at = list(range(n + 1))

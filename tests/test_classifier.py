@@ -1019,6 +1019,24 @@ class TestOneProjectionPerShape:
             classifier._classification.cache_clear()
 
 
+class TestInheritedStatus:
+    """An image takes its first preimage's status and reference, which is
+    sound only while an image's preimages agree on them."""
+
+    def test_preimages_share_status_and_exceptions_stand_alone(self):
+        for n in range(4, 201):
+            recs, images, image_of = classifier._classification(n)
+            preimages = {}
+            for r in recs:
+                preimages.setdefault(image_of[classifier._shape(r)], []).append(r)
+            assert sorted(preimages) == list(images)
+            for image, group in preimages.items():
+                shared = {(r.status, r.status_ref) for r in group}
+                assert shared == {(image.status, image.status_ref)}, image
+                if any(classifier._shape(r) in classifier._EXCEPTIONS for r in group):
+                    assert len(group) == 1, image
+
+
 class TestOnePass:
     """The invariants the one-pass build rests on."""
 

@@ -65,12 +65,16 @@ class TestQueries:
         assert code == 0 and out.splitlines() == ["n,word,order", "6,1 2 3 4 5,12"]
 
 
+def child_env() -> dict:
+    """The environment of a child that imports the checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_child(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m spherebraid`` in a child process, its output as bytes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "spherebraid", *argv],
-                          env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+                          env=child_env(), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
 
 class TestCsvBytes:
@@ -102,6 +106,27 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert proc.returncode == 1 and proc.stderr == b""
+
+
+class TestLargeN:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="the peak resident set is read from /proc")
+    def test_short_word_memory_follows_the_word(self):
+        # The linking class reads only the strands the word moves, so a
+        # four-letter word at n = 4000 keeps no (n + 1)^2 matrix (about
+        # 140 MB).  The child reads the peak of its own address space,
+        # VmHWM: on Linux RUSAGE_CHILDREN keeps the largest peak of every
+        # earlier child, and even RUSAGE_SELF carries the test process's
+        # peak over the exec.
+        code = ("from spherebraid import cli\n"
+                "cli.main(['equal', '--n', '4000', '1 1 2 2', '2 2 1 1'])\n"
+                "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+                "print(status.split()[0])\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        answer, peak_kb = proc.stdout.splitlines()
+        assert proc.returncode == 0 and answer == "equal: False"
+        assert int(peak_kb) < 50_000
 
 
 class TestClassify:

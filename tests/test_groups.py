@@ -219,6 +219,22 @@ class TestCosetEnumeration:
                 x = G.mult[x][g if letter > 0 else G.inverse[g]]
             assert x == G.mult[a][b]
 
+    @pytest.mark.parametrize("tag", PRESENTED_TABLE_DIGESTS)
+    def test_numbering_walk_fills_the_table(self, tag, monkeypatch):
+        # The renumbering walk knows each coset's parent and column, so the
+        # only breadth-first word walk is the one that writes the table's
+        # words.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return bfs_words(*args)
+
+        bfs_words = groups._bfs_words
+        monkeypatch.setattr(groups, "_bfs_words", counted)
+        G = todd_coxeter(named_group(tag).presentation)
+        assert calls == [G.order]
+
     def test_subgroup_budget(self):
         # The lattice has no order budget of its own: Z201 has tau(201) = 4
         # subgroups.

@@ -1326,6 +1326,80 @@ class TestExactStage:
         assert set(ks) == set(range(-4, 5))
 
 
+def full_n_linking_class(w):
+    """The linking class and least-emitting strand from a pass over all n
+    strands, however few the word moves: the reference for the pass that
+    stops at the strands the word can move."""
+    n = w.n
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    strand_at = list(range(n + 1))
+    emitted = [0] * (n + 1)
+    for x in w.letters:
+        i = abs(x)
+        a, b = strand_at[i], strand_at[i + 1]
+        strand_at[i], strand_at[i + 1] = b, a
+        if x > 0:
+            emitted[a] += 1
+            d[a][b] += 1
+        else:
+            emitted[b] += 1
+            d[a][b] -= 1
+    s = min(range(1, n + 1), key=emitted.__getitem__)
+    if strand_at != list(range(n + 1)):
+        return None, s
+    t = (d[1][2] + d[2][1] + d[1][3] + d[3][1] - d[2][3] - d[3][2]) // 2
+    eps = t % 2
+    c1 = (t - eps) // 2
+    c = [0, c1] + [(d[1][j] + d[j][1]) // 2 - eps - c1 for j in range(2, n + 1)]
+    for j in range(2, n + 1):
+        for k in range(j + 1, n + 1):
+            if (d[j][k] + d[k][j]) // 2 != c[j] + eps + c[k]:
+                return None, s
+    return 2 * eps, s
+
+
+class TestMovedStrands:
+    """The linking class reads the first min(n, K + 3) strands, K the
+    largest |letter|, and finds what the pass over all n strands finds."""
+
+    @staticmethod
+    def words_below(rng, n, k):
+        """Words whose letters are at most k in absolute value: random ones,
+        pure ones, the full twist of the first k + 1 strands, and their
+        products and conjugates."""
+        def short(length):
+            return word(n, [rng.choice([1, -1]) * rng.randint(1, k) for _ in range(length)])
+
+        def pure():
+            w = identity(n)
+            for _ in range(rng.randint(1, 3)):
+                g = short(rng.randint(0, 6))
+                w = w * g * sigma(n, rng.randint(1, k)) ** rng.choice([2, -2]) * g.inv()
+            return w
+
+        twist = word(n, list(range(1, k + 1)) * (k + 1))
+        g = short(rng.randint(1, 8))
+        return [short(rng.randint(1, 12)), pure(), twist, twist.inv() ** 2,
+                g * twist * g.inv(), g * twist * pure() * g.inv(), pure() * twist ** 2]
+
+    def test_agrees_with_the_full_pass(self):
+        rng = random.Random(2121)
+        classes, cut = [], 0
+        for n in range(3, 61):
+            ks = {n - 1, n - 2, n - 3, *(rng.randint(1, max(1, n // 4)) for _ in range(3))}
+            for k in sorted(k for k in ks if k >= 1):
+                for w in self.words_below(rng, n, k):
+                    want = full_n_linking_class(w)
+                    assert _linking_class(w) == want, (n, w.letters)
+                    classes.append(want[0])
+                    cut += max(map(abs, w.letters), default=0) + 3 < n
+        # Every verdict of the class is met, and most words are read on
+        # fewer strands than n.
+        assert {None, 0, 2} <= set(classes)
+        assert classes.count(None) < len(classes) - 100
+        assert cut > len(classes) // 2
+
+
 class TestBudgetWords:
     """The README's two words, trivial at 166 letters, and their k = 200 versions."""
 
